@@ -157,6 +157,7 @@ def photon_mutual_info(gamma, f: float) -> float:
 
     which is what makes I(0) = 0 and I(1) = 2 H_S hold to float precision
     (the raw series would need ~Gamma-independent 10^9 terms near f = 0).
+    At Gamma = 0 the curve is a step: 0 at f = 0, ln 2 inside, 2 ln 2 at f = 1.
     """
     g = _gamma_of(gamma)
     if not 0.0 <= f <= 1.0:

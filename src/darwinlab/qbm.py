@@ -8,6 +8,11 @@ tracked oscillator, modes 1..B the bath bands. The unit choice keeps the
 matrix norm near s^2/2 instead of s^2 * max(m omega), which is what keeps
 global symplectic eigenvalues at 1/2 to ~1e-10 after evolution.
 
+A GaussianState is validated once, when it is built. Marginals are
+principal sub-blocks of a valid covariance, so they inherit that
+validation instead of repeating it; each fragment of a plot then costs
+one symplectic eigensolve per entropy, and H_S is solved once per state.
+
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -28,16 +33,34 @@ def _symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), j)
 
 
+def _omega_times(a: np.ndarray) -> np.ndarray:
+    """Omega @ a without forming Omega: swap each (x, p) row pair and negate
+    the new p row."""
+    out = np.empty_like(a)
+    out[0::2] = a[1::2]
+    out[1::2] = -a[0::2]
+    return out
+
+
 @dataclass
 class GaussianState:
     """Means and covariance of a multi-mode Gaussian state.
 
     cov[i, j] = <{R_i, R_j}>/2 - <R_i><R_j| with R = (x_0, p_0, x_1, ...)
     in scaled units, so any vacuum block is diag(1/2, 1/2).
+
+    Validation (shape, symmetry, uncertainty principle) happens once, at
+    construction. marginal() inherits it without re-checking: a principal
+    sub-block of a valid covariance is itself valid, and entropy() still
+    raises if a covariance fails its Cholesky factorization. A state is a
+    value; do not modify its arrays after construction.
     """
 
     means: np.ndarray
     cov: np.ndarray
+    # H_S of mode 0, filled in by the first qbm_mutual_info call
+    _h_system: float | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -60,8 +83,21 @@ class GaussianState:
 
     def marginal(self, modes) -> "GaussianState":
         idx = np.array(sorted(modes), dtype=int)
+        # distinct in-range modes keep the block principal, hence valid
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.n_modes
+                         or np.any(idx[1:] == idx[:-1])):
+            raise ValueError("marginal modes must be distinct and in range")
         rows = np.stack([2 * idx, 2 * idx + 1], axis=1).ravel()
-        return GaussianState(self.means[rows], self.cov[np.ix_(rows, rows)])
+        return GaussianState._unchecked(self.means[rows], self.cov[np.ix_(rows, rows)])
+
+    @classmethod
+    def _unchecked(cls, means: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """Wrap arrays already known to form a valid state, skipping
+        __post_init__."""
+        state = object.__new__(cls)
+        state.means = means
+        state.cov = cov
+        return state
 
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Positive halves of the spectrum of i Omega Delta.
@@ -74,7 +110,7 @@ class GaussianState:
             l = np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance not positive definite") from exc
-        m = l.T @ _symplectic_form(self.n_modes) @ l
+        m = l.T @ _omega_times(l)
         eigs = np.linalg.eigvalsh(1j * m)
         return eigs[eigs > 0.0]
 
@@ -228,7 +264,11 @@ def evolved_purity_defect(bath: OhmicBathParams, squeezing: float, direction: st
 
 
 def qbm_mutual_info(state: GaussianState, frag) -> float:
-    """I(S : selected bands); band i is phase-space mode i + 1."""
+    """I(S : selected bands); band i is phase-space mode i + 1.
+
+    H_S is solved on the first call and kept on the state, so every later
+    fragment costs two eigensolves, for F and SF.
+    """
     if isinstance(frag, FragmentSpec):
         bands = sorted(frag.indices)
     else:
@@ -239,7 +279,9 @@ def qbm_mutual_info(state: GaussianState, frag) -> float:
     if not bands:
         return 0.0
     modes = [b + 1 for b in bands]
-    h_s = state.marginal([0]).entropy()
+    if state._h_system is None:
+        state._h_system = state.marginal([0]).entropy()
+    h_s = state._h_system
     h_f = state.marginal(modes).entropy()
     h_sf = state.marginal([0] + modes).entropy()
     return h_s + h_f - h_sf

@@ -161,15 +161,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(shape, np.kron(a.amps, b.amps))
 
 
-def tensor_many(states) -> StateVector:
-    out = None
-    for s in states:
-        out = s if out is None else tensor(out, s)
-    if out is None:
-        raise ValueError("empty product")
-    return out
-
-
 def pure_density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.shape, np.outer(state.amps, state.amps.conj()))
 

@@ -6,6 +6,7 @@ settings.register_profile(
     "default",
     max_examples=50,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.register_profile("quick", max_examples=10, deadline=None)

@@ -143,7 +143,7 @@ def test_05_pointer_observable_selectivity():
     reason="best measured peak/floor ratio is ~4, not 5: random-state floors "
            "sit near R=2 under the across-half crossing convention, and no "
            "coupling draw pushes the t=10 peak past 5x that "
-           "(see notes/decisions.md, item 29)",
+           "(see the time scan in scripts/rise_and_fall.py)",
     strict=True)
 def test_06_redundancy_rise_and_fall():
     started = time.monotonic()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from darwinlab.branching import two_branch_entropy
 from darwinlab.info import LN2
@@ -227,8 +227,19 @@ def test_series_tail_visible_at_f_zero():
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_antisymmetry(gamma, f):
+    # the complement must be exact: at Gamma = 0 the curve steps at f = 1,
+    # so a tiny f whose 1 - f rounds to 1.0 lands on the wrong side of it
+    assume(1.0 - (1.0 - f) == f)
     total = photon_mutual_info(gamma, f) + photon_mutual_info(gamma, 1.0 - f)
     assert total == pytest.approx(2.0 * two_branch_entropy(gamma), abs=1e-11)
+
+
+def test_full_decoherence_steps():
+    # Gamma = 0: every nonempty proper fragment holds one full record
+    assert photon_mutual_info(0.0, 0.0) == 0.0
+    for f in (7.6e-97, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0 - 2.0 ** -53):
+        assert photon_mutual_info(0.0, f) == pytest.approx(LN2, abs=1e-15)
+    assert photon_mutual_info(0.0, 1.0) == pytest.approx(2.0 * LN2, abs=1e-15)
 
 
 def test_monotone_in_f():

@@ -8,6 +8,7 @@ from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
     GaussianState,
     OhmicBathParams,
+    _omega_times,
     _symplectic_form,
     gaussian_entropy,
     qbm_evolve,
@@ -77,6 +78,12 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState(np.zeros(2), cov)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            GaussianState(np.zeros(4), 0.5 * np.eye(2))
+        with pytest.raises(ValueError):
+            GaussianState(np.zeros(3), 0.5 * np.eye(3))
+
     def test_thermal_entropy(self):
         st = GaussianState(np.zeros(2), np.eye(2))
         assert st.entropy() == pytest.approx(gaussian_entropy(2.0))
@@ -88,6 +95,64 @@ class TestGaussianState:
         sub = st.marginal([1, 2])
         assert sub.cov.shape == (4, 4)
         assert np.allclose(sub.cov, 0.5 * np.eye(4))
+
+
+class TestValidateOnce:
+    """Marginals skip re-validation; each fragment costs two eigensolves."""
+
+    def setup_method(self):
+        self.state = qbm_evolve(OhmicBathParams(bands=16), 1000.0, "x", 3.0)
+
+    def test_marginal_matches_validated_block(self):
+        modes = [9, 0, 3, 4, 16]
+        rows = np.ravel([[2 * k, 2 * k + 1] for k in sorted(modes)])
+        fresh = GaussianState(self.state.means[rows],
+                              self.state.cov[np.ix_(rows, rows)])
+        sub = self.state.marginal(modes)
+        assert np.array_equal(sub.means, fresh.means)
+        assert np.array_equal(sub.cov, fresh.cov)
+        assert sub.entropy() == fresh.entropy()
+
+    def test_marginal_rejects_bad_modes(self):
+        for modes in ([0, 0], [17], [-1, 2]):
+            with pytest.raises(ValueError):
+                self.state.marginal(modes)
+
+    def test_entropy_still_rejects_singular_block(self):
+        with pytest.raises(ValueError):
+            GaussianState._unchecked(np.zeros(2), np.zeros((2, 2))).entropy()
+
+    def test_omega_by_slicing(self):
+        rng = np.random.default_rng(5)
+        factors = [np.linalg.cholesky(self.state.cov),
+                   np.tril(rng.normal(size=(6, 6)))]
+        for l in factors:
+            n = len(l) // 2
+            want = l.T @ _symplectic_form(n) @ l
+            got = l.T @ _omega_times(l)
+            # relative to the size of the products each entry sums, which
+            # cancel from ~s^2/2 down to ~1/2 for the squeezed state
+            scale = np.abs(l.T) @ np.abs(l)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_two_eigensolves_per_fragment(self, monkeypatch):
+        shapes = []
+        solve = GaussianState.symplectic_eigenvalues
+
+        def counted(st):
+            shapes.append(st.cov.shape)
+            return solve(st)
+
+        monkeypatch.setattr(GaussianState, "symplectic_eigenvalues", counted)
+        frags = [[0, 1], [2, 5, 7], list(range(8)), [15, 3], [2, 5, 7]]
+        first = qbm_mutual_info(self.state, frags[0])
+        assert len(shapes) == 3 and (2, 2) in shapes
+        n_first = len(shapes)
+        for frag in frags[1:]:
+            qbm_mutual_info(self.state, frag)
+        assert len(shapes) - n_first == 2 * (len(frags) - 1)
+        assert (2, 2) not in shapes[n_first:]
+        assert qbm_mutual_info(self.state, frags[0]) == first
 
 
 class TestBathParams:
