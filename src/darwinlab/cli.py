@@ -2,9 +2,9 @@
 
 One executable, one subcommand per experiment family. A run is fully
 determined by its merged configuration plus the mandatory seed: file
-outputs are byte-identical across machines and worker counts, all
-randomness flows from the single seed through fixed counter keys, and
-the only environment influence is DARWINLAB_THREADS.
+outputs are byte-identical across machines, all randomness flows from
+the single seed through fixed counter keys, and no environment variable
+changes a run.
 
 Configuration comes from an INI file (one section per subcommand, keys
 named like the long flags) with command-line flags taking precedence.

@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +24,8 @@ from scipy.optimize import brentq
 from .branching import (BranchingState, classical_quantum_decomposition,
                         decohered_system_entropy, mutual_info_branching,
                         system_entropy, to_state_vector, two_branch_entropy)
-from .info import Ensemble, ProbVector, holevo, shannon_entropy
+from .info import (Ensemble, ProbVector, _entropy_from_eigs, _first_crossing, holevo,
+                   shannon_entropy)
 from .numeric import POLICY
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
 from .qbm import GaussianState, qbm_mutual_info
@@ -35,26 +34,36 @@ from .qstate import (DensityMatrix, FragmentSpec, HilbertShape, StateVector,
 from .spinmodels import HALF, HazyCentralSpin, InteractingEnvParams, interacting_evolve
 
 
-def _two_level_entropy(p0: float, p1: float, off: complex) -> float:
-    lam = np.linalg.eigvalsh(np.array([[p0, off], [np.conj(off), p1]]))
-    lam = lam[lam > POLICY.eig_floor]
-    return float(-np.sum(lam * np.log(lam)))
-
-
 # ---------------------------------------------------------------------------
 # sources
-#
-# duck-typed: n_env, tag, symmetric, pure_global, pure_decoherence,
-# system_entropy(), fragment_mutual_info(sites). Optional extras light up
-# extra analyses: decohered_system_entropy / decoherence_fraction,
-# decompose, state_vector.
 
-class DenseSource:
-    """Any pure global state with the system as subsystem 0."""
+class Source:
+    """What the experiment layer asks of a decoherence model.
+
+    Every source has n_env, tag, system_entropy() and
+    fragment_mutual_info(sites). symmetric: I depends on the fragment
+    size only, so one fragment per size is drawn. pure_global: the
+    global state is pure, so mirrored sizes come free. pure_decoherence:
+    the records factorize, and decohered_system_entropy(sites) and
+    decompose(sites) exist.
+    """
 
     symmetric = False
-    pure_global = True
+    pure_global = False
     pure_decoherence = False
+
+    def decoherence_fraction(self, delta_d: float) -> float | None:
+        """Closed-form decoherence crossing, or None to scan fragment sizes."""
+        return None
+
+    def state_vector(self) -> StateVector:
+        raise ValueError("source has no dense state")
+
+
+class DenseSource(Source):
+    """Any pure global state with the system as subsystem 0."""
+
+    pure_global = True
 
     def __init__(self, state: StateVector, tag: str = "dense"):
         if state.shape.n_subsystems < 2:
@@ -84,10 +93,9 @@ class DenseSource:
         return self.state
 
 
-class BranchingSource:
+class BranchingSource(Source):
     """Branching states on the Gram-kernel fast path."""
 
-    symmetric = False
     pure_global = True
     pure_decoherence = True
 
@@ -115,11 +123,8 @@ class BranchingSource:
         return to_state_vector(self.b)
 
 
-class GaussianSource:
+class GaussianSource(Source):
     """Gaussian system/bath state; environment units are bath bands."""
-
-    symmetric = False
-    pure_decoherence = False
 
     def __init__(self, state: GaussianState, tag: str = "qbm"):
         if state.n_modes < 2:
@@ -142,7 +147,7 @@ class GaussianSource:
         return qbm_mutual_info(self.state, tuple(sites))
 
 
-class PhotonSource:
+class PhotonSource(Source):
     """Closed-form scattered-photon plot at fixed total decoherence.
 
     All photons are interchangeable, so a fragment only counts; n_env
@@ -202,11 +207,10 @@ class PhotonSource:
         return two_branch_entropy(self.gamma ** f), quantum
 
 
-class HazySource:
+class HazySource(Source):
     """Equal-coupling central spin over a partly mixed bath."""
 
     symmetric = True
-    pure_global = False
     pure_decoherence = True
 
     def __init__(self, model: HazyCentralSpin, tag: str = "hazy"):
@@ -224,10 +228,10 @@ class HazySource:
         return self.model.mutual_info(len(tuple(sites)))
 
     def decohered_system_entropy(self, sites) -> float:
-        m = len(tuple(sites))
         a = self.model.amps
-        off = a[0] * np.conj(a[1]) * self.model.g ** m
-        return _two_level_entropy(abs(a[0]) ** 2, abs(a[1]) ** 2, off)
+        off = a[0] * np.conj(a[1]) * self.model.g ** len(tuple(sites))
+        rho = np.array([[abs(a[0]) ** 2, off], [np.conj(off), abs(a[1]) ** 2]])
+        return _entropy_from_eigs(np.linalg.eigvalsh(rho))
 
     def decompose(self, sites) -> tuple[float, float]:
         # classical/quantum split stays exact for a hazy bath: the joint
@@ -379,22 +383,13 @@ def _paired_half_subsets(n: int, m: int, count: int, rng) -> list:
     return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DARWINLAB_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"DARWINLAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, k)
-
-
 def _sample_size(source, m: int, count: int, seed: int) -> tuple[float, float, int]:
     n = source.n_env
     if m == 0:
         subsets = [()]
     elif m == n:
         subsets = [tuple(range(n))]
-    elif getattr(source, "symmetric", False):
+    elif source.symmetric:
         subsets = [tuple(range(m))]
     else:
         rng = np.random.default_rng(np.random.SeedSequence((seed, m)))
@@ -415,7 +410,7 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     f = 0 and f = 1 endpoints always added) or from the default
     integer-then-geometric grid. Draws are uniform without replacement
     within each size and deterministic in `seed`; each size gets its own
-    counter-keyed stream, so the thread count never changes the numbers.
+    counter-keyed stream.
     """
     if samples_per_fraction < 1:
         raise ValueError("need at least one sample per fraction")
@@ -432,16 +427,9 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
             ms.add(int(round(float(f) * n)))
         cards = tuple(sorted(ms | {0, n}))
     h_s = source.system_entropy()
-    pure = bool(getattr(source, "pure_global", False))
+    pure = source.pure_global
     keys = sorted({min(m, n - m) if pure else m for m in cards})
-    workers = _worker_count()
-    if workers > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda m: _sample_size(source, m, samples_per_fraction, seed), keys))
-        stats = dict(zip(keys, results))
-    else:
-        stats = {m: _sample_size(source, m, samples_per_fraction, seed) for m in keys}
+    stats = {m: _sample_size(source, m, samples_per_fraction, seed) for m in keys}
     points = []
     for m in cards:
         key = min(m, n - m) if pure else m
@@ -488,43 +476,30 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1,
     size linearly interpolated between the bracketing samples. A size-1
     crossing means every unit is a full record and R = n exactly.
 
-    plateau_reached reports whether any strictly-sub-half fragment
-    crossed. A globally pure source always crosses by f = 1/2 (purity
-    pins I there at H_S), so R bottoms out near 2 with the flag False:
-    redundancy without records, the random-state baseline. If not even
-    the half point crosses, r_delta is the achieved fraction of the
-    threshold, below one.
+    The exact-half fragment is scanned: purity pins I(n/2) at H_S, so a
+    globally pure source always crosses by f = 1/2 and R bottoms out
+    near 2, redundancy without records, the random-state baseline.
+    plateau_reached reports whether a strictly-sub-half fragment crossed,
+    so that baseline comes with the flag False. If not even the half
+    point crosses, r_delta is the achieved fraction of the threshold,
+    below one.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if pip.h_system <= 0.0:
-        raise ValueError("system entropy is zero; redundancy undefined")
     n = pip.n_env
-    threshold = (1.0 - delta) * pip.h_system
-    cand = [p for p in pip.points if 1 <= p.sharp_f and 2 * p.sharp_f <= n]
-    if not cand:
+    means = {p.sharp_f: p.mean_i for p in pip.points if 1 <= p.sharp_f and 2 * p.sharp_f <= n}
+    if not means:
         raise ValueError("plot has no fragments of half size or below")
-    plateau = any(p.mean_i >= threshold for p in cand if 2 * p.sharp_f < n)
-    hit = next((i for i, p in enumerate(cand) if p.mean_i >= threshold), None)
-    if hit is None:
-        best = max(p.mean_i for p in cand)
-        return RedundancyReport(delta, None, best / threshold, False, False, r_delta_d)
-    p = cand[hit]
-    if p.sharp_f == 1:
-        return RedundancyReport(delta, 1.0 / n, float(n), plateau, False, r_delta_d)
-    if hit == 0:
-        return RedundancyReport(delta, p.sharp_f / n, n / p.sharp_f, plateau, False, r_delta_d)
-    prev = cand[hit - 1]
-    frac = (threshold - prev.mean_i) / (p.mean_i - prev.mean_i)
-    sharp = prev.sharp_f + frac * (p.sharp_f - prev.sharp_f)
-    return RedundancyReport(delta, sharp / n, n / sharp, plateau, True, r_delta_d)
+    sharp, r, interpolated = _first_crossing(n, means, means.get, pip.h_system, delta)
+    threshold = (1.0 - delta) * pip.h_system
+    plateau = any(v >= threshold for m, v in means.items() if 2 * m < n)
+    f_delta = None if sharp is None else sharp / n
+    return RedundancyReport(delta, f_delta, r, plateau, interpolated, r_delta_d)
 
 
 def _mean_decohered(source, m: int, count: int, seed: int) -> float:
     n = source.n_env
     if m == n:
         subsets = [tuple(range(n))]
-    elif getattr(source, "symmetric", False):
+    elif source.symmetric:
         subsets = [tuple(range(m))]
     else:
         # keyed off the PIP streams so the two analyses never share draws
@@ -540,34 +515,25 @@ def redundancy_of_decoherence(source, delta_d: float = 0.1,
     Finds the mean fragment size whose records alone push the system
     entropy to (1 - delta_d) H_S and returns n over that size. Unlike
     the information crossing this one has no purity shortcut, so sizes
-    run all the way to n; if even the full environment falls short the
-    achieved fraction of the threshold (< 1) comes back instead.
+    run all the way to n, where the fully decohered system reaches H_S
+    and the scan always crosses. A source with a closed-form
+    decoherence_fraction skips the scan.
     """
     if not 0.0 < delta_d < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     h_s = source.system_entropy()
     if h_s <= 0.0:
         raise ValueError("system entropy is zero; redundancy undefined")
-    fraction = getattr(source, "decoherence_fraction", None)
-    if fraction is not None:
-        f = fraction(delta_d)
-        return 1.0 / f if f > 0.0 else float(source.n_env)
-    if not hasattr(source, "decohered_system_entropy"):
-        raise ValueError("source offers no fragment-only decoherence counterfactual")
     n = source.n_env
-    threshold = (1.0 - delta_d) * h_s
-    prev_m, prev_h = 0, 0.0
-    for m in (c for c in default_cardinalities(n) if c >= 1):
-        cur = _mean_decohered(source, m, samples_per_fraction, seed)
-        if cur >= threshold:
-            if m == 1:
-                return float(n)
-            if prev_m == 0:
-                return n / m
-            frac = (threshold - prev_h) / (cur - prev_h)
-            return n / (prev_m + frac * (m - prev_m))
-        prev_m, prev_h = m, cur
-    return prev_h / threshold
+    f = source.decoherence_fraction(delta_d)
+    if f is not None:
+        return 1.0 / f if f > 0.0 else float(n)
+    if not source.pure_decoherence:
+        raise ValueError("source offers no fragment-only decoherence counterfactual")
+    _, r, _ = _first_crossing(
+        n, default_cardinalities(n)[1:],
+        lambda m: _mean_decohered(source, m, samples_per_fraction, seed), h_s, delta_d)
+    return r
 
 
 def decompose_mutual_info(source, sites) -> tuple[float, float]:
@@ -578,7 +544,7 @@ def decompose_mutual_info(source, sites) -> tuple[float, float]:
     sources support the split; the parts are checked against the
     directly computed mutual information before being returned.
     """
-    if not getattr(source, "pure_decoherence", False) or not hasattr(source, "decompose"):
+    if not source.pure_decoherence:
         raise ValueError("decomposition needs a factorizing pure-decoherence source")
     sites = tuple(sorted(int(s) for s in sites))
     c, q = source.decompose(sites)

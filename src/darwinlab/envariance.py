@@ -262,9 +262,6 @@ class FineGrainSpec:
     def m(self) -> int:
         return sum(self.numerators)
 
-    def target_weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(mu, self.m) for mu in self.numerators)
-
 
 @dataclass(frozen=True)
 class BornResult:

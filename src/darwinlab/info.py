@@ -97,6 +97,39 @@ def _entropy_from_eigs(lam: np.ndarray) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
+def _first_crossing(n: int, sizes, value_of, h_s: float,
+                    delta: float) -> tuple[float | None, float, bool]:
+    """First fragment size whose value reaches (1 - delta) H_S, and R = n / sharpF.
+
+    Ascending `sizes` are scanned, calling value_of(m) only up to the
+    first crossing. Which sizes count (whether the exact half does) is
+    the caller's rule. Returns (sharpF, R, interpolated): a size-1
+    crossing gives R = n; a crossing at the first scanned size is taken
+    as is; a later one is interpolated linearly against the previous
+    scanned size. With no crossing sharpF is None and R is the largest
+    scanned value over the threshold, below one.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if h_s <= 0.0:
+        raise ValueError("system entropy is zero; redundancy undefined")
+    threshold = (1.0 - delta) * h_s
+    prev_m, prev_v, best = None, 0.0, -np.inf
+    for m in sizes:
+        v = value_of(m)
+        if v >= threshold:
+            if m == 1:
+                return 1.0, float(n), False
+            if prev_m is None:
+                return float(m), n / m, False
+            sharp = prev_m + (threshold - prev_v) / (v - prev_v) * (m - prev_m)
+            return sharp, n / sharp, True
+        prev_m, prev_v, best = m, v, max(best, v)
+    if prev_m is None:
+        raise ValueError("no fragment sizes to scan")
+    return None, best / threshold, False
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """H(rho) = -Tr rho ln rho, in nats."""
     return _entropy_from_eigs(np.linalg.eigvalsh(rho.mat))

@@ -22,7 +22,7 @@ from scipy.special import comb, xlogy
 
 from .numeric import POLICY, CapExceeded
 from .branching import BranchingState, gram_entropy
-from .info import LN2, _entropy_from_eigs
+from .info import LN2, _entropy_from_eigs, _first_crossing
 from .qstate import HilbertShape, StateVector, evolve_diagonal, qubits, tensor
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -438,25 +438,18 @@ def hazy_redundancy(base: CentralSpinParams, hp: HazyParams, delta: float = 0.1)
     Site couplings must be equal (the permutation-symmetric fast path).
     Crossing of (1 - delta) H_S is located by linear interpolation between
     integer fragment sizes, never below one qubit. Only fragments strictly
-    below half the bath count: at exactly half, purity alone pins I at H_S,
-    which says nothing about records. If no sub-half fragment crosses, the
-    returned value is the achieved fraction of the threshold (< 1).
+    below half the bath count: observers hold bath qubits but not their
+    purifying ancillas, so system plus bath is mixed and nothing pins I
+    at H_S at the half size; a crossing there would report R near 2,
+    which says nothing about records. If no sub-half fragment crosses,
+    the returned value is the achieved fraction of the threshold (< 1).
+    A bath of two qubits or fewer has no sub-half fragment and raises,
+    as does delta outside (0, 1).
     """
     d = np.unique(base.couplings)
     if len(d) != 1:
         raise ValueError("fast path requires equal couplings")
     model = HazyCentralSpin(base.n_env, float(d[0]), base.t, hp, base.system_init)
-    h_s = model.system_entropy()
-    if h_s <= 0.0:
-        raise ValueError("system entropy is zero; redundancy undefined")
-    threshold = (1.0 - delta) * h_s
-    prev_m, prev_i = 0, 0.0
-    for m in range(1, (base.n_env - 1) // 2 + 1):
-        cur = model.mutual_info(m)
-        if cur >= threshold:
-            if m == 1:
-                return float(base.n_env)
-            frac = (threshold - prev_i) / (cur - prev_i)
-            return base.n_env / (prev_m + frac * (m - prev_m))
-        prev_m, prev_i = m, cur
-    return prev_i / threshold
+    _, r, _ = _first_crossing(base.n_env, range(1, (base.n_env - 1) // 2 + 1),
+                              model.mutual_info, model.system_entropy(), delta)
+    return r

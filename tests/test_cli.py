@@ -161,6 +161,11 @@ class TestCommands:
         assert float(first[0]) == 0.0
         assert first[5] == "1"
 
+    @pytest.mark.parametrize("model", ["photon", "hazy"])
+    def test_sweep_needs_a_dense_state(self, tmp_path, capsys, model):
+        assert run(tmp_path, "sweep", "--model", model, "--n", "8", "--seed", "0") == 1
+        assert "error: source has no dense state" in capsys.readouterr().err
+
     def test_qbm_tracks_the_squeezing(self, tmp_path):
         assert run(tmp_path, "qbm", "--bands", "32", "--samples", "12",
                    "--seed", "0") == 0

@@ -221,18 +221,6 @@ class TestBuildPip:
         assert a == b
         assert a != c
 
-    def test_thread_count_never_changes_numbers(self, monkeypatch):
-        src = spin_source(9, t=1.5, seed=2)
-        serial = pip_to_csv(build_pip(src, samples_per_fraction=5, seed=4))
-        monkeypatch.setenv("DARWINLAB_THREADS", "3")
-        threaded = pip_to_csv(build_pip(src, samples_per_fraction=5, seed=4))
-        assert serial == threaded
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("DARWINLAB_THREADS", "many")
-        with pytest.raises(ValueError):
-            build_pip(cnot_source(4), seed=0)
-
     def test_plot_validation(self):
         good = PIPPoint(0.5, 1, 0.1, 0.0, 1)
         with pytest.raises(ValueError):

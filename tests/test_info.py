@@ -7,6 +7,7 @@ from darwinlab.info import (
     Ensemble,
     MeasurementBasis,
     ProbVector,
+    _first_crossing,
     asymmetric_mutual_info,
     average_conditional_entropy,
     bloch_basis,
@@ -268,3 +269,35 @@ def test_measured_mi_below_quantum_mi(seed):
     rho = pure_density(random_state_vector(rng, (2, 2)))
     m = shannon_mutual_observables(rho, Z_BASIS, FragmentSpec.of(0), Z_BASIS, FragmentSpec.of(1))
     assert m <= mutual_information(rho, FragmentSpec.of(0)) + 1e-9
+
+
+# n = 10, H_S = 1, delta = 0.1: the threshold is 0.9
+@pytest.mark.parametrize("values, expected, scanned", [
+    ({1: 0.95, 2: 1.0}, (1.0, 10.0, False), [1]),                # size 1: R = n
+    ({2: 0.95, 3: 1.0}, (2.0, 5.0, False), [2]),                 # first scanned size
+    ({1: 0.3, 2: 0.5, 4: 1.3, 5: 2.0}, (3.0, 10 / 3, True), [1, 2, 4]),  # interpolated
+    ({1: 0.45, 2: 0.6, 3: 0.3}, (None, 0.6 / 0.9, False), [1, 2, 3]),    # none: the max
+    ({}, None, []),                                              # empty
+])
+def test_first_crossing_outcomes(values, expected, scanned):
+    calls = []
+
+    def value_of(m):
+        calls.append(m)
+        return values[m]
+
+    if expected is None:
+        with pytest.raises(ValueError):
+            _first_crossing(10, values, value_of, 1.0, 0.1)
+    else:
+        sharp, r, interpolated = _first_crossing(10, values, value_of, 1.0, 0.1)
+        assert sharp == (None if expected[0] is None else pytest.approx(expected[0], abs=1e-12))
+        assert r == pytest.approx(expected[1], abs=1e-12)
+        assert interpolated is expected[2]
+    assert calls == scanned
+
+
+@pytest.mark.parametrize("h_s, delta", [(1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (0.0, 0.1)])
+def test_first_crossing_rejects_bad_threshold(h_s, delta):
+    with pytest.raises(ValueError):
+        _first_crossing(10, [1, 2], lambda m: 1.0, h_s, delta)

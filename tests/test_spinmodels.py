@@ -308,6 +308,27 @@ class TestHazyRedundancy:
         r = hazy_redundancy(base, HazyParams(0.0))
         assert 0.0 < r < 1.0
 
+    def test_half_size_not_scanned(self):
+        # n = 16: the scan ends at m = 7, strictly below half
+        base = CentralSpinParams(np.full(16, 0.01), t=0.1)
+        model = HazyCentralSpin(16, 0.01, 0.1, HazyParams(0.0))
+        threshold = (1.0 - 0.1) * model.system_entropy()
+        r = hazy_redundancy(base, HazyParams(0.0))
+        assert r == pytest.approx(model.mutual_info(7) / threshold, rel=1e-12)
+        assert model.mutual_info(8) / threshold > r * (1 + 1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_sub_half_fragment_rejected(self, n):
+        base = CentralSpinParams(np.full(n, 0.3), t=1.0)
+        with pytest.raises(ValueError):
+            hazy_redundancy(base, HazyParams(0.0))
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5])
+    def test_delta_domain(self, delta):
+        base = CentralSpinParams(np.full(20, 0.3), t=1.0)
+        with pytest.raises(ValueError):
+            hazy_redundancy(base, HazyParams(0.0), delta=delta)
+
     def test_requires_equal_couplings(self):
         base = CentralSpinParams(np.array([0.5, 0.6]), t=1.0)
         with pytest.raises(ValueError):
