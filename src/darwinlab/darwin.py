@@ -24,8 +24,7 @@ from scipy.optimize import brentq
 from .branching import (BranchingState, classical_quantum_decomposition,
                         decohered_system_entropy, mutual_info_branching,
                         system_entropy, to_state_vector, two_branch_entropy)
-from .info import (Ensemble, ProbVector, _entropy_from_eigs, _first_crossing, holevo,
-                   shannon_entropy)
+from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
 from .qbm import GaussianState, qbm_mutual_info
@@ -228,10 +227,7 @@ class HazySource(Source):
         return self.model.mutual_info(len(tuple(sites)))
 
     def decohered_system_entropy(self, sites) -> float:
-        a = self.model.amps
-        off = a[0] * np.conj(a[1]) * self.model.g ** len(tuple(sites))
-        rho = np.array([[abs(a[0]) ** 2, off], [np.conj(off), abs(a[1]) ** 2]])
-        return _entropy_from_eigs(np.linalg.eigvalsh(rho))
+        return self.model.decohered_entropy(len(tuple(sites)))
 
     def decompose(self, sites) -> tuple[float, float]:
         # classical/quantum split stays exact for a hazy bath: the joint

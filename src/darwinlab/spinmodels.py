@@ -328,6 +328,15 @@ class HazyCentralSpin:
     Site couplings must be equal; every bath qubit is purified by a local
     ancilla, and observers hold bath qubits only. Permutation symmetry
     turns all reduced spectra into per-sector blocks, exact for any N.
+
+    The branch maps u0, u1 are diagonal with unit determinant, so both
+    conditional site states x, y have determinant c = q(1 - q). The
+    fragment block of m qubits in the sector of degree d = 2j is then
+    c^((m - d)/2) (p0 Sym^d x + p1 Sym^d y): its spectrum is one
+    degree-d spectrum, solved once per degree and reused by every m.
+    The joint state of system and fragment is a controlled unitary
+    applied to P_m (x) rho_mix^(x m), with P_m the system decohered by
+    the n - m sites outside the fragment, so H_SF = m H(q) + H(P_m).
     """
 
     def __init__(self, n: int, coupling: float, t: float, haze: HazyParams,
@@ -352,54 +361,47 @@ class HazyCentralSpin:
         rho_mix = q * plus + (1 - q) * minus
         self.x = u0 @ rho_mix @ u0.conj().T
         self.y = u1 @ rho_mix @ u1.conj().T
-        self.m01 = u0 @ rho_mix @ u1.conj().T
         # per-site branch overlap; independent of q
         self.g = float(np.trace(rho_mix @ u1.conj().T @ u0).real)
+        self._degree_eigs: dict[int, np.ndarray] = {}
 
     def _p(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def system_entropy(self) -> float:
+    def decohered_entropy(self, k: int) -> float:
+        """Entropy of the system once k bath sites have decohered it."""
         p = self._p()
-        off = self.amps[0] * self.amps[1].conjugate() * self.g ** self.n
+        off = self.amps[0] * self.amps[1].conjugate() * self.g ** k
         rho = np.array([[p[0], off], [np.conj(off), p[1]]])
         return _entropy_from_eigs(np.linalg.eigvalsh(rho))
 
-    def _sector_eigs(self, m: int, joint: bool):
-        """Eigenvalue/multiplicity pairs of the fragment (or system+fragment)."""
-        p = self._p()
-        gamma = self.amps[0] * self.amps[1].conjugate() * self.g ** (self.n - m)
-        for j in sector_label_range(m):
-            bx = sector_block(self.x, m, j)
-            by = sector_block(self.y, m, j)
-            if joint:
-                bm = sector_block(self.m01, m, j)
-                top = np.hstack([p[0] * bx, gamma * bm])
-                bot = np.hstack([np.conj(gamma) * bm.conj().T, p[1] * by])
-                block = np.vstack([top, bot])
-            else:
-                block = p[0] * bx + p[1] * by
-            block = 0.5 * (block + block.conj().T)
-            yield np.linalg.eigvalsh(block), sector_multiplicity(m, j)
+    def system_entropy(self) -> float:
+        return self.decohered_entropy(self.n)
 
-    def _entropy(self, m: int, joint: bool) -> float:
-        if m == 0:
-            return self.system_entropy() if joint else 0.0
-        total = 0.0
-        for lam, mult in self._sector_eigs(m, joint):
-            # no absolute floor here: sector multiplicities reach 1e12+,
-            # so even 1e-14 eigenvalues can carry real weight
-            lam = np.clip(lam, 0.0, None)
-            total += mult * float(-np.sum(xlogy(lam, lam)))
-        return total
+    def _eigs_of_degree(self, d: int) -> np.ndarray:
+        """Spectrum of p0 Sym^d x + p1 Sym^d y, solved on first use."""
+        lam = self._degree_eigs.get(d)
+        if lam is None:
+            p = self._p()
+            block = p[0] * sym_power(self.x, d) + p[1] * sym_power(self.y, d)
+            lam = np.clip(np.linalg.eigvalsh(0.5 * (block + block.conj().T)), 0.0, None)
+            self._degree_eigs[d] = lam
+        return lam
 
     def fragment_entropy(self, m: int) -> float:
         """Entropy of m bath qubits (ancillas and system traced out)."""
-        return self._entropy(m, joint=False)
+        c = self.q * (1.0 - self.q)
+        total = 0.0
+        for d in range(m % 2, m + 1, 2):
+            lam = c ** ((m - d) // 2) * self._eigs_of_degree(d)
+            # no absolute floor here: sector multiplicities reach 1e12+,
+            # so even 1e-14 eigenvalues can carry real weight
+            total += sector_multiplicity(m, d / 2.0) * float(-np.sum(xlogy(lam, lam)))
+        return total
 
     def joint_entropy(self, m: int) -> float:
         """Entropy of the system plus m bath qubits."""
-        return self._entropy(m, joint=True)
+        return m * binary_entropy(self.q) + self.decohered_entropy(self.n - m)
 
     def mutual_info(self, m: int) -> float:
         if not 0 <= m <= self.n:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from darwinlab import spinmodels
 from darwinlab.branching import (
     fragment_entropy,
     mutual_info_branching,
@@ -290,6 +291,80 @@ class TestHazyCentralSpin:
         model = HazyCentralSpin(128, 0.9, 6.0, HazyParams(0.5 * LN2))
         i = model.mutual_info(64)
         assert 0.0 < i <= model.system_entropy() + 1e-9
+
+
+def _literal_sector_entropies(model: HazyCentralSpin, m: int) -> tuple[float, float]:
+    """H_F and H_SF as a literal sum over spin sectors of the lifted blocks.
+
+    Every sector lifts x, y and u0 rho u1^dagger with sector_block and
+    solves the fragment block and the 2(2j + 1) joint block outright.
+    """
+    q = model.q
+    plus = np.outer(PLUS, PLUS.conj())
+    rho_mix = q * plus + (1 - q) * (np.eye(2) - plus)
+    phase = np.exp(-1j * model.coupling * model.t * np.array([1.0, -1.0]))
+    u0, u1 = np.diag(phase), np.diag(phase.conj())
+    x = u0 @ rho_mix @ u0.conj().T
+    y = u1 @ rho_mix @ u1.conj().T
+    m01 = u0 @ rho_mix @ u1.conj().T
+    p = np.abs(model.amps) ** 2
+    gamma = model.amps[0] * np.conj(model.amps[1]) * model.g ** (model.n - m)
+
+    def entropy(block):
+        lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+        lam = lam[lam > 0]
+        return float(-np.sum(lam * np.log(lam)))
+
+    h_f = h_sf = 0.0
+    for j in sector_label_range(m):
+        bx, by, bm = (sector_block(a, m, j) for a in (x, y, m01))
+        joint = np.block([[p[0] * bx, gamma * bm],
+                          [np.conj(gamma) * bm.conj().T, p[1] * by]])
+        mult = sector_multiplicity(m, j)
+        h_f += mult * entropy(p[0] * bx + p[1] * by)
+        h_sf += mult * entropy(joint)
+    return h_f, h_sf
+
+
+class TestHazyFastPath:
+    """Per-degree fragment spectra and the closed-form joint entropy."""
+
+    @pytest.mark.parametrize("h", [0.0, 0.5 * LN2, LN2])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_literal_sector_sum(self, n, h):
+        model = HazyCentralSpin(n, 0.3, 0.5, HazyParams(h), system_init=(0.6, 0.8))
+        for m in (1, n // 4, n // 2 - 1, n // 2):
+            h_f, h_sf = _literal_sector_entropies(model, m)
+            assert model.fragment_entropy(m) == pytest.approx(h_f, abs=1e-10)
+            assert model.joint_entropy(m) == pytest.approx(h_sf, abs=1e-10)
+
+    def test_one_spectrum_per_degree(self, monkeypatch):
+        degrees = []
+        lift = spinmodels.sym_power
+
+        def counted(a, k):
+            degrees.append(k)
+            return lift(a, k)
+
+        monkeypatch.setattr(spinmodels, "sym_power", counted)
+        # barely-entangling couplings: nothing crosses, so the scan runs
+        # through every sub-half size m = 1 ... 31
+        base = CentralSpinParams(np.full(64, 0.01), t=0.1)
+        hazy_redundancy(base, HazyParams(0.4 * LN2))
+        assert set(degrees) == set(range(32))
+        assert all(degrees.count(d) <= 2 for d in set(degrees))
+
+        model = HazyCentralSpin(64, 0.3, 0.5, HazyParams(0.4 * LN2))
+        first = [model.mutual_info(m) for m in (1, 7, 20, 31)]
+        n_first = len(degrees)
+        again = [model.mutual_info(m) for m in (31, 20, 7, 1)]
+        assert len(degrees) == n_first
+        assert again == first[::-1]
+
+    def test_decohered_entropy_endpoints(self):
+        model = HazyCentralSpin(12, 0.3, 0.5, HazyParams(0.2), system_init=(0.6, 0.8))
+        assert model.decohered_entropy(0) == pytest.approx(0.0, abs=1e-12)
+        assert model.joint_entropy(0) == model.system_entropy()
 
 
 class TestHazyRedundancy:
