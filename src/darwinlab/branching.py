@@ -13,17 +13,21 @@ K x K eigenproblems:
   * fragment plus system has the spectrum of the phase-carrying kernel over
     the complement (global purity swaps the two sides).
 
-That keeps environments of ~10^6 subsystems tractable: cost per fragment is
-O(K^2 |F|) plus a K x K eigendecomposition.
+Cost per fragment is O(K^2 |F|) plus a K x K eigendecomposition, and H_S
+is solved once per state. Inside this module a fragment is a sorted,
+repeat-free np.intp index array, built once per public call by _check_frag.
+Measured on the central-spin model at n = 10^5, K = 2 (2-vCPU x86 box,
+numpy 2.4): building the state takes about 2 s, the one-time overlap table
+0.4 s, and each mutual information 5 ms (|F| = 1) to 18 ms (|F| = n - 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numeric import POLICY, CapExceeded
-from .qstate import FragmentSpec, HilbertShape, StateVector, _as_fragment
+from .qstate import FragmentSpec, HilbertShape, StateVector
 from .info import LN2, _entropy_from_eigs
 
 # cache per-subsystem overlap tables only below this entry count
@@ -67,6 +71,7 @@ class BranchingState:
             conds.append(t)
         self.conditionals = conds
         self._overlaps = None
+        self._h_system = None
 
     @property
     def n_branches(self) -> int:
@@ -80,29 +85,53 @@ class BranchingState:
     def amplitudes(self) -> np.ndarray:
         return np.sqrt(self.probs) * np.exp(1j * self.phases)
 
-    def _pair_overlaps(self, indices) -> np.ndarray:
+    def _pair_overlaps(self, idx: np.ndarray) -> np.ndarray:
         """Stack of per-subsystem overlap matrices O[l][j,k] = <cond_j|cond_k>."""
         k = self.n_branches
         if self._overlaps is None and k * k * self.n_env <= _OVERLAP_CACHE_LIMIT:
             self._overlaps = np.stack([t.conj() @ t.T for t in self.conditionals])
         if self._overlaps is not None:
-            return self._overlaps[list(indices)]
-        return np.stack([self.conditionals[l].conj() @ self.conditionals[l].T for l in indices])
+            return self._overlaps[idx]
+        return np.stack([self.conditionals[l].conj() @ self.conditionals[l].T for l in idx])
 
-    def overlap_product(self, frag: FragmentSpec) -> np.ndarray:
-        """prod_{l in frag} <cond_j^(l)|cond_k^(l)> as a K x K matrix."""
-        k = self.n_branches
-        idx = frag.sorted
-        if not idx:
+    def overlap_product(self, frag) -> np.ndarray:
+        """prod_{l in frag} <cond_j^(l)|cond_k^(l)> as a K x K matrix.
+
+        frag is a FragmentSpec, or a tuple, list or array of site indices.
+        """
+        idx = _check_frag(self, frag)
+        if not idx.size:
+            k = self.n_branches
             return np.ones((k, k), dtype=complex)
         return np.prod(self._pair_overlaps(idx), axis=0)
 
 
-def _check_frag(b: BranchingState, frag) -> FragmentSpec:
-    frag = _as_fragment(frag)
-    if frag.indices and max(frag.indices) >= b.n_env:
+def _check_frag(b: BranchingState, frag) -> np.ndarray:
+    """The fragment as a sorted, repeat-free np.intp array of sites.
+
+    Takes a FragmentSpec, a tuple, a list or an array of site indices; a
+    repeated index collapses, as in a FragmentSpec. A negative index or
+    one >= n_env raises ValueError (a bare ndarray would wrap a negative
+    one). An already ascending array is checked without a sort.
+    """
+    if isinstance(frag, FragmentSpec):
+        idx = np.fromiter(frag.indices, dtype=np.intp, count=len(frag))
+    else:
+        idx = np.asarray(frag, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ValueError("fragment must be a flat list of site indices")
+    if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
+        idx = np.sort(idx)
+        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    if idx.size and (idx[0] < 0 or idx[-1] >= b.n_env):
         raise ValueError("fragment index out of range")
-    return frag
+    return idx
+
+
+def _complement(b: BranchingState, idx: np.ndarray) -> np.ndarray:
+    outside = np.ones(b.n_env, dtype=bool)
+    outside[idx] = False
+    return np.flatnonzero(outside)
 
 
 def fragment_gram(b: BranchingState, frag, include_system: bool = False) -> np.ndarray:
@@ -112,23 +141,24 @@ def fragment_gram(b: BranchingState, frag, include_system: bool = False) -> np.n
     With include_system set, the orthonormal pointer factors multiply the
     off-diagonal overlaps by delta_jk, so the kernel collapses to diag(p).
     """
-    frag = _check_frag(b, frag)
+    idx = _check_frag(b, frag)
     if include_system:
         return np.diag(b.probs).astype(complex)
     amp = np.sqrt(b.probs)
     ph = np.exp(1j * b.phases)
-    g = np.outer(amp, amp) * np.outer(ph.conj(), ph) * b.overlap_product(frag)
+    g = np.outer(amp, amp) * np.outer(ph.conj(), ph) * b.overlap_product(idx)
     return 0.5 * (g + g.conj().T)
 
 
-def _phase_kernel(b: BranchingState, frag: FragmentSpec) -> np.ndarray:
-    """Coefficient matrix of the system density operator decohered by `frag`.
+def _phase_kernel(b: BranchingState, idx: np.ndarray) -> np.ndarray:
+    """Coefficient matrix of the system density operator decohered by the
+    sites idx (a checked index array, see _check_frag).
 
     Entry (j,k) is a_j a_k^* conj(prod_F <cond_j|cond_k>); its spectrum is
-    the spectrum of the reduced state of (system + complement of frag).
+    the spectrum of the reduced state of (system + complement of idx).
     """
     a = b.amplitudes
-    g = np.outer(a, a.conj()) * b.overlap_product(frag).conj()
+    g = np.outer(a, a.conj()) * b.overlap_product(idx).conj()
     return 0.5 * (g + g.conj().T)
 
 
@@ -142,32 +172,32 @@ def fragment_entropy(b: BranchingState, frag, include_system: bool = False) -> f
     The system+fragment case uses global purity: its spectrum equals that
     of the complement fragment's phase-carrying kernel.
     """
-    frag = _check_frag(b, frag)
+    idx = _check_frag(b, frag)
     if include_system:
-        comp = frag.complement(b.n_env)
-        return gram_entropy(_phase_kernel(b, comp))
-    return gram_entropy(fragment_gram(b, frag))
+        return gram_entropy(_phase_kernel(b, _complement(b, idx)))
+    return gram_entropy(fragment_gram(b, idx))
 
 
 def system_entropy(b: BranchingState) -> float:
-    """Entropy of the system after decoherence by the whole environment."""
-    return fragment_entropy(b, FragmentSpec.of(), include_system=True)
+    """Entropy of the system after decoherence by the whole environment;
+    solved on the first call and kept on the state."""
+    if b._h_system is None:
+        b._h_system = gram_entropy(_phase_kernel(b, np.arange(b.n_env)))
+    return b._h_system
 
 
 def decohered_system_entropy(b: BranchingState, frag) -> float:
     """Counterfactual system entropy with only `frag` doing the decohering:
     off-diagonals are damped by the fragment's records alone."""
-    frag = _check_frag(b, frag)
-    return gram_entropy(_phase_kernel(b, frag))
+    return gram_entropy(_phase_kernel(b, _check_frag(b, frag)))
 
 
 def mutual_info_branching(b: BranchingState, frag) -> float:
     """I(S : F) = H_S + H_F - H_{S,F} for the pure global branching state."""
-    frag = _check_frag(b, frag)
-    comp = frag.complement(b.n_env)
-    h_s = gram_entropy(_phase_kernel(b, FragmentSpec(frozenset(range(b.n_env)))))
-    h_f = gram_entropy(fragment_gram(b, frag))
-    h_sf = gram_entropy(_phase_kernel(b, comp))
+    idx = _check_frag(b, frag)
+    h_s = system_entropy(b)
+    h_f = gram_entropy(fragment_gram(b, idx))
+    h_sf = gram_entropy(_phase_kernel(b, _complement(b, idx)))
     return h_s + h_f - h_sf
 
 
@@ -194,11 +224,10 @@ def classical_quantum_decomposition(b: BranchingState, frag) -> tuple[float, flo
     and the environment starts in a product state), quantum = H_S - H of
     the system decohered by the complement alone.
     """
-    frag = _check_frag(b, frag)
-    comp = frag.complement(b.n_env)
-    h_f = gram_entropy(fragment_gram(b, frag))
+    idx = _check_frag(b, frag)
+    h_f = gram_entropy(fragment_gram(b, idx))
     h_s = system_entropy(b)
-    h_s_comp = gram_entropy(_phase_kernel(b, comp))
+    h_s_comp = gram_entropy(_phase_kernel(b, _complement(b, idx)))
     return h_f, h_s - h_s_comp
 
 

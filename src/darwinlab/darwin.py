@@ -28,7 +28,7 @@ from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
 from .qbm import GaussianState, qbm_mutual_info
-from .qstate import (DensityMatrix, FragmentSpec, HilbertShape, StateVector,
+from .qstate import (DensityMatrix, HilbertShape, StateVector,
                      qubits, reduced_density, subsystem_entropy)
 from .spinmodels import HALF, HazyCentralSpin, InteractingEnvParams, interacting_evolve
 
@@ -110,13 +110,13 @@ class BranchingSource(Source):
         return system_entropy(self.b)
 
     def fragment_mutual_info(self, sites) -> float:
-        return mutual_info_branching(self.b, FragmentSpec.of(*sites))
+        return mutual_info_branching(self.b, sites)
 
     def decohered_system_entropy(self, sites) -> float:
-        return decohered_system_entropy(self.b, FragmentSpec.of(*sites))
+        return decohered_system_entropy(self.b, sites)
 
     def decompose(self, sites) -> tuple[float, float]:
-        return classical_quantum_decomposition(self.b, FragmentSpec.of(*sites))
+        return classical_quantum_decomposition(self.b, sites)
 
     def state_vector(self) -> StateVector:
         return to_state_vector(self.b)

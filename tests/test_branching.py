@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darwinlab import branching
 from darwinlab.branching import (
     BranchingState,
     classical_quantum_decomposition,
+    decohered_system_entropy,
     fragment_entropy,
     fragment_gram,
     gram_entropy,
@@ -13,6 +15,7 @@ from darwinlab.branching import (
     to_state_vector,
     two_branch_entropy,
 )
+from darwinlab.darwin import BranchingSource
 from darwinlab.info import LN2
 from darwinlab.qstate import FragmentSpec, subsystem_entropy
 from helpers import random_branching_state, random_ket
@@ -192,6 +195,24 @@ def test_equal_two_branch_mutual_info_closed_form():
         assert i == pytest.approx(expect, abs=1e-9)
 
 
+def test_equal_two_branch_mutual_info_closed_form_large_n():
+    # n = 10^4 is far past the dense oracle; c^(2n) = 1/4 keeps every term
+    # of the closed form away from its endpoints
+    n = 10 ** 4
+    angle = np.arccos(0.25 ** (1 / (2 * n)))
+    b = two_branch(angle, n)
+    c = b.overlap_product((0,))[0, 1].real  # the per-site overlap as the state holds it
+    rng = np.random.default_rng(8)
+    for m in (1, n // 3, n // 2, n - 1):
+        frag = rng.choice(n, size=m, replace=False)
+        expect = (
+            two_branch_entropy(c ** (2 * n))
+            + two_branch_entropy(c ** (2 * m))
+            - two_branch_entropy(c ** (2 * (n - m)))
+        )
+        assert mutual_info_branching(b, frag) == pytest.approx(expect, abs=1e-12)
+
+
 @given(st.integers(0, 10 ** 6))
 def test_decomposition_sums_to_mutual_info(seed):
     rng = np.random.default_rng(seed)
@@ -228,3 +249,74 @@ def test_branch_cap_enforced():
         BranchingState(
             np.full(65, 1 / 65), np.zeros(65), [np.stack([random_ket(np.random.default_rng(0), 2)] * 65)]
         )
+
+
+SITE_FORMS = {
+    "spec": FragmentSpec.of(1, 4, 6),
+    "tuple": (1, 4, 6),
+    "list": [1, 4, 6],
+    "unsorted array": np.array([6, 1, 4]),
+    "repeat": [4, 1, 6, 4],
+}
+SITE_RULE_FUNCTIONS = {
+    "mutual_info": mutual_info_branching,
+    "fragment": fragment_entropy,
+    "fragment+system": lambda b, f: fragment_entropy(b, f, include_system=True),
+    "decohered": decohered_system_entropy,
+    "decomposition": classical_quantum_decomposition,
+    "gram": fragment_gram,
+    "overlap_product": lambda b, f: b.overlap_product(f),
+}
+
+
+@pytest.mark.parametrize("name", SITE_RULE_FUNCTIONS)
+def test_site_forms_give_identical_values(name):
+    fn = SITE_RULE_FUNCTIONS[name]
+    b = random_branching_state(np.random.default_rng(9), 8, 3)
+    ref = fn(b, SITE_FORMS["spec"])
+    for form, sites in SITE_FORMS.items():
+        assert np.array_equal(fn(b, sites), ref), form
+
+
+@pytest.mark.parametrize("name", SITE_RULE_FUNCTIONS)
+@pytest.mark.parametrize("sites", [[-1], np.array([2, -1]), [0, 8], np.array([8])],
+                         ids=["neg list", "neg array", "n list", "n array"])
+def test_bad_site_index_rejected(name, sites):
+    b = random_branching_state(np.random.default_rng(10), 8, 3)
+    with pytest.raises(ValueError):
+        SITE_RULE_FUNCTIONS[name](b, sites)
+
+
+def test_system_entropy_solved_once_per_state(monkeypatch):
+    calls = []
+    solve = branching.gram_entropy
+
+    def counted(g):
+        calls.append(g.shape)
+        return solve(g)
+
+    monkeypatch.setattr(branching, "gram_entropy", counted)
+    b = random_branching_state(np.random.default_rng(11), 6, 3)
+    src = BranchingSource(b)
+    mutual_info_branching(b, (0, 2))
+    assert len(calls) == 3
+    for sites in ((1,), (0, 2), (1, 3, 4, 5)):
+        calls.clear()
+        mutual_info_branching(b, sites)
+        assert len(calls) == 2
+    calls.clear()
+    h_s = src.system_entropy()
+    assert calls == []
+    assert h_s == system_entropy(b)
+
+
+def test_uncached_overlaps_match_cached(monkeypatch):
+    rng = np.random.default_rng(12)
+    frags = [(0,), (1, 3), (0, 2, 4), (1, 2, 3, 4, 5)]
+    cached = [random_branching_state(rng, 6, 3) for _ in range(3)]
+    expect = [[mutual_info_branching(b, f) for f in frags] for b in cached]
+    monkeypatch.setattr(branching, "_OVERLAP_CACHE_LIMIT", 0)
+    for b, want in zip(cached, expect):
+        fresh = BranchingState(b.probs, b.phases, b.conditionals)
+        assert [mutual_info_branching(fresh, f) for f in frags] == want
+        assert fresh._overlaps is None
