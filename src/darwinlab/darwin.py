@@ -275,7 +275,8 @@ class InteractingSource(DenseSource):
         sites = tuple(sorted(int(s) for s in sites))
         keep = tuple(s + 1 for s in sites)
         h_f = subsystem_entropy(self.state, keep) if keep else 0.0
-        comp = tuple(i for i in range(self.n_env) if i not in set(sites))
+        inside = set(sites)
+        comp = tuple(i for i in range(self.n_env) if i not in inside)
         quantum = self.system_entropy() - self.decohered_system_entropy(comp)
         return h_f, quantum
 

@@ -11,7 +11,6 @@ frequency distribution (binomials up to M = 10^6) works in log space.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -282,12 +281,10 @@ def fine_grain_born(spec: FineGrainSpec) -> BornResult:
     the probability of outcome k is the exact rational mu_k / M. No
     floating point is involved.
     """
-    owners = [k for k, mu in enumerate(spec.numerators) for _ in range(mu)]
-    weight = Fraction(1, spec.m)
-    counts = Counter(owners)
-    fractions = tuple(counts.get(k, 0) * weight for k in range(len(spec.numerators)))
+    m = spec.m
+    fractions = tuple(Fraction(mu, m) for mu in spec.numerators)
     assert sum(fractions) == 1
-    return BornResult(fractions, spec.m)
+    return BornResult(fractions, m)
 
 
 def approximate_weights(weights, m: int) -> FineGrainSpec:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import comb, xlogy
+from scipy.special import xlogy
 
 from .numeric import POLICY, CapExceeded
 from .branching import BranchingState, gram_entropy
@@ -44,9 +44,7 @@ def cnot_model(a: complex, b: complex, n: int) -> BranchingState:
         raise ValueError("|a|^2 + |b|^2 must be 1")
     probs = np.array([abs(a) ** 2, abs(b) ** 2])
     phases = np.array([np.angle(a), np.angle(b)])
-    zero = np.array([1.0, 0.0], dtype=complex)
-    one = np.array([0.0, 1.0], dtype=complex)
-    conds = [np.stack([zero, one]) for _ in range(n)]
+    conds = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
     return BranchingState(probs, phases, conds)
 
 
@@ -107,10 +105,8 @@ def central_spin_branching(p: CentralSpinParams) -> BranchingState:
     kets = p.env_kets()
     probs = np.array([abs(a) ** 2, abs(b) ** 2])
     phases = np.array([np.angle(a), np.angle(b)])
-    conds = []
-    for i, d in enumerate(p.couplings):
-        ph = np.exp(-1j * d * p.t * np.array([1.0, -1.0]))
-        conds.append(np.stack([ph * kets[i], ph.conj() * kets[i]]))
+    ph = np.exp(-1j * p.couplings[:, None] * p.t * np.array([1.0, -1.0]))
+    conds = np.stack([ph * kets, ph.conj() * kets], axis=1)
     return BranchingState(probs, phases, conds)
 
 
@@ -311,8 +307,8 @@ def sector_label_range(m: int):
 
 def sector_multiplicity(m: int, j: float) -> int:
     k = int(round(m / 2.0 - j))
-    lo = comb(m, k - 1, exact=True) if k >= 1 else 0
-    return comb(m, k, exact=True) - lo
+    lo = math.comb(m, k - 1) if k >= 1 else 0
+    return math.comb(m, k) - lo
 
 
 def sector_block(a: np.ndarray, m: int, j: float) -> np.ndarray:

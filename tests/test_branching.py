@@ -320,3 +320,44 @@ def test_uncached_overlaps_match_cached(monkeypatch):
         fresh = BranchingState(b.probs, b.phases, b.conditionals)
         assert [mutual_info_branching(fresh, f) for f in frags] == want
         assert fresh._overlaps is None
+
+
+def test_ragged_or_wrong_k_conditionals_rejected():
+    rng = np.random.default_rng(13)
+    probs, phases = np.array([0.5, 0.5]), np.zeros(2)
+    mixed_d = [np.stack([random_ket(rng, 2)] * 2), np.stack([random_ket(rng, 3)] * 2)]
+    with pytest.raises(ValueError):
+        BranchingState(probs, phases, mixed_d)
+    wrong_k = [np.stack([random_ket(rng, 2)] * 3) for _ in range(4)]
+    with pytest.raises(ValueError):
+        BranchingState(probs, phases, wrong_k)
+    with pytest.raises(ValueError):
+        BranchingState(probs, phases, np.stack(wrong_k))
+
+
+def test_unnormalized_site_is_named():
+    b = random_branching_state(np.random.default_rng(14), 6, 3)
+    conds = b.conditionals.copy()
+    conds[4, 1] *= 1.01
+    with pytest.raises(ValueError, match="subsystem 4 not normalized"):
+        BranchingState(b.probs, b.phases, conds)
+
+
+def test_list_of_tables_becomes_one_array():
+    b = random_branching_state(np.random.default_rng(15), 7, 3)
+    assert isinstance(b.conditionals, np.ndarray) and b.conditionals.shape == (7, 3, 2)
+    from_array = BranchingState(b.probs, b.phases, b.conditionals.copy())
+    assert np.array_equal(from_array.conditionals, b.conditionals)
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (3, 3), (16, 2)])
+def test_overlap_table_matches_per_site_products(k, d, monkeypatch):
+    b = random_branching_state(np.random.default_rng(16), 40, k, d=d)
+    per_site = np.stack([t.conj() @ t.T for t in b.conditionals])
+    everywhere = np.arange(b.n_env)
+    assert np.array_equal(b._pair_overlaps(everywhere), per_site)
+    monkeypatch.setattr(branching, "_OVERLAP_CACHE_LIMIT", 0)
+    fresh = BranchingState(b.probs, b.phases, b.conditionals)
+    sites = np.array([0, 3, 17, 39])
+    assert np.array_equal(fresh._pair_overlaps(sites), per_site[sites])
+    assert fresh._overlaps is None

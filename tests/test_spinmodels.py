@@ -65,6 +65,17 @@ class TestCnotModel:
         with pytest.raises(ValueError):
             cnot_model(1.0, 1.0, n=3)
 
+    def test_empty_environment_builds(self):
+        b = cnot_model(0.6, 0.8, n=0)
+        assert b.conditionals.shape == (0, 2, 2)
+        assert system_entropy(b) == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_per_site_tables(self):
+        zero = np.array([1.0, 0.0], dtype=complex)
+        one = np.array([0.0, 1.0], dtype=complex)
+        per_site = np.stack([np.stack([zero, one]) for _ in range(7)])
+        assert np.array_equal(cnot_model(0.6, 0.8, n=7).conditionals, per_site)
+
 
 class TestCentralSpin:
     def test_matches_dense_evolution(self):
@@ -101,6 +112,19 @@ class TestCentralSpin:
         assert h_s == pytest.approx(LN2, abs=1e-6)
         mid = mutual_info_branching(b, FragmentSpec(frozenset(range(20))))
         assert mid == pytest.approx(h_s, abs=1e-6)
+
+    @pytest.mark.parametrize("env_init", [None, np.array([0.6, 0.8j])])
+    def test_matches_per_site_tables(self, env_init):
+        rng = np.random.default_rng(8)
+        p = CentralSpinParams(uniform_couplings(rng, 300), t=1.7, env_init=env_init)
+        kets = p.env_kets()
+        per_site = []
+        for i, d in enumerate(p.couplings):
+            ph = np.exp(-1j * d * p.t * np.array([1.0, -1.0]))
+            per_site.append(np.stack([ph * kets[i], ph.conj() * kets[i]]))
+        built = central_spin_branching(p).conditionals
+        assert np.array_equal(built, np.stack(per_site))
+        assert built.tobytes() == np.stack(per_site).tobytes()
 
     def test_uniform_couplings_in_half_open_interval(self):
         d = uniform_couplings(np.random.default_rng(0), 2000)
