@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY
-from .qstate import DensityMatrix, FragmentSpec, HilbertShape, _as_fragment, partial_trace
+from .qstate import (DensityMatrix, FragmentSpec, HilbertShape, _as_fragment,
+                     _entropy_from_eigs, partial_trace)
 
 LN2 = float(np.log(2.0))
 
@@ -90,11 +91,6 @@ class Ensemble:
         shapes = {s.shape.dims for s in self.states}
         if len(shapes) != 1:
             raise ValueError("ensemble members must share one shape")
-
-
-def _entropy_from_eigs(lam: np.ndarray) -> float:
-    lam = lam[lam > POLICY.eig_floor]
-    return float(-np.sum(lam * np.log(lam)))
 
 
 def _first_crossing(n: int, sizes, value_of, h_s: float,

@@ -189,21 +189,25 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     return DensityMatrix(HilbertShape(tuple(state.shape.dims[i] for i in ks)), rho)
 
 
+def _entropy_from_eigs(lam: np.ndarray) -> float:
+    """-sum lam ln lam over the entries above the policy floor."""
+    lam = lam[lam > POLICY.eig_floor]
+    return float(-np.sum(lam * np.log(lam)))
+
+
 def subsystem_entropy(state: StateVector, keep) -> float:
     """Entanglement entropy (nats) of a subsystem of a pure state.
 
-    Uses the singular values of the reshaped amplitude matrix, so the
-    cost is set by the smaller of the two sides.
+    Uses the eigenvalues of the smaller Gram side, a @ a^dagger with a the
+    reshaped amplitude matrix oriented smaller side first. They are the
+    Schmidt weights, so the cost is set by the smaller of the two sides.
     """
     keep = _as_fragment(keep)
     keep.validate_for(state.shape)
     a = _moved_matrix(state, keep.sorted)
     if a.shape[0] > a.shape[1]:
         a = a.T
-    sv = np.linalg.svd(a, compute_uv=False)
-    p = sv * sv
-    p = p[p > POLICY.eig_floor]
-    return float(-np.sum(p * np.log(p)))
+    return _entropy_from_eigs(np.linalg.eigvalsh(a @ a.conj().T))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

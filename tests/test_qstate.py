@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -219,6 +221,64 @@ def test_subsystem_entropy_matches_eigenvalues():
     lam = np.linalg.eigvalsh(reduced_density(s, keep).mat)
     lam = lam[lam > 1e-12]
     assert np.isclose(subsystem_entropy(s, keep), -np.sum(lam * np.log(lam)), atol=1e-9)
+
+
+def _svd_entropy(state, keep):
+    """Oracle: Schmidt weights as squared singular values of the amplitude matrix."""
+    n = state.shape.n_subsystems
+    rest = [i for i in range(n) if i not in keep]
+    a = state.as_grid().transpose(list(keep) + rest).reshape(state.shape.dim_of(keep), -1)
+    p = np.linalg.svd(a, compute_uv=False) ** 2
+    p = p[p > 1e-12]
+    return float(-np.sum(p * np.log(p)))
+
+
+def _bipartitions(n):
+    for m in range(1, n):
+        yield from itertools.combinations(range(n), m)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 8, (3, 2, 4, 2)])
+def test_subsystem_entropy_matches_svd_oracle(dims):
+    s = random_state_vector(np.random.default_rng(17), dims)
+    n = len(dims)
+    for keep in _bipartitions(n):
+        h = subsystem_entropy(s, keep)
+        assert abs(h - _svd_entropy(s, keep)) <= 1e-12, keep
+        rest = tuple(i for i in range(n) if i not in keep)
+        assert abs(h - subsystem_entropy(s, rest)) <= 1e-12, keep
+
+
+def test_subsystem_entropy_product_state_is_zero():
+    s = basis_state(HilbertShape((3, 2, 4, 2)), 37)
+    for keep in _bipartitions(4):
+        assert subsystem_entropy(s, keep) == 0.0
+
+
+def test_subsystem_entropy_ghz_and_distant_bell_pair():
+    ghz = ket([1] + [0] * 62 + [1], dims=(2,) * 6)
+    for keep in _bipartitions(6):
+        assert abs(subsystem_entropy(ghz, keep) - np.log(2.0)) <= 1e-12, keep
+    # Bell pair on qubits 0 and 3 of five, the rest in |0>
+    amps = np.zeros(32)
+    amps[0] = amps[0b10010] = 1.0
+    pair = ket(amps, dims=(2,) * 5)
+    for keep in ((0,), (3,), (0, 1), (1, 3), (0, 2, 4)):
+        assert abs(subsystem_entropy(pair, keep) - np.log(2.0)) <= 1e-12, keep
+    for keep in ((0, 3), (1,), (1, 2, 4)):
+        assert abs(subsystem_entropy(pair, keep)) <= 1e-12, keep
+
+
+def test_subsystem_entropy_weight_at_the_floor():
+    # Schmidt weights (1 - 1e-13, 1e-13): the small one sits below the
+    # 1e-12 spectrum floor, so both kernels drop it
+    rng = np.random.default_rng(5)
+    u, v = random_unitary(rng, 4), random_unitary(rng, 8)
+    w = np.array([1.0 - 1e-13, 1e-13])
+    a = np.sqrt(w[0]) * np.outer(u[:, 0], v[:, 0]) + np.sqrt(w[1]) * np.outer(u[:, 1], v[:, 1])
+    s = StateVector(qubits(5), a.reshape(-1))
+    for keep in ((0, 1), (2, 3, 4)):
+        assert abs(subsystem_entropy(s, keep) - _svd_entropy(s, keep)) <= 1e-10
 
 
 def test_density_matrix_validation():

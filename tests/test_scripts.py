@@ -1,6 +1,7 @@
 """Smoke runs of the study scripts at small sizes."""
 import csv
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -25,3 +26,18 @@ def test_haze_sweep(tmp_path, monkeypatch):
     assert len(rows) == 3
     assert float(rows[0]["h_over_hm"]) == 0.0
     assert float(rows[0]["r_ratio"]) == 1.0
+
+
+def test_rise_and_fall_small_bath(tmp_path, monkeypatch):
+    out = tmp_path / "r_of_t.csv"
+    monkeypatch.setattr(sys, "argv", ["rise_and_fall.py", "--n", "6", str(out)])
+    _load("rise_and_fall").main()
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "t,r_delta,h_system_nats"
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 17
+    ts = [float(r["t"]) for r in rows]
+    assert ts == sorted(ts) and ts[0] == 0.25 and ts[-1] == 500.0
+    # R = n / sharpF cannot exceed the bath size of 6
+    assert all(0.0 < float(r["r_delta"]) <= 6.0 for r in rows)
+    assert all(0.0 < float(r["h_system_nats"]) <= math.log(2.0) + 1e-12 for r in rows)
