@@ -27,7 +27,7 @@ from .branching import (BranchingState, classical_quantum_decomposition,
 from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
-from .qbm import GaussianState, qbm_mutual_info
+from .qbm import GaussianState, qbm_mutual_info, qbm_system_entropy
 from .qstate import (DensityMatrix, HilbertShape, StateVector,
                      qubits, reduced_density, subsystem_entropy)
 from .spinmodels import HALF, HazyCentralSpin, InteractingEnvParams, interacting_evolve
@@ -140,7 +140,7 @@ class GaussianSource(Source):
         return self.state.n_modes - 1
 
     def system_entropy(self) -> float:
-        return self.state.marginal([0]).entropy()
+        return qbm_system_entropy(self.state)
 
     def fragment_mutual_info(self, sites) -> float:
         return qbm_mutual_info(self.state, tuple(sites))
@@ -473,13 +473,16 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1,
     size linearly interpolated between the bracketing samples. A size-1
     crossing means every unit is a full record and R = n exactly.
 
-    The exact-half fragment is scanned: purity pins I(n/2) at H_S, so a
-    globally pure source always crosses by f = 1/2 and R bottoms out
-    near 2, redundancy without records, the random-state baseline.
-    plateau_reached reports whether a strictly-sub-half fragment crossed,
-    so that baseline comes with the flag False. If not even the half
-    point crosses, r_delta is the achieved fraction of the threshold,
-    below one.
+    At even n the exact-half fragment is scanned: purity pins I(n/2) at
+    H_S, so a globally pure source always crosses by f = 1/2 and R bottoms
+    out near 2, redundancy without records, the random-state baseline.
+    At odd n there is no exact-half fragment. The largest scanned size is
+    (n - 1)/2, which purity does not pin, so a pure source without
+    records need not cross at all (Haar sources at n = 7 reach about 0.6
+    of the threshold). plateau_reached reports whether a strictly-sub-half
+    fragment crossed, so the even-n baseline comes with the flag False.
+    If no scanned size crosses, f_delta is None and r_delta is the
+    achieved fraction of the threshold, below one.
     """
     n = pip.n_env
     means = {p.sharp_f: p.mean_i for p in pip.points if 1 <= p.sharp_f and 2 * p.sharp_f <= n}

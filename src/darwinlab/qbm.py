@@ -13,6 +13,14 @@ principal sub-blocks of a valid covariance, so they inherit that
 validation instead of repeating it; each fragment of a plot then costs
 one symplectic eigensolve per entropy, and H_S is solved once per state.
 
+The symplectic spectrum is solved in real arithmetic. With Delta = L L^T,
+K = L^T Omega L is real antisymmetric, so the real symmetric K^T K holds
+each nu^2 exactly twice; one symmetric eigensolve of it replaces the
+complex Hermitian one of i K. Its absolute error in nu^2 is about
+eps * nu_max^2, so a vacuum-like nu next to a strongly mixed one
+(nu_max ~ 10^3) is still good to a few 1e-10. evolved_purity_defect
+keeps the complex route, as an independent check of global purity.
+
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -58,7 +66,7 @@ class GaussianState:
 
     means: np.ndarray
     cov: np.ndarray
-    # H_S of mode 0, filled in by the first qbm_mutual_info call
+    # H_S of mode 0, filled in by the first qbm_system_entropy call
     _h_system: float | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -100,24 +108,33 @@ class GaussianState:
         return state
 
     def symplectic_eigenvalues(self) -> np.ndarray:
-        """Positive halves of the spectrum of i Omega Delta.
+        """Symplectic eigenvalues nu, ascending: the moduli of the spectrum
+        of i Omega Delta, one per mode.
 
-        Via Cholesky Delta = L L^T the problem becomes the ordinary Hermitian
-        one for i L^T Omega L, which is well conditioned even when entries
-        span many orders of magnitude.
+        Via Cholesky Delta = L L^T they are the moduli of the eigenvalues
+        of the real antisymmetric K = L^T Omega L, which is well conditioned
+        even when entries span many orders of magnitude. K^T K = -K^2 is
+        real symmetric with each nu^2 exactly twice, so its ascending
+        spectrum pairs up and every second value is one nu^2. The absolute
+        error in nu^2 is about eps * nu_max^2.
         """
         try:
             l = np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance not positive definite") from exc
-        m = l.T @ _omega_times(l)
-        eigs = np.linalg.eigvalsh(1j * m)
-        return eigs[eigs > 0.0]
+        k = l.T @ _omega_times(l)
+        lam = np.linalg.eigvalsh(k.T @ k)
+        return np.sqrt(np.clip(lam[1::2], 0.0, None))
 
     def entropy(self) -> float:
-        """Von Neumann entropy in nats, summed over symplectic eigenvalues."""
-        return float(sum(gaussian_entropy(max(2.0 * nu, 1.0))
-                         for nu in self.symplectic_eigenvalues()))
+        """Von Neumann entropy in nats, summed over symplectic eigenvalues.
+
+        gaussian_entropy of each area max(2 nu, 1), as one array expression.
+        """
+        a = np.maximum(2.0 * self.symplectic_eigenvalues(), 1.0)
+        am1 = a - 1.0
+        lo = am1 * np.log(np.where(am1 > 0.0, am1, 1.0))
+        return float(np.sum(0.5 * ((a + 1.0) * np.log(a + 1.0) - lo) - math.log(2.0)))
 
 
 def symplectic_area(delta: np.ndarray) -> float:
@@ -250,6 +267,8 @@ def evolved_purity_defect(bath: OhmicBathParams, squeezing: float, direction: st
     diagonal squeezer, a product of symplectic maps; the only rounding is
     one column scaling, so the defect reflects the state itself instead of
     the ~eps * ||Delta|| noise of re-extracting nu from the dense covariance.
+    It keeps the complex Hermitian eigvalsh of i B^T Omega B, so it checks
+    global purity independently of the real route in symplectic_eigenvalues.
     """
     if direction not in ("x", "p"):
         raise ValueError("direction must be 'x' or 'p'")
@@ -263,11 +282,19 @@ def evolved_purity_defect(bath: OhmicBathParams, squeezing: float, direction: st
     return float(np.max(np.abs(nus[nus > 0] - 0.5)))
 
 
+def qbm_system_entropy(state: GaussianState) -> float:
+    """H_S of mode 0, solved on the first call and kept on the state."""
+    if state._h_system is None:
+        state._h_system = state.marginal([0]).entropy()
+    return state._h_system
+
+
 def qbm_mutual_info(state: GaussianState, frag) -> float:
     """I(S : selected bands); band i is phase-space mode i + 1.
 
-    H_S is solved on the first call and kept on the state, so every later
-    fragment costs two eigensolves, for F and SF.
+    H_S comes from qbm_system_entropy, so every fragment after the first
+    costs two eigensolves, for SF and F. The SF block is one gather with
+    the system first; the F block is its trailing principal sub-block.
     """
     if isinstance(frag, FragmentSpec):
         bands = sorted(frag.indices)
@@ -278,13 +305,10 @@ def qbm_mutual_info(state: GaussianState, frag) -> float:
         raise ValueError("band index out of range")
     if not bands:
         return 0.0
-    modes = [b + 1 for b in bands]
-    if state._h_system is None:
-        state._h_system = state.marginal([0]).entropy()
-    h_s = state._h_system
-    h_f = state.marginal(modes).entropy()
-    h_sf = state.marginal([0] + modes).entropy()
-    return h_s + h_f - h_sf
+    h_s = qbm_system_entropy(state)
+    sf = state.marginal([0] + [b + 1 for b in bands])
+    h_f = GaussianState._unchecked(sf.means[2:], sf.cov[2:, 2:]).entropy()
+    return h_s + h_f - sf.entropy()
 
 
 def universal_pip(h_s: float, f: float) -> float:

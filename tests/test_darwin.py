@@ -266,6 +266,15 @@ class TestRedundancy:
             rs.append(rep.r_delta)
         assert 1.5 <= float(np.mean(rs)) <= 3.0
 
+    def test_odd_n_pure_source_need_not_cross(self):
+        # no exact-half fragment at odd n, so purity pins no scanned size
+        odd = redundancy(build_pip(haar_random_source(7, 0), seed=0), 0.1)
+        assert odd.r_delta < 1.0
+        assert odd.f_delta is None
+        even = redundancy(build_pip(haar_random_source(8, 0), seed=0), 0.1)
+        assert even.f_delta is not None
+        assert even.r_delta == pytest.approx(2.0, abs=0.2)
+
     def test_photon_matches_closed_form_inversion(self):
         src = PhotonSource(DecoherenceFactor.from_time(10.0), n_env=500)
         rep = redundancy(build_pip(src, seed=0), 0.1)

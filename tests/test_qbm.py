@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
@@ -22,6 +23,21 @@ from darwinlab.qbm import (
 
 # small bath for unit tests; acceptance uses the full figure-scale setup
 BATH = OhmicBathParams(bands=64)
+EPS = np.finfo(float).eps
+
+
+def complex_route_nus(cov):
+    """Oracle: symplectic eigenvalues from the Hermitian eigvalsh of i K,
+    K = L^T Omega L; its spectrum is +-nu, so the upper half is nu."""
+    l = np.linalg.cholesky(cov)
+    eigs = np.linalg.eigvalsh(1j * (l.T @ _omega_times(l)))
+    return eigs[len(eigs) // 2:]
+
+
+def nu_squared_tol(dim, nu_max):
+    """Stated error rule of the real route: absolute error in nu^2 of about
+    eps * nu_max^2, with a modest factor for the dimension."""
+    return 64 * dim * EPS * nu_max ** 2
 
 
 class TestSymplecticArea:
@@ -155,6 +171,87 @@ class TestValidateOnce:
         assert qbm_mutual_info(self.state, frags[0]) == first
 
 
+class TestRealSymplecticKernel:
+    """The real route, eigvalsh of K^T K, against the complex one."""
+
+    def assert_matches_oracle(self, st):
+        got = st.symplectic_eigenvalues()
+        want = complex_route_nus(st.cov)
+        assert got.shape == (st.n_modes,)
+        assert np.all(np.diff(got) >= 0.0)
+        tol = nu_squared_tol(len(st.cov), want[-1])
+        assert np.max(np.abs(got ** 2 - want ** 2)) <= tol
+
+    def test_random_valid_covariances(self):
+        # Williamson form S diag(nu, nu) S^T with a random symplectic S
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 5, 8):
+            h = rng.normal(size=(2 * n, 2 * n))
+            s = expm(0.5 * _symplectic_form(n) @ (h + h.T))
+            nus = np.sort(rng.uniform(0.5, 40.0, n))
+            cov = s @ np.diag(np.repeat(nus, 2)) @ s.T
+            st = GaussianState(np.zeros(2 * n), 0.5 * (cov + cov.T))
+            self.assert_matches_oracle(st)
+            assert np.allclose(st.symplectic_eigenvalues(), nus, rtol=1e-8)
+
+    def test_qbm_fragments_at_128_bands(self):
+        st = qbm_evolve(OhmicBathParams(bands=128), 1e3, "x", 3.0)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            bands = rng.choice(128, int(rng.integers(3, 13)), replace=False) + 1
+            for modes in (list(bands), [0] + list(bands)):
+                sub = st.marginal(modes)
+                self.assert_matches_oracle(sub)
+                want = sum(gaussian_entropy(max(2.0 * nu, 1.0))
+                           for nu in complex_route_nus(sub.cov))
+                assert sub.entropy() == pytest.approx(want, abs=1e-9)
+
+    def test_single_mode_is_root_determinant(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            a, b = rng.uniform(0.5, 30.0, 2)
+            c = rng.uniform(-1.0, 1.0) * math.sqrt(a * b - 0.25)
+            cov = np.array([[a, c], [c, b]])
+            nu = GaussianState(np.zeros(2), cov).symplectic_eigenvalues()
+            assert nu[0] == pytest.approx(math.sqrt(np.linalg.det(cov)), rel=1e-12)
+
+    def test_two_mode_squeezed_vacuum(self):
+        z = np.diag([1.0, -1.0])
+        for r in (0.1, 1.0, 3.0):
+            ch, sh = math.cosh(2 * r), math.sinh(2 * r)
+            cov = 0.5 * np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
+            st = GaussianState(np.zeros(4), cov)
+            tol = nu_squared_tol(4, ch / 2)
+            assert np.all(np.abs(st.symplectic_eigenvalues() ** 2 - 0.25) <= tol)
+            for mode in (0, 1):
+                nu = st.marginal([mode]).symplectic_eigenvalues()
+                assert nu[0] == pytest.approx(ch / 2, rel=1e-14)
+
+    def test_vacuum_next_to_hot_mode(self):
+        # a nu = 10^3 thermal mode beside vacuum, plain and through a beam
+        # splitter: the vacuum nu is only as good as eps * nu_max^2 allows
+        th = 0.3
+        c, s = math.cos(th), math.sin(th)
+        mix = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+        product = np.diag([1e3, 1e3, 0.5, 0.5])
+        for cov in (product, mix @ product @ mix.T):
+            nu = GaussianState(np.zeros(4), cov).symplectic_eigenvalues()
+            assert abs(nu[0] ** 2 - 0.25) <= nu_squared_tol(4, 1e3)
+            assert nu[1] == pytest.approx(1e3, rel=1e-13)
+
+    def test_entropy_is_the_scalar_sum(self):
+        st = qbm_evolve(OhmicBathParams(bands=32), 1e3, "x", 3.0)
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            modes = [0] + list(rng.choice(32, 6, replace=False) + 1)
+            sub = st.marginal(modes)
+            want = sum(gaussian_entropy(max(2.0 * nu, 1.0))
+                       for nu in sub.symplectic_eigenvalues())
+            assert abs(sub.entropy() - want) <= 1e-13
+        vacuum = GaussianState(np.zeros(4), 0.5 * np.eye(4))
+        assert vacuum.entropy() == pytest.approx(0.0, abs=1e-13)
+
+
 class TestBathParams:
     def test_band_grid(self):
         b = OhmicBathParams(bands=4, cutoff=16.0)
@@ -200,7 +297,6 @@ class TestEvolution:
         assert np.allclose(final.cov, sol.y[:, -1].reshape(start.cov.shape), atol=1e-7)
 
     def test_flow_is_symplectic(self):
-        from scipy.linalg import expm
         b = OhmicBathParams(bands=32)
         s = expm(4.0 * qbm_generator(b))
         omega = _symplectic_form(b.bands + 1)
@@ -270,6 +366,10 @@ class TestMutualInfo:
     def test_out_of_range_band(self):
         with pytest.raises(ValueError):
             qbm_mutual_info(self.state, [BATH.bands])
+
+    def test_repeated_band(self):
+        with pytest.raises(ValueError):
+            qbm_mutual_info(self.state, [2, 5, 2])
 
 
 class TestFormulas:

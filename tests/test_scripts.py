@@ -41,3 +41,16 @@ def test_rise_and_fall_small_bath(tmp_path, monkeypatch):
     # R = n / sharpF cannot exceed the bath size of 6
     assert all(0.0 < float(r["r_delta"]) <= 6.0 for r in rows)
     assert all(0.0 < float(r["h_system_nats"]) <= math.log(2.0) + 1e-12 for r in rows)
+
+
+def test_oscillator_overlay_small_bath(tmp_path, monkeypatch):
+    out = tmp_path / "overlay.csv"
+    monkeypatch.setattr(sys, "argv", ["oscillator_overlay.py", "--bands", "16",
+                                      "--samples", "4", "--out", str(out)])
+    _load("oscillator_overlay").main()
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "f,measured_nats,universal_nats"
+    rows = list(csv.reader(lines[1:]))
+    # every size strictly between 0 and the 16 bands
+    assert len(rows) == 15
+    assert all(len(r) == 3 and all(math.isfinite(float(v)) for v in r) for r in rows)
