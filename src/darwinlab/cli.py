@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .darwin import (BranchingSource, GaussianSource, HazySource,
@@ -169,6 +168,8 @@ def _model_source(cfg: dict, seed: int):
 
 
 def _versions() -> dict:
+    import scipy  # here, so that importing the CLI loads no scipy
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

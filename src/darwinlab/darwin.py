@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .branching import (BranchingState, classical_quantum_decomposition,
                         decohered_system_entropy, mutual_info_branching,
                         system_entropy, to_state_vector, two_branch_entropy)
 from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
-from .numeric import POLICY
+from .numeric import POLICY, brentq
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
 from .qbm import GaussianState, qbm_mutual_info, qbm_system_entropy
 from .qstate import (DensityMatrix, HilbertShape, StateVector,
@@ -131,7 +130,7 @@ class GaussianSource(Source):
         self.state = state
         self.tag = tag
         # mirror reuse is sound only for a globally pure state
-        nus = state.symplectic_eigenvalues()
+        nus = state._nus if state._nus is not None else state.symplectic_eigenvalues()
         tol = POLICY.symplectic_atol * max(1.0, float(np.max(np.abs(state.cov))))
         self.pure_global = bool(np.max(nus) <= 0.5 + tol)
 
@@ -193,9 +192,8 @@ class PhotonSource(Source):
         if self.gamma == 1.0:
             raise ValueError("no decoherence at gamma = 1")
         target = (1.0 - delta_d) * self.system_entropy()
-        return float(brentq(
-            lambda f: two_branch_entropy(self.gamma ** f) - target,
-            0.0, 1.0, xtol=1e-14))
+        return brentq(lambda f: two_branch_entropy(self.gamma ** f) - target,
+                      0.0, 1.0, 1e-14)
 
     def decompose(self, sites) -> tuple[float, float]:
         f = len(tuple(sites)) / self.n_env

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .info import ProbVector
 from .numeric import POLICY, CapExceeded
@@ -436,6 +435,8 @@ def branch_frequencies(m_total: int, weights) -> np.ndarray:
     w0, w1 = (float(w) for w in weights)
     if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > POLICY.state_atol:
         raise ValueError("weights must be nonnegative and sum to 1")
+    from scipy.special import gammaln  # only this helper needs scipy.special
+
     counts = np.arange(m_total + 1)
     if w1 == 0.0 or w0 == 0.0:
         out = np.zeros(m_total + 1)

@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .numeric import POLICY, CapExceeded
 from .qstate import FragmentSpec
@@ -69,6 +68,9 @@ class GaussianState:
     # H_S of mode 0, filled in by the first qbm_system_entropy call
     _h_system: float | None = field(default=None, init=False, repr=False,
                                     compare=False)
+    # global symplectic spectrum, kept from validation; None when unchecked
+    _nus: np.ndarray | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -81,7 +83,8 @@ class GaussianState:
         # scale-relative slack: extracting nu = 1/2 from a covariance of norm
         # ~s^2 costs ~eps * s^2 in float64, far above any fixed 1e-8
         tol = POLICY.symplectic_atol * max(1.0, float(np.max(np.abs(self.cov))))
-        nu_min = float(np.min(self.symplectic_eigenvalues()))
+        self._nus = self.symplectic_eigenvalues()
+        nu_min = float(np.min(self._nus))
         if nu_min < 0.5 - tol:
             raise ValueError(f"uncertainty principle violated: min nu = {nu_min}")
 
@@ -248,6 +251,8 @@ def _propagator(bath: OhmicBathParams, t: float) -> np.ndarray:
         warnings.warn(f"t = {t} is past the recurrence time "
                       f"{bath.recurrence_time:.3g}; band discretization invalid",
                       stacklevel=3)
+    from scipy.linalg import expm  # loaded on first evolution, not at import
+
     return expm(t * qbm_generator(bath))
 
 

@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import xlogy
 
-from .numeric import POLICY, CapExceeded
+from .numeric import POLICY, CapExceeded, brentq
 from .branching import BranchingState, gram_entropy
 from .info import LN2, _entropy_from_eigs, _first_crossing
 from .qstate import HilbertShape, StateVector, evolve_diagonal, qubits, tensor
@@ -247,7 +245,7 @@ def haze_weight(h: float) -> float:
         return 0.5
     if h == 0.0:
         return 1.0
-    return float(brentq(lambda q: binary_entropy(q) - h, 0.5, 1.0 - 1e-16, xtol=1e-15))
+    return brentq(lambda q: binary_entropy(q) - h, 0.5, 1.0 - 1e-16, 1e-15)
 
 
 def _spin_axis_op(k: int, axis: np.ndarray) -> np.ndarray:
@@ -392,7 +390,8 @@ class HazyCentralSpin:
             lam = c ** ((m - d) // 2) * self._eigs_of_degree(d)
             # no absolute floor here: sector multiplicities reach 1e12+,
             # so even 1e-14 eigenvalues can carry real weight
-            total += sector_multiplicity(m, d / 2.0) * float(-np.sum(xlogy(lam, lam)))
+            xlogx = lam * np.log(np.where(lam > 0.0, lam, 1.0))
+            total += sector_multiplicity(m, d / 2.0) * float(-np.sum(xlogx))
         return total
 
     def joint_entropy(self, m: int) -> float:

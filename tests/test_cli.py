@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import darwinlab
 from darwinlab.cli import main
 from darwinlab.darwin import git_blob_sha
+from darwinlab.photon import CONSTANTS
 
 LN2 = math.log(2.0)
 
@@ -222,3 +229,45 @@ class TestCommands:
         rep = json.loads((tmp_path / "baseline.json").read_text())["report"]
         assert rep["r_delta_min"] <= rep["r_delta_mean"] <= rep["r_delta_max"]
         assert 1.3 < rep["r_delta_mean"] < 3.5
+
+
+class TestNoScipyOnTheRunPath:
+    """The CLI imports no scipy; hazy and photon runs load neither
+    scipy.optimize nor scipy.special."""
+
+    def test_fresh_interpreter(self, tmp_path):
+        code = textwrap.dedent(f"""
+            import sys
+            import darwinlab.cli
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            for argv in (["redundancy", "--model", "hazy", "--n", "16"],
+                         ["photon", "--t-over-tau", "10"]):
+                out = {str(tmp_path)!r} + "/" + argv[0] + argv[2]
+                assert darwinlab.cli.main([*argv, "--seed", "1", "--out", out]) == 0
+            print(sorted(m for m in ("scipy.optimize", "scipy.special")
+                         if m in sys.modules))
+        """)
+        src = str(Path(darwinlab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[]"
+
+    def test_photon_literals_are_scipys_values(self):
+        from scipy import constants, special
+        assert CONSTANTS.c == constants.c
+        assert CONSTANTS.hbar == constants.hbar
+        assert CONSTANTS.k_b == constants.k
+        assert CONSTANTS.zeta7 == float(special.zeta(7))
+        assert CONSTANTS.zeta9 == float(special.zeta(9))
+
+    def test_manifest_names_the_scipy_version(self, tmp_path):
+        import scipy
+        run(tmp_path, "pip", "--model", "cnot", "--n", "6", "--seed", "0")
+        m = json.loads((tmp_path / "pip.json").read_text())
+        assert m["versions"]["scipy"] == scipy.__version__

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from darwinlab.darwin import GaussianSource
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
     GaussianState,
@@ -169,6 +170,26 @@ class TestValidateOnce:
         assert len(shapes) - n_first == 2 * (len(frags) - 1)
         assert (2, 2) not in shapes[n_first:]
         assert qbm_mutual_info(self.state, frags[0]) == first
+
+    def test_two_full_state_solves_per_source(self, monkeypatch):
+        """Start and evolved state are solved once each, when validated;
+        GaussianSource reads the evolved state's kept spectrum."""
+        shapes = []
+        solve = GaussianState.symplectic_eigenvalues
+
+        def counted(st):
+            shapes.append(st.cov.shape)
+            return solve(st)
+
+        monkeypatch.setattr(GaussianState, "symplectic_eigenvalues", counted)
+        bath = OhmicBathParams(bands=16)
+        src = GaussianSource(qbm_evolve(bath, 1000.0, "x", 3.0))
+        assert shapes == [(34, 34), (34, 34)]
+        assert np.array_equal(src.state._nus, solve(src.state))
+        assert src.pure_global
+        # an unchecked state has no kept spectrum and is solved on demand
+        sub = GaussianSource(src.state.marginal(range(5)))
+        assert shapes[2:] == [(10, 10)] and not sub.pure_global
 
 
 class TestRealSymplecticKernel:
