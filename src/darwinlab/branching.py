@@ -13,13 +13,31 @@ K x K eigenproblems:
   * fragment plus system has the spectrum of the phase-carrying kernel over
     the complement (global purity swaps the two sides).
 
-Cost per fragment is O(K^2 |F|) plus a K x K eigendecomposition, and H_S
-is solved once per state. Inside this module a fragment is a sorted,
+Cost. A fragment F costs O(K^2 |F|) plus two K x K eigendecompositions,
+after a one-time O(K^2 n) pass per state. The fragment product is the
+literal np.prod over F. The complement product comes from a per-site table
+of entrywise logs of the overlap matrices (exact zeros read as 1 and
+counted apart) and its totals T = sum_l log o_l and Z = #{l : o_l = 0}:
+
+    prod_{l not in F} o_l = 0 if Z - Z_F > 0, else exp(T - S_F),
+
+with S_F and Z_F summed over F alone. H_S is solved once per state.
+mutual_info_many evaluates a whole matrix of same-size fragments with one
+stacked eigensolve per side. Inside this module a fragment is a sorted,
 repeat-free np.intp index array, built once per public call by _check_frag.
+
+Error rule. A complement-product entry computed this way carries a
+relative error of about eps * sum_l |log o_l| (eps = 2.2e-16, the sum over
+all n sites of the complex logs), from rounding the logs and their sum;
+it covers both the modulus and the accumulated phase. Sites with o_l near
+1 add about eps each, as they do in the literal product. Strong
+decoherence drives the entry to 0 or far below the diagonal, so the
+entropies keep their bytes; weak decoherence moves them by an ulp or two.
+
 Measured on the central-spin model at n = 10^5, K = 2 (2-vCPU x86 box,
-numpy 2.4): building the state takes 0.03 s, the one-time overlap table
-0.03-0.05 s, and each mutual information 25-33 ms at any |F|, since the
-fragment and its complement together span all n sites.
+numpy 2.4): building the state takes 0.04 s and the one-time overlap and
+log tables 0.06 s; a batched mutual information then takes 0.02 ms at
+|F| = 1, 0.2 ms at |F| = 10^3 and 5-8 ms at |F| = n/2.
 """
 from __future__ import annotations
 
@@ -31,8 +49,10 @@ from .numeric import POLICY, CapExceeded
 from .qstate import FragmentSpec, HilbertShape, StateVector
 from .info import LN2, _entropy_from_eigs
 
-# cache per-subsystem overlap tables only below this entry count
+# cache per-subsystem overlap (and log) tables only below this entry count
 _OVERLAP_CACHE_LIMIT = 2 ** 24
+# complex table entries gathered at once when batching fragments (at least one row)
+_GATHER_LIMIT = 2 ** 15
 
 
 @dataclass
@@ -70,6 +90,9 @@ class BranchingState:
             raise ValueError(f"conditional states of subsystem {bad.argmax()} not normalized")
         self.conditionals = c
         self._overlaps = None
+        self._logs = None
+        self._zeros = None
+        self._totals = None
         self._h_system = None
 
     @property
@@ -84,14 +107,47 @@ class BranchingState:
     def amplitudes(self) -> np.ndarray:
         return np.sqrt(self.probs) * np.exp(1j * self.phases)
 
-    def _pair_overlaps(self, idx: np.ndarray) -> np.ndarray:
-        """Stack of per-subsystem overlap matrices O[l][j,k] = <cond_j|cond_k>."""
+    def _cached(self) -> bool:
+        """Build the overlap table on first use if it fits the cache limit."""
         k = self.n_branches
         if self._overlaps is None and k * k * self.n_env <= _OVERLAP_CACHE_LIMIT:
             self._overlaps = _overlap_stack(self.conditionals)
-        if self._overlaps is not None:
+        return self._overlaps is not None
+
+    def _pair_overlaps(self, idx: np.ndarray) -> np.ndarray:
+        """Stack of per-subsystem overlap matrices O[l][j,k] = <cond_j|cond_k>;
+        idx may be an index array of any shape."""
+        if self._cached():
             return self._overlaps[idx]
         return _overlap_stack(self.conditionals[idx])
+
+    def _pair_logs(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Entrywise logs of the overlap matrices of idx, exact zeros read
+        as 1, and the mask of those zeros (None if the cached table has none)."""
+        if not self._cached():
+            return _log_table(_overlap_stack(self.conditionals[idx]))
+        if self._logs is None:
+            self._logs, self._zeros = _log_table(self._overlaps)
+            if not self._zeros.any():
+                self._zeros = None
+        return self._logs[idx], None if self._zeros is None else self._zeros[idx]
+
+    def _log_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """T = sum_l log o_l and the zero counts Z over all sites, from one
+        pass over site chunks added in order, so that the cached and
+        uncached tables give the same bytes."""
+        if self._totals is None:
+            k = self.n_branches
+            t = np.zeros((k, k), dtype=complex)
+            z = np.zeros((k, k), dtype=np.intp)
+            step = max(1, _GATHER_LIMIT // (k * k))
+            for lo in range(0, self.n_env, step):
+                logs, zeros = self._pair_logs(slice(lo, lo + step))
+                t = np.concatenate((t[None], logs)).sum(axis=0)
+                if zeros is not None:
+                    z += zeros.sum(axis=0)
+            self._totals = t, z
+        return self._totals
 
     def overlap_product(self, frag) -> np.ndarray:
         """prod_{l in frag} <cond_j^(l)|cond_k^(l)> as a K x K matrix.
@@ -107,7 +163,16 @@ class BranchingState:
 
 def _overlap_stack(c: np.ndarray) -> np.ndarray:
     # batched matmul: the same bytes as a per-site t.conj() @ t.T (einsum is not)
-    return c.conj() @ c.transpose(0, 2, 1)
+    return c.conj() @ c.swapaxes(-1, -2)
+
+
+def _log_table(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    zeros = o == 0
+    o = np.where(zeros, 1.0, o)
+    # log|o| + i arg(o): within an ulp of the complex np.log, some 30 times faster
+    logs = np.log(np.abs(o)).astype(complex)
+    logs.imag = np.angle(o)
+    return logs, zeros
 
 
 def _check_frag(b: BranchingState, frag) -> np.ndarray:
@@ -132,10 +197,57 @@ def _check_frag(b: BranchingState, frag) -> np.ndarray:
     return idx
 
 
-def _complement(b: BranchingState, idx: np.ndarray) -> np.ndarray:
-    outside = np.ones(b.n_env, dtype=bool)
-    outside[idx] = False
-    return np.flatnonzero(outside)
+def _check_rows(b: BranchingState, idx) -> np.ndarray:
+    """A (count, m) matrix of fragments, each row sorted and repeat-free."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 2:
+        raise ValueError("fragments must be a (count, m) matrix of site indices")
+    if idx.shape[1] > 1 and not (idx[:, 1:] > idx[:, :-1]).all():
+        raise ValueError("each fragment row must be sorted and repeat-free")
+    if idx.size and (idx[:, 0].min() < 0 or idx[:, -1].max() >= b.n_env):
+        raise ValueError("fragment index out of range")
+    return idx
+
+
+def _products(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap products over each row of idx and over its complement.
+
+    Rows are gathered in chunks of at most _GATHER_LIMIT table entries (one
+    row at least). The row product is the literal np.prod; the complement
+    product comes from the log totals (module docstring). The empty fragment
+    takes the literal product over all sites, so that H_SF = H_S exactly.
+    """
+    count, m = idx.shape
+    k = b.n_branches
+    inside = np.ones((count, k, k), dtype=complex)
+    if m == 0:
+        return inside, np.broadcast_to(b.overlap_product(np.arange(b.n_env)), inside.shape)
+    outside = np.empty_like(inside)
+    t, z = b._log_totals()
+    has_zeros = z.any()
+    step = max(1, _GATHER_LIMIT // (m * k * k))
+    for lo in range(0, count, step):
+        rows = idx[lo:lo + step]
+        inside[lo:lo + step] = np.prod(b._pair_overlaps(rows), axis=1)
+        logs, zeros = b._pair_logs(rows)
+        out = outside[lo:lo + step]
+        out[:] = np.exp(t - logs.sum(axis=1))
+        if has_zeros:
+            out[z - zeros.sum(axis=1) > 0] = 0.0
+    return inside, outside
+
+
+def _complement_product(b: BranchingState, idx: np.ndarray) -> np.ndarray:
+    """The complement product of one checked fragment."""
+    return _products(b, idx[None])[1][0]
+
+
+def _gram_kernel(b: BranchingState, prod: np.ndarray) -> np.ndarray:
+    """Gram kernel(s) of the branch vectors for overlap product(s) prod."""
+    amp = np.sqrt(b.probs)
+    ph = np.exp(1j * b.phases)
+    g = np.outer(amp, amp) * np.outer(ph.conj(), ph) * prod
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def fragment_gram(b: BranchingState, frag, include_system: bool = False) -> np.ndarray:
@@ -148,26 +260,27 @@ def fragment_gram(b: BranchingState, frag, include_system: bool = False) -> np.n
     idx = _check_frag(b, frag)
     if include_system:
         return np.diag(b.probs).astype(complex)
-    amp = np.sqrt(b.probs)
-    ph = np.exp(1j * b.phases)
-    g = np.outer(amp, amp) * np.outer(ph.conj(), ph) * b.overlap_product(idx)
-    return 0.5 * (g + g.conj().T)
+    return _gram_kernel(b, b.overlap_product(idx))
 
 
-def _phase_kernel(b: BranchingState, idx: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of the system density operator decohered by the
-    sites idx (a checked index array, see _check_frag).
+def _phase_kernel(b: BranchingState, prod: np.ndarray) -> np.ndarray:
+    """Coefficient matrix (or stack) of the system density operator decohered
+    by sites whose overlap product is prod.
 
     Entry (j,k) is a_j a_k^* conj(prod_F <cond_j|cond_k>); its spectrum is
-    the spectrum of the reduced state of (system + complement of idx).
+    the spectrum of the reduced state of (system + complement of F).
     """
     a = b.amplitudes
-    g = np.outer(a, a.conj()) * b.overlap_product(idx).conj()
-    return 0.5 * (g + g.conj().T)
+    g = np.outer(a, a.conj()) * prod.conj()
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
-def gram_entropy(g: np.ndarray) -> float:
-    return _entropy_from_eigs(np.linalg.eigvalsh(g))
+def gram_entropy(g: np.ndarray):
+    """Entropy of a K x K kernel, or an array of entropies of a stack."""
+    lam = np.linalg.eigvalsh(g)
+    if lam.ndim == 1:
+        return _entropy_from_eigs(lam)
+    return np.array([_entropy_from_eigs(row) for row in lam])
 
 
 def fragment_entropy(b: BranchingState, frag, include_system: bool = False) -> float:
@@ -178,7 +291,7 @@ def fragment_entropy(b: BranchingState, frag, include_system: bool = False) -> f
     """
     idx = _check_frag(b, frag)
     if include_system:
-        return gram_entropy(_phase_kernel(b, _complement(b, idx)))
+        return gram_entropy(_phase_kernel(b, _complement_product(b, idx)))
     return gram_entropy(fragment_gram(b, idx))
 
 
@@ -186,23 +299,29 @@ def system_entropy(b: BranchingState) -> float:
     """Entropy of the system after decoherence by the whole environment;
     solved on the first call and kept on the state."""
     if b._h_system is None:
-        b._h_system = gram_entropy(_phase_kernel(b, np.arange(b.n_env)))
+        b._h_system = gram_entropy(_phase_kernel(b, b.overlap_product(np.arange(b.n_env))))
     return b._h_system
 
 
 def decohered_system_entropy(b: BranchingState, frag) -> float:
     """Counterfactual system entropy with only `frag` doing the decohering:
     off-diagonals are damped by the fragment's records alone."""
-    return gram_entropy(_phase_kernel(b, _check_frag(b, frag)))
+    return gram_entropy(_phase_kernel(b, b.overlap_product(frag)))
+
+
+def mutual_info_many(b: BranchingState, idx) -> np.ndarray:
+    """I(S : F) for every row F of idx, a (count, m) matrix of sorted,
+    repeat-free np.intp site indices; one stacked eigensolve per side."""
+    inside, outside = _products(b, _check_rows(b, idx))
+    h_s = system_entropy(b)
+    h_f = gram_entropy(_gram_kernel(b, inside))
+    h_sf = gram_entropy(_phase_kernel(b, outside))
+    return h_s + h_f - h_sf
 
 
 def mutual_info_branching(b: BranchingState, frag) -> float:
     """I(S : F) = H_S + H_F - H_{S,F} for the pure global branching state."""
-    idx = _check_frag(b, frag)
-    h_s = system_entropy(b)
-    h_f = gram_entropy(fragment_gram(b, idx))
-    h_sf = gram_entropy(_phase_kernel(b, _complement(b, idx)))
-    return h_s + h_f - h_sf
+    return float(mutual_info_many(b, _check_frag(b, frag)[None])[0])
 
 
 def two_branch_entropy(gamma: float) -> float:
@@ -231,7 +350,7 @@ def classical_quantum_decomposition(b: BranchingState, frag) -> tuple[float, flo
     idx = _check_frag(b, frag)
     h_f = gram_entropy(fragment_gram(b, idx))
     h_s = system_entropy(b)
-    h_s_comp = gram_entropy(_phase_kernel(b, _complement(b, idx)))
+    h_s_comp = gram_entropy(_phase_kernel(b, _complement_product(b, idx)))
     return h_f, h_s - h_s_comp
 
 

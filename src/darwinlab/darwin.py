@@ -22,7 +22,8 @@ import numpy as np
 
 from .branching import (BranchingState, classical_quantum_decomposition,
                         decohered_system_entropy, mutual_info_branching,
-                        system_entropy, to_state_vector, two_branch_entropy)
+                        mutual_info_many, system_entropy, to_state_vector,
+                        two_branch_entropy)
 from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, brentq
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
@@ -39,16 +40,21 @@ class Source:
     """What the experiment layer asks of a decoherence model.
 
     Every source has n_env, tag, system_entropy() and
-    fragment_mutual_info(sites). symmetric: I depends on the fragment
-    size only, so one fragment per size is drawn. pure_global: the
-    global state is pure, so mirrored sizes come free. pure_decoherence:
-    the records factorize, and decohered_system_entropy(sites) and
-    decompose(sites) exist.
+    fragment_mutual_info(sites); fragment_mutual_info_many(idx) takes a
+    (count, m) matrix of sorted site rows, one fragment size per call.
+    symmetric: I depends on the fragment size only, so one fragment per
+    size is drawn. pure_global: the global state is pure, so mirrored
+    sizes come free. pure_decoherence: the records factorize, and
+    decohered_system_entropy(sites) and decompose(sites) exist.
     """
 
     symmetric = False
     pure_global = False
     pure_decoherence = False
+
+    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        """I(S : F) for every row of idx, one fragment_mutual_info call each."""
+        return np.array([self.fragment_mutual_info(s) for s in map(tuple, idx.tolist())])
 
     def decoherence_fraction(self, delta_d: float) -> float | None:
         """Closed-form decoherence crossing, or None to scan fragment sizes."""
@@ -110,6 +116,9 @@ class BranchingSource(Source):
 
     def fragment_mutual_info(self, sites) -> float:
         return mutual_info_branching(self.b, sites)
+
+    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        return mutual_info_many(self.b, idx)
 
     def decohered_system_entropy(self, sites) -> float:
         return decohered_system_entropy(self.b, sites)
@@ -348,51 +357,58 @@ def default_cardinalities(n: int) -> tuple[int, ...]:
     return tuple(dict.fromkeys(cards))
 
 
-def _distinct_subsets(n: int, m: int, count: int, rng) -> list:
-    """Up to count distinct sorted m-subsets of range(n), uniform without
-    replacement; exhaustive when fewer exist."""
-    if math.comb(n, m) <= count:
-        return [tuple(c) for c in itertools.combinations(range(n), m)]
+def _few_subsets(n: int, m: int, count: int) -> bool:
+    """math.comb(n, m) <= count; 0 < m < n gives comb >= n, so a large n
+    skips the big-integer comb."""
+    return min(m, n - m) == 0 or (n <= count and math.comb(n, m) <= count)
+
+
+def _distinct_rows(n: int, m: int, count: int, rng) -> np.ndarray:
+    """Up to count distinct m-subsets of range(n), uniform without
+    replacement, as the sorted rows of an np.intp matrix; exhaustive when
+    fewer exist."""
+    if _few_subsets(n, m, count):
+        combos = list(itertools.combinations(range(n), m))
+        return np.array(combos, dtype=np.intp).reshape(len(combos), m)
     seen, out = set(), []
     while len(out) < count:
-        pick = tuple(sorted(rng.choice(n, size=m, replace=False).tolist()))
-        if pick not in seen:
-            seen.add(pick)
+        pick = np.sort(rng.choice(n, size=m, replace=False))
+        if pick.tobytes() not in seen:
+            seen.add(pick.tobytes())
             out.append(pick)
-    return out
+    return np.array(out, dtype=np.intp)
 
 
-def _paired_half_subsets(n: int, m: int, count: int, rng) -> list:
+def _paired_half_rows(n: int, m: int, count: int, rng) -> np.ndarray:
     """Half-size draws joined with their complements; for a pure source the
     pair mean is pinned to H_S, which keeps the midpoint noise-free."""
-    if math.comb(n, m) <= count:
-        return [tuple(c) for c in itertools.combinations(range(n), m)]
-    full = frozenset(range(n))
+    if _few_subsets(n, m, count):
+        return _distinct_rows(n, m, count, rng)
     out, seen = [], set()
-    for s in _distinct_subsets(n, m, (count + 1) // 2, rng):
-        c = tuple(sorted(full - set(s)))
-        if s in seen or c in seen:
+    for s in _distinct_rows(n, m, (count + 1) // 2, rng):
+        outside = np.ones(n, dtype=bool)
+        outside[s] = False
+        c = np.flatnonzero(outside)
+        if s.tobytes() in seen or c.tobytes() in seen:
             continue
         out.extend([s, c])
-        seen.update([s, c])
-    return out
+        seen.update([s.tobytes(), c.tobytes()])
+    return np.array(out, dtype=np.intp)
+
+
+def _fragment_rows(source, m: int, count: int, seed: int) -> np.ndarray:
+    """The size-m fragments of one plot point, as a (count, m) np.intp matrix."""
+    n = source.n_env
+    if m in (0, n) or source.symmetric:
+        return np.arange(m, dtype=np.intp)[None]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, m)))
+    if 2 * m == n:
+        return _paired_half_rows(n, m, count, rng)
+    return _distinct_rows(n, m, count, rng)
 
 
 def _sample_size(source, m: int, count: int, seed: int) -> tuple[float, float, int]:
-    n = source.n_env
-    if m == 0:
-        subsets = [()]
-    elif m == n:
-        subsets = [tuple(range(n))]
-    elif source.symmetric:
-        subsets = [tuple(range(m))]
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, m)))
-        if 2 * m == n:
-            subsets = _paired_half_subsets(n, m, count, rng)
-        else:
-            subsets = _distinct_subsets(n, m, count, rng)
-    vals = np.array([source.fragment_mutual_info(s) for s in subsets])
+    vals = source.fragment_mutual_info_many(_fragment_rows(source, m, count, seed))
     sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
     return float(vals.mean()), sd, len(vals)
 
@@ -502,7 +518,7 @@ def _mean_decohered(source, m: int, count: int, seed: int) -> float:
     else:
         # keyed off the PIP streams so the two analyses never share draws
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5D, m)))
-        subsets = _distinct_subsets(n, m, count, rng)
+        subsets = map(tuple, _distinct_rows(n, m, count, rng).tolist())
     return float(np.mean([source.decohered_system_entropy(s) for s in subsets]))
 
 

@@ -11,6 +11,7 @@ from darwinlab.branching import (
     fragment_gram,
     gram_entropy,
     mutual_info_branching,
+    mutual_info_many,
     system_entropy,
     to_state_vector,
     two_branch_entropy,
@@ -18,6 +19,7 @@ from darwinlab.branching import (
 from darwinlab.darwin import BranchingSource
 from darwinlab.info import LN2
 from darwinlab.qstate import FragmentSpec, subsystem_entropy
+from darwinlab.spinmodels import CentralSpinParams, central_spin_branching, cnot_model
 from helpers import random_branching_state, random_ket
 
 
@@ -361,3 +363,130 @@ def test_overlap_table_matches_per_site_products(k, d, monkeypatch):
     sites = np.array([0, 3, 17, 39])
     assert np.array_equal(fresh._pair_overlaps(sites), per_site[sites])
     assert fresh._overlaps is None
+
+
+# ---------------------------------------------------------------------------
+# the complement product from log totals, against the literal product
+
+EPS = np.finfo(float).eps
+
+
+def literal_complement(b, frag):
+    """The sequential product over every site outside frag."""
+    o = b._pair_overlaps(np.arange(b.n_env))
+    return np.prod(o[np.setdiff1d(np.arange(b.n_env), frag)], axis=0)
+
+
+def literal_mutual_info(b, frag):
+    frag = np.sort(np.asarray(frag, dtype=np.intp))
+    h_sf = gram_entropy(branching._phase_kernel(b, literal_complement(b, frag)))
+    return system_entropy(b) + fragment_entropy(b, frag) - h_sf
+
+
+def assert_within_rule(b, frag):
+    """|fast - literal| <= 4 eps sum_l (1 + |log o_l|) |literal| entrywise,
+    the sum over all sites; entries below 1e-300 count as zero."""
+    o = b._pair_overlaps(np.arange(b.n_env))
+    scale = EPS * np.sum(1.0 + np.abs(np.log(np.where(o == 0, 1.0, o))), axis=0)
+    lit = literal_complement(b, frag)
+    fast = branching._complement_product(b, np.sort(np.asarray(frag, dtype=np.intp)))
+    assert np.all(np.abs(fast - lit) <= 4.0 * scale * np.abs(lit) + 1e-300)
+
+
+def central_spin(n, t, seed):
+    rng = np.random.default_rng(seed)
+    return central_spin_branching(CentralSpinParams(rng.uniform(0.0, 1.0, n), t=t))
+
+
+def sample_fragments(n, sizes, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.choice(n, size=m, replace=False) for m in sizes]
+
+
+def test_weak_decoherence_within_error_rule():
+    b = central_spin(2000, 0.02, seed=20)
+    for frag in sample_fragments(2000, (1, 7, 64, 500, 1000, 1999), seed=21):
+        assert_within_rule(b, frag)
+        assert mutual_info_branching(b, frag) == pytest.approx(
+            literal_mutual_info(b, frag), abs=1e-14)
+
+
+def test_strong_decoherence_values_equal():
+    b = central_spin(2000, 4.0, seed=22)
+    for frag in sample_fragments(2000, (1, 7, 64, 500, 1000), seed=23):
+        assert_within_rule(b, frag)
+        assert mutual_info_branching(b, frag) == literal_mutual_info(b, frag)
+
+
+def test_orthogonal_records_give_exact_zeros():
+    # c-not records with branch weights of exactly 1/2
+    b = BranchingState([0.5, 0.5], [0.0, 0.0], np.tile(np.eye(2, dtype=complex), (300, 1, 1)))
+    for frag in sample_fragments(300, (1, 2, 150, 299), seed=24):
+        comp = branching._complement_product(b, np.sort(frag))
+        assert comp[0, 1] == 0.0 and comp[1, 0] == 0.0
+        assert np.array_equal(comp, literal_complement(b, frag))
+        # the eigensolver leaves an ulp; the literal product gives the same bytes
+        assert mutual_info_branching(b, frag) == literal_mutual_info(b, frag)
+        assert abs(mutual_info_branching(b, frag) - LN2) <= EPS
+    assert np.array_equal(branching._complement_product(b, np.arange(300)), np.ones((2, 2)))
+    cli_model = cnot_model(1 / np.sqrt(2), 1 / np.sqrt(2), 300)
+    for frag in sample_fragments(300, (1, 150), seed=24):
+        assert mutual_info_branching(cli_model, frag) == literal_mutual_info(cli_model, frag)
+
+
+def test_random_sixteen_branches_within_error_rule():
+    b = random_branching_state(np.random.default_rng(25), 200, 16)
+    for frag in sample_fragments(200, (1, 5, 50, 100, 199), seed=26):
+        assert_within_rule(b, frag)
+        assert mutual_info_branching(b, frag) == pytest.approx(
+            literal_mutual_info(b, frag), abs=1e-13)
+
+
+def test_hundred_thousand_sites_within_error_rule():
+    # per-site overlaps near 1, so the complement products stay away from 0
+    b = central_spin(10 ** 5, 0.005, seed=27)
+    for frag in sample_fragments(10 ** 5, (1, 3000, 50000), seed=28):
+        assert_within_rule(b, frag)
+        assert mutual_info_branching(b, frag) == pytest.approx(
+            literal_mutual_info(b, frag), abs=1e-12)
+
+
+@pytest.mark.parametrize("k, n, t", [(2, 300, 0.05), (2, 300, 4.0), (16, 60, None)])
+def test_many_rows_equal_single_calls(k, n, t, monkeypatch):
+    b = central_spin(n, t, seed=29) if t else random_branching_state(np.random.default_rng(29), n, k)
+    monkeypatch.setattr(branching, "_GATHER_LIMIT", 64)  # several chunks per call
+    rng = np.random.default_rng(30)
+    for m in (0, 1, 9, n // 2, n):
+        idx = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(5)],
+                       dtype=np.intp).reshape(5, m)
+        many = mutual_info_many(b, idx)
+        assert many.tolist() == [mutual_info_branching(b, row) for row in idx]
+
+
+def test_empty_fragment_leaves_the_system_entropy():
+    # the complement of nothing is the literal product over all sites, so
+    # H_SF is H_S to the bit and I reduces to the entropy of the empty gram
+    # (exp(T) would miss H_S by an ulp or two on these weak records)
+    for seed in range(4):
+        b = central_spin(500, 0.05, seed=seed)
+        assert fragment_entropy(b, (), include_system=True) == system_entropy(b)
+        want = system_entropy(b) + fragment_entropy(b, ()) - system_entropy(b)
+        assert mutual_info_many(b, np.zeros((3, 0), dtype=np.intp)).tolist() == [want] * 3
+
+
+@pytest.mark.parametrize("idx", [np.array([[2, 1]]), np.array([[1, 1]]), np.array([[0, 8]]),
+                                 np.array([[-1, 2]]), np.array([1, 2])],
+                         ids=["unsorted", "repeat", "n", "negative", "flat"])
+def test_many_rejects_bad_rows(idx):
+    b = random_branching_state(np.random.default_rng(32), 8, 3)
+    with pytest.raises(ValueError):
+        mutual_info_many(b, idx)
+
+
+@pytest.mark.parametrize("cache_limit", [2 ** 24, 0], ids=["cached", "uncached"])
+def test_complement_of_everything_is_exactly_one(cache_limit, monkeypatch):
+    # T adds the site chunks in order, so S_F over all sites equals T to the bit
+    monkeypatch.setattr(branching, "_GATHER_LIMIT", 64)
+    monkeypatch.setattr(branching, "_OVERLAP_CACHE_LIMIT", cache_limit)
+    b = random_branching_state(np.random.default_rng(33), 150, 3)
+    assert np.array_equal(branching._complement_product(b, np.arange(150)), np.ones((3, 3)))

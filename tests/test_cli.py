@@ -235,8 +235,20 @@ class TestNoScipyOnTheRunPath:
     """The CLI imports no scipy; hazy and photon runs load neither
     scipy.optimize nor scipy.special."""
 
+    @staticmethod
+    def _fresh(code: str) -> list:
+        """Run code in a fresh interpreter on this source tree; its stdout lines."""
+        src = str(Path(darwinlab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
     def test_fresh_interpreter(self, tmp_path):
-        code = textwrap.dedent(f"""
+        lines = self._fresh(f"""
             import sys
             import darwinlab.cli
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -247,16 +259,19 @@ class TestNoScipyOnTheRunPath:
             print(sorted(m for m in ("scipy.optimize", "scipy.special")
                          if m in sys.modules))
         """)
-        src = str(Path(darwinlab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        lines = done.stdout.splitlines()
         assert lines[0] == "[]"
         assert lines[-1] == "[]"
+
+    def test_cnot_run_and_manifest_load_no_scipy(self, tmp_path):
+        lines = self._fresh(f"""
+            import sys
+            import darwinlab.cli
+            argv = ["redundancy", "--model", "cnot", "--n", "20", "--seed", "1"]
+            assert darwinlab.cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        assert lines[-1] == "[]"
+        assert "scipy" in json.loads((tmp_path / "redundancy.json").read_text())["versions"]
 
     def test_photon_literals_are_scipys_values(self):
         from scipy import constants, special

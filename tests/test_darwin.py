@@ -1,5 +1,7 @@
 """Experiment layer: sources, PIP sampling, redundancy, sweeps, export."""
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.branching import fragment_entropy, two_branch_entropy
+from darwinlab import darwin
 from darwinlab.darwin import (
     BranchingSource,
     DenseSource,
@@ -227,6 +230,82 @@ class TestBuildPip:
             PartialInfoPlot((good, good), "x", 0.7, 2)
         with pytest.raises(ValueError):
             PartialInfoPlot((PIPPoint(0.5, 1, 5.0, 0.0, 1),), "x", 0.7, 2)
+
+
+# the tuple samplers the index matrices replaced, kept as the reference
+
+def tuple_distinct_subsets(n, m, count, rng):
+    if math.comb(n, m) <= count:
+        return [tuple(c) for c in itertools.combinations(range(n), m)]
+    seen, out = set(), []
+    while len(out) < count:
+        pick = tuple(sorted(rng.choice(n, size=m, replace=False).tolist()))
+        if pick not in seen:
+            seen.add(pick)
+            out.append(pick)
+    return out
+
+
+def tuple_paired_half_subsets(n, m, count, rng):
+    if math.comb(n, m) <= count:
+        return [tuple(c) for c in itertools.combinations(range(n), m)]
+    full = frozenset(range(n))
+    out, seen = [], set()
+    for s in tuple_distinct_subsets(n, m, (count + 1) // 2, rng):
+        c = tuple(sorted(full - set(s)))
+        if s in seen or c in seen:
+            continue
+        out.extend([s, c])
+        seen.update([s, c])
+    return out
+
+
+def tuple_subsets(n, m, count, seed, symmetric=False):
+    if m == 0:
+        return [()]
+    if m == n:
+        return [tuple(range(n))]
+    if symmetric:
+        return [tuple(range(m))]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, m)))
+    if 2 * m == n:
+        return tuple_paired_half_subsets(n, m, count, rng)
+    return tuple_distinct_subsets(n, m, count, rng)
+
+
+class TestFragmentRows:
+    @pytest.mark.parametrize("n, count", [(7, 64), (8, 5), (12, 24), (40, 24), (41, 7), (300, 24)],
+                             ids=["all exhaustive", "half sampled", "mixed", "sampled",
+                                  "odd", "wide"])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2 ** 31 - 1])
+    def test_rows_match_tuple_samplers(self, n, count, seed):
+        for symmetric in (False, True):
+            src = SimpleNamespace(n_env=n, symmetric=symmetric)
+            for m in sorted({0, 1, 2, 3, n // 2, n - 2, n - 1, n}):
+                rows = darwin._fragment_rows(src, m, count, seed)
+                assert rows.dtype == np.intp and rows.ndim == 2 and rows.shape[1] == m
+                assert list(map(tuple, rows.tolist())) == tuple_subsets(n, m, count, seed, symmetric)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_distinct_rows_match_on_the_decoherence_stream(self, seed):
+        for n, m in ((9, 4), (50, 7), (50, 43)):
+            key = np.random.SeedSequence((seed, 0x5D, m))
+            rows = darwin._distinct_rows(n, m, 12, np.random.default_rng(key))
+            want = tuple_distinct_subsets(n, m, 12, np.random.default_rng(key))
+            assert list(map(tuple, rows.tolist())) == want
+
+    def test_default_loop_passes_tuples_of_ints(self):
+        seen = []
+
+        class Probe(BranchingSource):
+            def fragment_mutual_info(self, sites):
+                seen.append(sites)
+                return 0.0
+
+        darwin.Source.fragment_mutual_info_many(Probe(cnot_model(INV_SQRT2, INV_SQRT2, 6)),
+                                                np.array([[0, 2], [1, 5]], dtype=np.intp))
+        assert seen == [(0, 2), (1, 5)]
+        assert all(type(i) is int for s in seen for i in s)
 
 
 class TestRedundancy:
