@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import POLICY, CapExceeded
-from .qstate import FragmentSpec, HilbertShape, StateVector
+from .qstate import FragmentSpec, HilbertShape, StateVector, check_rows
 from .info import LN2, _entropy_from_eigs
 
 # cache per-subsystem overlap (and log) tables only below this entry count
@@ -197,18 +197,6 @@ def _check_frag(b: BranchingState, frag) -> np.ndarray:
     return idx
 
 
-def _check_rows(b: BranchingState, idx) -> np.ndarray:
-    """A (count, m) matrix of fragments, each row sorted and repeat-free."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 2:
-        raise ValueError("fragments must be a (count, m) matrix of site indices")
-    if idx.shape[1] > 1 and not (idx[:, 1:] > idx[:, :-1]).all():
-        raise ValueError("each fragment row must be sorted and repeat-free")
-    if idx.size and (idx[:, 0].min() < 0 or idx[:, -1].max() >= b.n_env):
-        raise ValueError("fragment index out of range")
-    return idx
-
-
 def _products(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Overlap products over each row of idx and over its complement.
 
@@ -312,7 +300,7 @@ def decohered_system_entropy(b: BranchingState, frag) -> float:
 def mutual_info_many(b: BranchingState, idx) -> np.ndarray:
     """I(S : F) for every row F of idx, a (count, m) matrix of sorted,
     repeat-free np.intp site indices; one stacked eigensolve per side."""
-    inside, outside = _products(b, _check_rows(b, idx))
+    inside, outside = _products(b, check_rows(idx, b.n_env))
     h_s = system_entropy(b)
     h_f = gram_entropy(_gram_kernel(b, inside))
     h_sf = gram_entropy(_phase_kernel(b, outside))

@@ -1,10 +1,11 @@
 """Partial-information plots and redundancy extraction.
 
 The experiment layer. Every decoherence model sits behind one small
-source interface (size, system entropy, mutual information of a named
-fragment) and the functions here do the statistics: uniform fragment
-sampling without replacement, crossing detection, counterfactual
-decoherence, observable sweeps, and stable CSV/manifest export.
+source interface (size, system entropy, mutual information of a matrix
+of same-size fragments) and the functions here do the statistics:
+uniform fragment sampling without replacement, crossing detection,
+counterfactual decoherence, observable sweeps, and stable CSV/manifest
+export.
 
 Mirrored fragment sizes of globally pure sources are never recomputed:
 purity gives I(E minus F) = 2 H_S - I(F) exactly, so the plot is
@@ -21,15 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .branching import (BranchingState, classical_quantum_decomposition,
-                        decohered_system_entropy, mutual_info_branching,
-                        mutual_info_many, system_entropy, to_state_vector,
-                        two_branch_entropy)
+                        decohered_system_entropy, mutual_info_many, system_entropy,
+                        to_state_vector, two_branch_entropy)
 from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, brentq
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
-from .qbm import GaussianState, qbm_mutual_info, qbm_system_entropy
-from .qstate import (DensityMatrix, HilbertShape, StateVector,
-                     qubits, reduced_density, subsystem_entropy)
+from .qbm import GaussianState, qbm_mutual_info_many, qbm_system_entropy
+from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
+                     reduced_density, subsystem_entropy, system_fragment_entropies)
 from .spinmodels import HALF, HazyCentralSpin, InteractingEnvParams, interacting_evolve
 
 
@@ -39,9 +39,15 @@ from .spinmodels import HALF, HazyCentralSpin, InteractingEnvParams, interacting
 class Source:
     """What the experiment layer asks of a decoherence model.
 
-    Every source has n_env, tag, system_entropy() and
-    fragment_mutual_info(sites); fragment_mutual_info_many(idx) takes a
-    (count, m) matrix of sorted site rows, one fragment size per call.
+    Every source has n_env, tag, system_entropy() and the one fragment
+    method fragment_mutual_info_many(idx): I(S : F) for every row F of idx,
+    a (count, m) np.intp matrix of sorted, repeat-free site indices, so one
+    fragment size per call. An empty row gives 0.0; the branching kernel
+    returns the entropy of its rank-one Gram there, within a few ulps of 0.
+    A row out of range or with a repeat raises ValueError, except on a
+    symmetric source, which reads only idx.shape. fragment_mutual_info(sites)
+    is the one-row wrapper, defined here alone.
+
     symmetric: I depends on the fragment size only, so one fragment per
     size is drawn. pure_global: the global state is pure, so mirrored
     sizes come free. pure_decoherence: the records factorize, and
@@ -53,8 +59,12 @@ class Source:
     pure_decoherence = False
 
     def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
-        """I(S : F) for every row of idx, one fragment_mutual_info call each."""
-        return np.array([self.fragment_mutual_info(s) for s in map(tuple, idx.tolist())])
+        raise NotImplementedError("a source implements fragment_mutual_info_many")
+
+    def fragment_mutual_info(self, sites) -> float:
+        """I(S : F) of one fragment: row 0 of fragment_mutual_info_many."""
+        row = np.array(sorted(int(s) for s in sites), dtype=np.intp)[None]
+        return float(self.fragment_mutual_info_many(row)[0])
 
     def decoherence_fraction(self, delta_d: float) -> float | None:
         """Closed-form decoherence crossing, or None to scan fragment sizes."""
@@ -85,13 +95,17 @@ class DenseSource(Source):
             self._h_s = subsystem_entropy(self.state, (0,))
         return self._h_s
 
-    def fragment_mutual_info(self, sites) -> float:
-        keep = tuple(s + 1 for s in sorted(int(s) for s in sites))
-        if not keep:
-            return 0.0
-        h_f = subsystem_entropy(self.state, keep)
-        h_sf = subsystem_entropy(self.state, (0,) + keep)
-        return self.system_entropy() + h_f - h_sf
+    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        """One transpose and one Gram matrix per row, in
+        qstate.system_fragment_entropies."""
+        idx = check_rows(idx, self.n_env)
+        out = np.zeros(len(idx))
+        if idx.shape[1]:
+            h_s = self.system_entropy()
+            for i, row in enumerate((idx + 1).tolist()):
+                h_f, h_sf = system_fragment_entropies(self.state, tuple(row))
+                out[i] = h_s + h_f - h_sf
+        return out
 
     def state_vector(self) -> StateVector:
         return self.state
@@ -113,9 +127,6 @@ class BranchingSource(Source):
 
     def system_entropy(self) -> float:
         return system_entropy(self.b)
-
-    def fragment_mutual_info(self, sites) -> float:
-        return mutual_info_branching(self.b, sites)
 
     def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
         return mutual_info_many(self.b, idx)
@@ -150,8 +161,8 @@ class GaussianSource(Source):
     def system_entropy(self) -> float:
         return qbm_system_entropy(self.state)
 
-    def fragment_mutual_info(self, sites) -> float:
-        return qbm_mutual_info(self.state, tuple(sites))
+    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        return qbm_mutual_info_many(self.state, idx)
 
 
 class PhotonSource(Source):
@@ -182,11 +193,10 @@ class PhotonSource(Source):
     def system_entropy(self) -> float:
         return two_branch_entropy(self.gamma)
 
-    def fragment_mutual_info(self, sites) -> float:
-        f = len(tuple(sites)) / self.n_env
-        if self.isotropic:
-            return isotropic_mutual_info(self.gamma, f)
-        return photon_mutual_info(self.gamma, f)
+    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        f = idx.shape[1] / self.n_env
+        mi = isotropic_mutual_info if self.isotropic else photon_mutual_info
+        return np.full(len(idx), mi(self.gamma, f))
 
     def decohered_system_entropy(self, sites) -> float:
         f = len(tuple(sites)) / self.n_env
@@ -230,8 +240,8 @@ class HazySource(Source):
     def system_entropy(self) -> float:
         return self.model.system_entropy()
 
-    def fragment_mutual_info(self, sites) -> float:
-        return self.model.mutual_info(len(tuple(sites)))
+    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        return np.full(len(idx), self.model.mutual_info(idx.shape[1]))
 
     def decohered_system_entropy(self, sites) -> float:
         return self.model.decohered_entropy(len(tuple(sites)))

@@ -1,4 +1,4 @@
-"""Shared numeric policy, and the one scalar root finder.
+"""Shared numeric policy, the one scalar root finder and the matrix exponential.
 
 Every tolerance used for state validation or derived spectra lives in one
 record so tests and library code cannot drift apart. Mutating POLICY is
@@ -13,10 +13,19 @@ the same float, bit for bit, and raises the same error types, without
 importing scipy.optimize (the slowest module to import on the CLI's
 path). tests/test_numeric.py checks it with == against
 scipy.optimize.brentq.
+
+expm is the scaling-and-squaring Pade method of N. J. Higham, "The scaling
+and squaring method for the matrix exponential revisited", SIAM J. Matrix
+Anal. Appl. 26 (2005) 1179-1193, in numpy alone, so that Gaussian evolution
+does not import scipy.linalg. It differs from scipy.linalg.expm (the later
+Al-Mohy & Higham variant) by rounding only; tests/test_numeric.py bounds
+the gap on the QBM propagators and on random matrices.
 """
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -134,3 +143,53 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
         fcur = _value(f, xcur)
     raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations, "
                        f"value is {xcur:f}")
+
+
+# Higham (2005), Table 2.3: the largest 1-norm at which the [13/13] Pade
+# approximant keeps the backward error of exp below the unit roundoff 2^-53
+_THETA_13 = 5.371920351148152
+# numerator coefficients b_0 .. b_13 of the [13/13] Pade approximant
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """[13/13] Pade approximant of exp(a), in Higham's six-product form."""
+    b = _PADE13
+    ident = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    # r = (V - U)^-1 (V + U) from the odd part U and the even part V
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a) -> np.ndarray:
+    """exp(a) of a square matrix by scaling and squaring (Higham 2005).
+
+    A matrix whose 1-norm exceeds theta_13 is divided by the smallest power
+    of two 2^s that brings it under theta_13 (an exact scaling); the [13/13]
+    Pade approximant of the result is squared s times. expm(0) is returned
+    as the identity.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expm needs a square matrix")
+    norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
+    if not math.isfinite(norm):
+        raise ValueError("expm of a matrix with non-finite entries")
+    if norm == 0.0:
+        # LAPACK solves by multiplying with 1/b_0, which is not exact
+        return np.eye(len(a), dtype=a.dtype)
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    r = _pade13(a * 2.0 ** -s)
+    for _ in range(s):
+        r = r @ r
+    return r

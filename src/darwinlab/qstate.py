@@ -77,6 +77,22 @@ class FragmentSpec:
         return i in self.indices
 
 
+def check_rows(idx, n_sites: int) -> np.ndarray:
+    """idx as a (count, m) np.intp matrix of fragments of range(n_sites).
+
+    Every row must be sorted and repeat-free; ValueError otherwise, or if
+    an index falls outside range(n_sites).
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 2:
+        raise ValueError("fragments must be a (count, m) matrix of site indices")
+    if idx.shape[1] > 1 and not (idx[:, 1:] > idx[:, :-1]).all():
+        raise ValueError("each fragment row must be sorted and repeat-free")
+    if idx.size and (idx[:, 0].min() < 0 or idx[:, -1].max() >= n_sites):
+        raise ValueError("fragment index out of range")
+    return idx
+
+
 def _as_fragment(frag) -> FragmentSpec:
     if isinstance(frag, FragmentSpec):
         return frag
@@ -195,19 +211,40 @@ def _entropy_from_eigs(lam: np.ndarray) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-def subsystem_entropy(state: StateVector, keep) -> float:
-    """Entanglement entropy (nats) of a subsystem of a pure state.
-
-    Uses the eigenvalues of the smaller Gram side, a @ a^dagger with a the
-    reshaped amplitude matrix oriented smaller side first. They are the
-    Schmidt weights, so the cost is set by the smaller of the two sides.
-    """
-    keep = _as_fragment(keep)
-    keep.validate_for(state.shape)
-    a = _moved_matrix(state, keep.sorted)
+def _schmidt_entropy(a: np.ndarray) -> float:
+    """Entropy of the rows' side of a bipartite amplitude matrix, from the
+    eigenvalues of its smaller Gram side: the Schmidt weights, at a cost
+    set by the smaller of the two sides."""
     if a.shape[0] > a.shape[1]:
         a = a.T
     return _entropy_from_eigs(np.linalg.eigvalsh(a @ a.conj().T))
+
+
+def subsystem_entropy(state: StateVector, keep) -> float:
+    """Entanglement entropy (nats) of a subsystem of a pure state."""
+    keep = _as_fragment(keep)
+    keep.validate_for(state.shape)
+    return _schmidt_entropy(_moved_matrix(state, keep.sorted))
+
+
+def system_fragment_entropies(state: StateVector, frag: tuple[int, ...]) -> tuple[float, float]:
+    """(H_F, H_SF) of a pure state, S the subsystem 0 and F the sorted,
+    distinct positions frag >= 1, from one transpose of the amplitudes.
+
+    When S+F is the smaller side, its Gram matrix gives H_SF, and rho_F is
+    the sum of its d_S diagonal d_F blocks. Otherwise H_SF comes from the
+    rest-side Gram and H_F from the smaller side of F against S+rest.
+    """
+    d_s = state.shape.dims[0]
+    a = _moved_matrix(state, (0,) + frag)
+    d_f = a.shape[0] // d_s
+    if a.shape[0] > a.shape[1]:
+        f_rows = a.reshape(d_s, d_f, -1).swapaxes(0, 1).reshape(d_f, -1)
+        return _schmidt_entropy(f_rows), _schmidt_entropy(a)
+    g = a @ a.conj().T
+    rho_f = g.reshape(d_s, d_f, d_s, d_f).trace(axis1=0, axis2=2)
+    return (_entropy_from_eigs(np.linalg.eigvalsh(rho_f)),
+            _entropy_from_eigs(np.linalg.eigvalsh(g)))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

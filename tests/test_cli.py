@@ -233,7 +233,8 @@ class TestCommands:
 
 class TestNoScipyOnTheRunPath:
     """The CLI imports no scipy; hazy and photon runs load neither
-    scipy.optimize nor scipy.special."""
+    scipy.optimize nor scipy.special, and qbm and c-not runs load no scipy
+    module at all."""
 
     @staticmethod
     def _fresh(code: str) -> list:
@@ -261,6 +262,17 @@ class TestNoScipyOnTheRunPath:
         """)
         assert lines[0] == "[]"
         assert lines[-1] == "[]"
+
+    def test_qbm_run_loads_no_scipy(self, tmp_path):
+        lines = self._fresh(f"""
+            import sys
+            import darwinlab.cli
+            argv = ["qbm", "--bands", "16", "--samples", "4", "--seed", "1"]
+            assert darwinlab.cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        assert lines[-1] == "[]"
+        assert (tmp_path / "qbm.csv").exists()
 
     def test_cnot_run_and_manifest_load_no_scipy(self, tmp_path):
         lines = self._fresh(f"""

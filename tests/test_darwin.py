@@ -33,7 +33,7 @@ from darwinlab.darwin import (
 )
 from darwinlab.photon import DecoherenceFactor, measured_photon_redundancy
 from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve, qbm_mutual_info
-from darwinlab.qstate import HilbertShape, StateVector
+from darwinlab.qstate import HilbertShape, StateVector, subsystem_entropy
 from darwinlab.spinmodels import (
     CentralSpinParams,
     HazyCentralSpin,
@@ -44,7 +44,7 @@ from darwinlab.spinmodels import (
     random_interacting_params,
     uniform_couplings,
 )
-from helpers import random_branching_state
+from helpers import random_branching_state, random_state_vector
 
 LN2 = math.log(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -141,6 +141,39 @@ class TestSources:
         assert not src.pure_decoherence
         with pytest.raises(ValueError):
             src.decohered_system_entropy((0, 1))
+
+
+def two_side_mutual_info(state, sites):
+    """Oracle: H_S + H_F - H_SF, each from its own transpose of the state."""
+    keep = tuple(s + 1 for s in sites)
+    return (subsystem_entropy(state, (0,)) + subsystem_entropy(state, keep)
+            - subsystem_entropy(state, (0,) + keep))
+
+
+class TestDenseKernel:
+    """One transpose and one Gram matrix per fragment, against the
+    two-transpose formula."""
+
+    def assert_matches_oracle(self, src, rows):
+        idx = np.array(rows, dtype=np.intp)
+        got = src.fragment_mutual_info_many(idx)
+        want = [two_side_mutual_info(src.state, row) for row in rows]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_every_size_of_a_haar_state(self):
+        # S+F is the smaller side up to m = 3, the rest side from m = 4, and
+        # F outweighs S+rest from m = 5: every Gram orientation runs
+        src = haar_random_source(8, seed=4)
+        rng = np.random.default_rng(5)
+        for m in range(1, 8):
+            rows = [sorted(rng.choice(8, m, replace=False).tolist()) for _ in range(4)]
+            self.assert_matches_oracle(src, rows)
+
+    def test_qutrit_system_sums_three_blocks(self):
+        src = DenseSource(random_state_vector(np.random.default_rng(6), (3, 2, 4, 2)))
+        rows = [list(c) for m in (1, 2, 3) for c in itertools.combinations(range(3), m)]
+        for row in rows:
+            self.assert_matches_oracle(src, [row])
 
 
 class TestCardinalities:
@@ -294,18 +327,53 @@ class TestFragmentRows:
             want = tuple_distinct_subsets(n, m, 12, np.random.default_rng(key))
             assert list(map(tuple, rows.tolist())) == want
 
-    def test_default_loop_passes_tuples_of_ints(self):
-        seen = []
+    @staticmethod
+    def every_source():
+        rng = np.random.default_rng(12)
+        bath = OhmicBathParams(bands=12)
+        return [
+            BranchingSource(random_branching_state(rng, 9, 3)),
+            spin_source(9, t=4.0, seed=3),
+            haar_random_source(7, seed=2),
+            InteractingSource(random_interacting_params(rng, 6, t=1.0, sigma_m=0.05)),
+            GaussianSource(qbm_evolve(bath, 100.0, "x", 2.0)),
+            PhotonSource(0.3, n_env=40),
+            PhotonSource(0.3, n_env=40, isotropic=True),
+            HazySource(HazyCentralSpin(9, 0.6, 1.3, HazyParams(0.4))),
+        ]
 
-        class Probe(BranchingSource):
-            def fragment_mutual_info(self, sites):
-                seen.append(sites)
-                return 0.0
+    def test_one_row_wrapper_contract(self):
+        for src in self.every_source():
+            rows = []
+            many = src.fragment_mutual_info_many
 
-        darwin.Source.fragment_mutual_info_many(Probe(cnot_model(INV_SQRT2, INV_SQRT2, 6)),
-                                                np.array([[0, 2], [1, 5]], dtype=np.intp))
-        assert seen == [(0, 2), (1, 5)]
-        assert all(type(i) is int for s in seen for i in s)
+            def spy(idx, many=many):
+                rows.append(idx)
+                return many(idx)
+
+            src.fragment_mutual_info_many = spy
+            for sites, want in (((5, 0, 3), [[0, 3, 5]]), ([4], [[4]]), ((), [[]])):
+                got = src.fragment_mutual_info(sites)
+                row = rows[-1]
+                assert row.dtype == np.intp and row.shape == (1, len(sites))
+                assert row.tolist() == want
+                assert type(got) is float
+                assert got == many(np.array(want, dtype=np.intp).reshape(1, -1))[0]
+            empty = src.fragment_mutual_info(())
+            if isinstance(src, BranchingSource):
+                # the rank-one Gram of the empty fragment keeps its rounding,
+                # so that the plots' f = 0 cells keep their bytes
+                assert abs(empty) <= 4 * np.finfo(float).eps
+            else:
+                assert empty == 0.0
+            if src.symmetric:
+                continue
+            for bad in ((0, src.n_env), (-1, 2), (1, 1), (2, 4, 2)):
+                with pytest.raises(ValueError):
+                    src.fragment_mutual_info(bad)
+            for bad in ([[2, 1]], [[0, src.n_env]], [1, 2]):
+                with pytest.raises(ValueError):
+                    many(np.array(bad, dtype=np.intp))
 
 
 class TestRedundancy:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from darwinlab import qbm
 from darwinlab.darwin import GaussianSource
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
@@ -16,7 +17,9 @@ from darwinlab.qbm import (
     qbm_evolve,
     qbm_generator,
     qbm_mutual_info,
+    qbm_mutual_info_many,
     qbm_redundancy,
+    qbm_system_entropy,
     squeezed_start,
     symplectic_area,
     universal_pip,
@@ -115,7 +118,8 @@ class TestGaussianState:
 
 
 class TestValidateOnce:
-    """Marginals skip re-validation; each fragment costs two eigensolves."""
+    """Marginals skip re-validation; H_S is solved once per state, and
+    fragments share one stacked solve per side."""
 
     def setup_method(self):
         self.state = qbm_evolve(OhmicBathParams(bands=16), 1000.0, "x", 3.0)
@@ -152,24 +156,27 @@ class TestValidateOnce:
             scale = np.abs(l.T) @ np.abs(l)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    def test_two_eigensolves_per_fragment(self, monkeypatch):
+    def test_system_block_solved_once_per_state(self, monkeypatch):
         shapes = []
-        solve = GaussianState.symplectic_eigenvalues
+        solve = qbm._symplectic_spectrum
 
-        def counted(st):
-            shapes.append(st.cov.shape)
-            return solve(st)
+        def counted(l):
+            shapes.append(l.shape)
+            return solve(l)
 
-        monkeypatch.setattr(GaussianState, "symplectic_eigenvalues", counted)
+        monkeypatch.setattr(qbm, "_symplectic_spectrum", counted)
         frags = [[0, 1], [2, 5, 7], list(range(8)), [15, 3], [2, 5, 7]]
         first = qbm_mutual_info(self.state, frags[0])
-        assert len(shapes) == 3 and (2, 2) in shapes
+        assert shapes.count((2, 2)) == 1
         n_first = len(shapes)
         for frag in frags[1:]:
             qbm_mutual_info(self.state, frag)
+        # one stacked solve per side and call; the 2x2 block is never re-solved
         assert len(shapes) - n_first == 2 * (len(frags) - 1)
         assert (2, 2) not in shapes[n_first:]
+        assert all(len(shape) == 3 for shape in shapes[n_first:])
         assert qbm_mutual_info(self.state, frags[0]) == first
+        assert shapes.count((2, 2)) == 1
 
     def test_two_full_state_solves_per_source(self, monkeypatch):
         """Start and evolved state are solved once each, when validated;
@@ -391,6 +398,45 @@ class TestMutualInfo:
     def test_repeated_band(self):
         with pytest.raises(ValueError):
             qbm_mutual_info(self.state, [2, 5, 2])
+
+    def test_bad_rows_rejected(self):
+        for idx in ([[2, 1]], [[3, 3]], [[0, BATH.bands]], [[-1, 4]], [1, 2]):
+            with pytest.raises(ValueError):
+                qbm_mutual_info_many(self.state, np.array(idx, dtype=np.intp))
+
+    def test_empty_rows(self):
+        got = qbm_mutual_info_many(self.state, np.zeros((3, 0), dtype=np.intp))
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+    def test_slabs_match_single_rows(self):
+        # more rows than one slab: every row still gets the bytes of a lone call
+        rng = np.random.default_rng(13)
+        for m in (1, 5, 32):
+            idx = np.array([np.sort(rng.choice(BATH.bands, m, replace=False))
+                            for _ in range(3 * qbm._SLAB_ROWS + 1)], dtype=np.intp)
+            got = qbm_mutual_info_many(self.state, idx)
+            assert got.tolist() == [qbm_mutual_info(self.state, row) for row in idx.tolist()]
+
+
+def two_cholesky_mutual_info(state, bands):
+    """Oracle: H_S + H_F - H_SF for one fragment, with Delta_SF (system
+    first) and Delta_F factorized separately."""
+    sf = state.marginal([0] + [b + 1 for b in bands])
+    h_f = GaussianState._unchecked(sf.means[2:], sf.cov[2:, 2:]).entropy()
+    return qbm_system_entropy(state) + h_f - sf.entropy()
+
+
+class TestStackedKernel:
+    def test_matches_two_cholesky_oracle_on_readme_state(self):
+        bath = OhmicBathParams()
+        state = qbm_evolve(bath, 1e3, "x", 3.0)
+        rng = np.random.default_rng(21)
+        for m in (1, 2, 32, 64):
+            idx = np.array([np.sort(rng.choice(bath.bands, m, replace=False))
+                            for _ in range(12)], dtype=np.intp)
+            got = qbm_mutual_info_many(state, idx)
+            want = np.array([two_cholesky_mutual_info(state, row) for row in idx.tolist()])
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 
 class TestFormulas:
