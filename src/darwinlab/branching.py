@@ -23,8 +23,11 @@ counted apart) and its totals T = sum_l log o_l and Z = #{l : o_l = 0}:
 
 with S_F and Z_F summed over F alone. H_S is solved once per state.
 mutual_info_many evaluates a whole matrix of same-size fragments with one
-stacked eigensolve per side. Inside this module a fragment is a sorted,
-repeat-free np.intp index array, built once per public call by _check_frag.
+stacked eigensolve per side; decohered_system_entropy reads the row
+products of the same pass. Every per-fragment function takes one
+fragment form, a (count, m) np.intp matrix of sorted, repeat-free rows;
+_products gathers them and checks them there, once per call, with
+qstate.check_rows.
 
 Error rule. A complement-product entry computed this way carries a
 relative error of about eps * sum_l |log o_l| (eps = 2.2e-16, the sum over
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import POLICY, CapExceeded
-from .qstate import FragmentSpec, HilbertShape, StateVector, check_rows
+from .qstate import HilbertShape, StateVector, check_rows
 from .info import LN2, _entropy_from_eigs
 
 # cache per-subsystem overlap (and log) tables only below this entry count
@@ -149,17 +152,6 @@ class BranchingState:
             self._totals = t, z
         return self._totals
 
-    def overlap_product(self, frag) -> np.ndarray:
-        """prod_{l in frag} <cond_j^(l)|cond_k^(l)> as a K x K matrix.
-
-        frag is a FragmentSpec, or a tuple, list or array of site indices.
-        """
-        idx = _check_frag(self, frag)
-        if not idx.size:
-            k = self.n_branches
-            return np.ones((k, k), dtype=complex)
-        return np.prod(self._pair_overlaps(idx), axis=0)
-
 
 def _overlap_stack(c: np.ndarray) -> np.ndarray:
     # batched matmul: the same bytes as a per-site t.conj() @ t.T (einsum is not)
@@ -175,48 +167,34 @@ def _log_table(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, zeros
 
 
-def _check_frag(b: BranchingState, frag) -> np.ndarray:
-    """The fragment as a sorted, repeat-free np.intp array of sites.
-
-    Takes a FragmentSpec, a tuple, a list or an array of site indices; a
-    repeated index collapses, as in a FragmentSpec. A negative index or
-    one >= n_env raises ValueError (a bare ndarray would wrap a negative
-    one). An already ascending array is checked without a sort.
-    """
-    if isinstance(frag, FragmentSpec):
-        idx = np.fromiter(frag.indices, dtype=np.intp, count=len(frag))
-    else:
-        idx = np.asarray(frag, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("fragment must be a flat list of site indices")
-    if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
-        idx = np.sort(idx)
-        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
-    if idx.size and (idx[0] < 0 or idx[-1] >= b.n_env):
-        raise ValueError("fragment index out of range")
-    return idx
+def _literal_product(b: BranchingState, idx) -> np.ndarray:
+    """The sequential np.prod of the overlap matrices over the sites idx
+    (the last index axis), one K x K matrix per row."""
+    return np.prod(b._pair_overlaps(idx), axis=-3)
 
 
-def _products(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _products(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
     """Overlap products over each row of idx and over its complement.
 
-    Rows are gathered in chunks of at most _GATHER_LIMIT table entries (one
-    row at least). The row product is the literal np.prod; the complement
-    product comes from the log totals (module docstring). The empty fragment
-    takes the literal product over all sites, so that H_SF = H_S exactly.
+    idx is checked here, the module's one fragment check. Rows are gathered
+    in chunks of at most _GATHER_LIMIT table entries (one row at least). The
+    row product is the literal np.prod; the complement product comes from
+    the log totals (module docstring). The empty fragment takes the literal
+    product over all sites, so that H_SF = H_S exactly.
     """
+    idx = check_rows(idx, b.n_env)
     count, m = idx.shape
     k = b.n_branches
     inside = np.ones((count, k, k), dtype=complex)
     if m == 0:
-        return inside, np.broadcast_to(b.overlap_product(np.arange(b.n_env)), inside.shape)
+        return inside, np.broadcast_to(_literal_product(b, np.arange(b.n_env)), inside.shape)
     outside = np.empty_like(inside)
     t, z = b._log_totals()
     has_zeros = z.any()
     step = max(1, _GATHER_LIMIT // (m * k * k))
     for lo in range(0, count, step):
         rows = idx[lo:lo + step]
-        inside[lo:lo + step] = np.prod(b._pair_overlaps(rows), axis=1)
+        inside[lo:lo + step] = _literal_product(b, rows)
         logs, zeros = b._pair_logs(rows)
         out = outside[lo:lo + step]
         out[:] = np.exp(t - logs.sum(axis=1))
@@ -225,30 +203,16 @@ def _products(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return inside, outside
 
 
-def _complement_product(b: BranchingState, idx: np.ndarray) -> np.ndarray:
-    """The complement product of one checked fragment."""
-    return _products(b, idx[None])[1][0]
-
-
 def _gram_kernel(b: BranchingState, prod: np.ndarray) -> np.ndarray:
-    """Gram kernel(s) of the branch vectors for overlap product(s) prod."""
+    """Gram kernel(s) of the branch vectors restricted to a fragment whose
+    overlap product is prod:
+
+        G[j,k] = sqrt(p_j p_k) exp(i(phi_k - phi_j)) prod_F <cond_j|cond_k>.
+    """
     amp = np.sqrt(b.probs)
     ph = np.exp(1j * b.phases)
     g = np.outer(amp, amp) * np.outer(ph.conj(), ph) * prod
     return 0.5 * (g + g.conj().swapaxes(-1, -2))
-
-
-def fragment_gram(b: BranchingState, frag, include_system: bool = False) -> np.ndarray:
-    """Gram kernel of the branch vectors restricted to the fragment.
-
-    G[j,k] = sqrt(p_j p_k) exp(i(phi_k - phi_j)) prod_F <cond_j|cond_k>.
-    With include_system set, the orthonormal pointer factors multiply the
-    off-diagonal overlaps by delta_jk, so the kernel collapses to diag(p).
-    """
-    idx = _check_frag(b, frag)
-    if include_system:
-        return np.diag(b.probs).astype(complex)
-    return _gram_kernel(b, b.overlap_product(idx))
 
 
 def _phase_kernel(b: BranchingState, prod: np.ndarray) -> np.ndarray:
@@ -271,45 +235,38 @@ def gram_entropy(g: np.ndarray):
     return np.array([_entropy_from_eigs(row) for row in lam])
 
 
-def fragment_entropy(b: BranchingState, frag, include_system: bool = False) -> float:
-    """von Neumann entropy (nats) of a fragment, or of system + fragment.
-
-    The system+fragment case uses global purity: its spectrum equals that
-    of the complement fragment's phase-carrying kernel.
-    """
-    idx = _check_frag(b, frag)
-    if include_system:
-        return gram_entropy(_phase_kernel(b, _complement_product(b, idx)))
-    return gram_entropy(fragment_gram(b, idx))
-
-
 def system_entropy(b: BranchingState) -> float:
     """Entropy of the system after decoherence by the whole environment;
     solved on the first call and kept on the state."""
     if b._h_system is None:
-        b._h_system = gram_entropy(_phase_kernel(b, b.overlap_product(np.arange(b.n_env))))
+        b._h_system = gram_entropy(_phase_kernel(b, _literal_product(b, np.arange(b.n_env))))
     return b._h_system
 
 
-def decohered_system_entropy(b: BranchingState, frag) -> float:
-    """Counterfactual system entropy with only `frag` doing the decohering:
-    off-diagonals are damped by the fragment's records alone."""
-    return gram_entropy(_phase_kernel(b, b.overlap_product(frag)))
+def _entropies(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
+    """H_F and H_SF (nats) for every row F of idx, from one _products pass.
+
+    H_F is the entropy of the fragment's Gram kernel; by global purity H_SF
+    is that of the complement's phase-carrying kernel.
+    """
+    inside, outside = _products(b, idx)
+    return gram_entropy(_gram_kernel(b, inside)), gram_entropy(_phase_kernel(b, outside))
+
+
+def decohered_system_entropy(b: BranchingState, idx) -> np.ndarray:
+    """Counterfactual system entropy with only the row F doing the
+    decohering, for every row F of idx: off-diagonals are damped by the
+    fragment's records alone."""
+    inside, _ = _products(b, idx)
+    return gram_entropy(_phase_kernel(b, inside))
 
 
 def mutual_info_many(b: BranchingState, idx) -> np.ndarray:
-    """I(S : F) for every row F of idx, a (count, m) matrix of sorted,
-    repeat-free np.intp site indices; one stacked eigensolve per side."""
-    inside, outside = _products(b, check_rows(idx, b.n_env))
-    h_s = system_entropy(b)
-    h_f = gram_entropy(_gram_kernel(b, inside))
-    h_sf = gram_entropy(_phase_kernel(b, outside))
-    return h_s + h_f - h_sf
-
-
-def mutual_info_branching(b: BranchingState, frag) -> float:
-    """I(S : F) = H_S + H_F - H_{S,F} for the pure global branching state."""
-    return float(mutual_info_many(b, _check_frag(b, frag)[None])[0])
+    """I(S : F) = H_S + H_F - H_SF for every row F of idx, a (count, m)
+    matrix of sorted, repeat-free np.intp site indices; one stacked
+    eigensolve per side."""
+    h_f, h_sf = _entropies(b, idx)
+    return system_entropy(b) + h_f - h_sf
 
 
 def two_branch_entropy(gamma: float) -> float:
@@ -326,20 +283,6 @@ def two_branch_entropy(gamma: float) -> float:
     # ln2 - (1/2)[(1+r)ln(1+r) + (1-r)ln(1-r)]
     lo = (1.0 - r) * np.log1p(-r) if r < 1.0 else 0.0
     return float(LN2 - 0.5 * ((1.0 + r) * np.log1p(r) + lo))
-
-
-def classical_quantum_decomposition(b: BranchingState, frag) -> tuple[float, float]:
-    """Split I(S:F) into locally accessible and global parts.
-
-    classical = H_F - H_F(0) with H_F(0) = 0 here (conditionals are pure
-    and the environment starts in a product state), quantum = H_S - H of
-    the system decohered by the complement alone.
-    """
-    idx = _check_frag(b, frag)
-    h_f = gram_entropy(fragment_gram(b, idx))
-    h_s = system_entropy(b)
-    h_s_comp = gram_entropy(_phase_kernel(b, _complement_product(b, idx)))
-    return h_f, h_s - h_s_comp
 
 
 def to_state_vector(b: BranchingState) -> StateVector:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branching import (BranchingState, classical_quantum_decomposition,
-                        decohered_system_entropy, mutual_info_many, system_entropy,
-                        to_state_vector, two_branch_entropy)
+from .branching import (BranchingState, _entropies, decohered_system_entropy,
+                        mutual_info_many, system_entropy, to_state_vector,
+                        two_branch_entropy)
 from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, brentq
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
@@ -50,8 +50,11 @@ class Source:
 
     symmetric: I depends on the fragment size only, so one fragment per
     size is drawn. pure_global: the global state is pure, so mirrored
-    sizes come free. pure_decoherence: the records factorize, and
-    decohered_system_entropy(sites) and decompose(sites) exist.
+    sizes come free. pure_decoherence: the records factorize, and two more
+    per-fragment methods exist, on the same row matrix:
+    decohered_system_entropy(idx) gives one array, decompose(idx) two (the
+    classical and quantum parts of I(S : F)). decompose_mutual_info(source,
+    sites) is their one-fragment entry point.
     """
 
     symmetric = False
@@ -63,8 +66,7 @@ class Source:
 
     def fragment_mutual_info(self, sites) -> float:
         """I(S : F) of one fragment: row 0 of fragment_mutual_info_many."""
-        row = np.array(sorted(int(s) for s in sites), dtype=np.intp)[None]
-        return float(self.fragment_mutual_info_many(row)[0])
+        return float(self.fragment_mutual_info_many(_one_row(sites))[0])
 
     def decoherence_fraction(self, delta_d: float) -> float | None:
         """Closed-form decoherence crossing, or None to scan fragment sizes."""
@@ -72,6 +74,19 @@ class Source:
 
     def state_vector(self) -> StateVector:
         raise ValueError("source has no dense state")
+
+
+def _one_row(sites) -> np.ndarray:
+    """One fragment's sites as a sorted (1, m) np.intp row matrix; a repeat
+    or a bad index is left for the source's row check."""
+    return np.array(sorted(int(s) for s in sites), dtype=np.intp)[None]
+
+
+def _site_mask(idx: np.ndarray, n: int) -> np.ndarray:
+    """(count, n) boolean matrix, True at the sites of each row of idx."""
+    mask = np.zeros((len(idx), n), dtype=bool)
+    mask[np.arange(len(idx))[:, None], idx] = True
+    return mask
 
 
 class DenseSource(Source):
@@ -131,11 +146,15 @@ class BranchingSource(Source):
     def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
         return mutual_info_many(self.b, idx)
 
-    def decohered_system_entropy(self, sites) -> float:
-        return decohered_system_entropy(self.b, sites)
+    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+        return decohered_system_entropy(self.b, idx)
 
-    def decompose(self, sites) -> tuple[float, float]:
-        return classical_quantum_decomposition(self.b, sites)
+    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """classical = H_F - H_F(0) with H_F(0) = 0 (pure conditionals over
+        a product start), quantum = H_S - H_SF, the system decohered by the
+        complement alone."""
+        h_f, h_sf = _entropies(self.b, idx)
+        return h_f, self.system_entropy() - h_sf
 
     def state_vector(self) -> StateVector:
         return to_state_vector(self.b)
@@ -198,9 +217,9 @@ class PhotonSource(Source):
         mi = isotropic_mutual_info if self.isotropic else photon_mutual_info
         return np.full(len(idx), mi(self.gamma, f))
 
-    def decohered_system_entropy(self, sites) -> float:
-        f = len(tuple(sites)) / self.n_env
-        return two_branch_entropy(self.gamma ** f)
+    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+        f = idx.shape[1] / self.n_env
+        return np.full(len(idx), two_branch_entropy(self.gamma ** f))
 
     def decoherence_fraction(self, delta_d: float) -> float:
         """Smallest f whose records alone reach (1 - delta_d) H_S."""
@@ -214,13 +233,12 @@ class PhotonSource(Source):
         return brentq(lambda f: two_branch_entropy(self.gamma ** f) - target,
                       0.0, 1.0, 1e-14)
 
-    def decompose(self, sites) -> tuple[float, float]:
-        f = len(tuple(sites)) / self.n_env
+    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = idx.shape[1] / self.n_env
         quantum = (two_branch_entropy(self.gamma)
                    - two_branch_entropy(self.gamma ** (1.0 - f)))
-        if self.isotropic:
-            return 0.0, quantum
-        return two_branch_entropy(self.gamma ** f), quantum
+        classical = 0.0 if self.isotropic else two_branch_entropy(self.gamma ** f)
+        return np.full(len(idx), classical), np.full(len(idx), quantum)
 
 
 class HazySource(Source):
@@ -243,16 +261,15 @@ class HazySource(Source):
     def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
         return np.full(len(idx), self.model.mutual_info(idx.shape[1]))
 
-    def decohered_system_entropy(self, sites) -> float:
-        return self.model.decohered_entropy(len(tuple(sites)))
+    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+        return np.full(len(idx), self.model.decohered_entropy(idx.shape[1]))
 
-    def decompose(self, sites) -> tuple[float, float]:
+    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # classical/quantum split stays exact for a hazy bath: the joint
         # entropy separates as H_SF = m h + H_(S decohered by E minus F)
-        m = len(tuple(sites))
-        quantum = (self.system_entropy()
-                   - self.decohered_system_entropy(range(self.model.n - m)))
-        return self.model.classical_term(m), quantum
+        m = idx.shape[1]
+        quantum = self.system_entropy() - self.model.decohered_entropy(self.model.n - m)
+        return np.full(len(idx), self.model.classical_term(m)), np.full(len(idx), quantum)
 
 
 class InteractingSource(DenseSource):
@@ -276,26 +293,25 @@ class InteractingSource(DenseSource):
     def pure_decoherence(self) -> bool:
         return not np.any(self.params.pair_couplings)
 
-    def _masked_system_entropy(self, sites) -> float:
-        keep = {int(s) for s in sites}
-        d = np.where(np.isin(np.arange(self.params.n_env), list(keep)),
-                     self.params.couplings, 0.0)
-        cut = replace(self.params, couplings=d)
-        return subsystem_entropy(interacting_evolve(cut, self.system_init, self.env_init), (0,))
-
-    def decohered_system_entropy(self, sites) -> float:
+    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+        """Re-evolve once per row, with the couplings outside it cut."""
         if not self.pure_decoherence:
             raise ValueError("intra-bath couplings leave no clean fragment-only counterfactual")
-        return self._masked_system_entropy(sites)
+        out = np.empty(len(idx))
+        for i, keep in enumerate(_site_mask(check_rows(idx, self.n_env), self.n_env)):
+            cut = replace(self.params, couplings=np.where(keep, self.params.couplings, 0.0))
+            out[i] = subsystem_entropy(interacting_evolve(cut, self.system_init, self.env_init),
+                                       (0,))
+        return out
 
-    def decompose(self, sites) -> tuple[float, float]:
-        sites = tuple(sorted(int(s) for s in sites))
-        keep = tuple(s + 1 for s in sites)
-        h_f = subsystem_entropy(self.state, keep) if keep else 0.0
-        inside = set(sites)
-        comp = tuple(i for i in range(self.n_env) if i not in inside)
-        quantum = self.system_entropy() - self.decohered_system_entropy(comp)
-        return h_f, quantum
+    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        idx = check_rows(idx, self.n_env)
+        count, m = idx.shape
+        h_f = np.array([subsystem_entropy(self.state, tuple(row)) if m else 0.0
+                        for row in (idx + 1).tolist()])
+        rest = np.nonzero(~_site_mask(idx, self.n_env))[1].reshape(count, self.n_env - m)
+        return h_f, self.system_entropy() - self.decohered_system_entropy(rest)
+
 
 
 def haar_random_source(n_env: int, seed: int, tag: str | None = None) -> DenseSource:
@@ -521,15 +537,13 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1,
 
 def _mean_decohered(source, m: int, count: int, seed: int) -> float:
     n = source.n_env
-    if m == n:
-        subsets = [tuple(range(n))]
-    elif source.symmetric:
-        subsets = [tuple(range(m))]
+    if m == n or source.symmetric:
+        rows = np.arange(m, dtype=np.intp)[None]
     else:
         # keyed off the PIP streams so the two analyses never share draws
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5D, m)))
-        subsets = map(tuple, _distinct_rows(n, m, count, rng).tolist())
-    return float(np.mean([source.decohered_system_entropy(s) for s in subsets]))
+        rows = _distinct_rows(n, m, count, rng)
+    return float(np.mean(source.decohered_system_entropy(rows)))
 
 
 def redundancy_of_decoherence(source, delta_d: float = 0.1,
@@ -570,12 +584,13 @@ def decompose_mutual_info(source, sites) -> tuple[float, float]:
     """
     if not source.pure_decoherence:
         raise ValueError("decomposition needs a factorizing pure-decoherence source")
-    sites = tuple(sorted(int(s) for s in sites))
-    c, q = source.decompose(sites)
-    i = source.fragment_mutual_info(sites)
+    row = _one_row(sites)
+    c, q = (float(part[0]) for part in source.decompose(row))
+    i = float(source.fragment_mutual_info_many(row)[0])
     if abs(c + q - i) > 1e-9 * max(1.0, abs(i)):
+        sites = tuple(row[0].tolist())
         raise ArithmeticError(f"decomposition defect {c + q - i:.3e} at sites {sites}")
-    return float(c), float(q)
+    return c, q
 
 
 # ---------------------------------------------------------------------------

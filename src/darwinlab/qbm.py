@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY, CapExceeded, expm
-from .qstate import FragmentSpec, check_rows
+from .qstate import check_rows
 
 # fragment rows per stacked gather, factorization and eigensolve. On the
 # oscillator-bands workload 4, 8 and 16 rows ran equally fast, while peak
@@ -345,12 +345,6 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
         h_sf = _spectrum_entropy(_symplectic_spectrum(l))
         out[lo:lo + len(r)] = h_s + h_f - h_sf
     return out
-
-
-def qbm_mutual_info(state: GaussianState, frag) -> float:
-    """I(S : selected bands) of one fragment: row 0 of qbm_mutual_info_many."""
-    bands = frag.sorted if isinstance(frag, FragmentSpec) else sorted(frag)
-    return float(qbm_mutual_info_many(state, np.array(bands, dtype=np.intp)[None])[0])
 
 
 def universal_pip(h_s: float, f: float) -> float:

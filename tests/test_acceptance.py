@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from darwinlab.branching import fragment_entropy, to_state_vector
+from darwinlab.branching import to_state_vector
 from darwinlab.darwin import (BranchingSource, DenseSource, GaussianSource,
                               InteractingSource, PhotonSource, build_pip,
                               haar_random_source, observable_sweep, redundancy)
@@ -25,7 +25,7 @@ from darwinlab.envariance import (FineGrainSpec, SchmidtPair,
 from darwinlab.photon import (RATE_PREFACTOR_DIPOLE, dust_grain_redundancy,
                               measured_photon_redundancy, photon_redundancy)
 from darwinlab.qbm import OhmicBathParams, qbm_evolve, qbm_redundancy
-from darwinlab.qstate import FragmentSpec, subsystem_entropy
+from darwinlab.qstate import subsystem_entropy
 from darwinlab.spinmodels import (LN2, CentralSpinParams, HazyCentralSpin,
                                   HazyParams, central_spin_branching,
                                   cnot_model, hazy_redundancy,
@@ -65,7 +65,7 @@ def test_02_kernel_path_matches_dense_path():
         for _ in range(3):
             m = int(rng.integers(1, n + 1))
             frag = tuple(sorted(rng.choice(n, size=m, replace=False).tolist()))
-            h_fast = fragment_entropy(b, FragmentSpec.of(*frag))
+            h_fast = fast.decompose(np.array([frag]))[0][0]  # the classical part is H_F
             h_dense = subsystem_entropy(sv, tuple(s + 1 for s in frag))
             assert abs(h_fast - h_dense) <= 1e-9
             assert abs(fast.fragment_mutual_info(frag)

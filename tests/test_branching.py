@@ -5,12 +5,8 @@ from hypothesis import given, settings, strategies as st
 from darwinlab import branching
 from darwinlab.branching import (
     BranchingState,
-    classical_quantum_decomposition,
     decohered_system_entropy,
-    fragment_entropy,
-    fragment_gram,
     gram_entropy,
-    mutual_info_branching,
     mutual_info_many,
     system_entropy,
     to_state_vector,
@@ -18,7 +14,7 @@ from darwinlab.branching import (
 )
 from darwinlab.darwin import BranchingSource
 from darwinlab.info import LN2
-from darwinlab.qstate import FragmentSpec, subsystem_entropy
+from darwinlab.qstate import subsystem_entropy
 from darwinlab.spinmodels import CentralSpinParams, central_spin_branching, cnot_model
 from helpers import random_branching_state, random_ket
 
@@ -32,9 +28,34 @@ def two_branch(overlap_angle, n, p0=0.5, phases=(0.0, 0.0)):
     return BranchingState(np.array([p0, 1 - p0]), np.array(phases), conds)
 
 
+def row(sites):
+    """One fragment as the sorted (1, m) np.intp row matrix."""
+    return np.sort(np.asarray(sites, dtype=np.intp)).reshape(1, -1)
+
+
+def mutual_info(b, sites):
+    return mutual_info_many(b, row(sites))[0]
+
+
+def entropies(b, sites):
+    """H_F and H_SF of one fragment."""
+    h_f, h_sf = branching._entropies(b, row(sites))
+    return h_f[0], h_sf[0]
+
+
+def gram_of(b, sites):
+    """The Gram kernel of one fragment, from its inside overlap product."""
+    inside, _ = branching._products(b, row(sites))
+    return branching._gram_kernel(b, inside[0])
+
+
+def outside_product(b, sites):
+    return branching._products(b, row(sites))[1][0]
+
+
 def test_empty_fragment_gram_is_rank_one():
     b = random_branching_state(np.random.default_rng(0), 5, 3)
-    g = fragment_gram(b, FragmentSpec.of())
+    g = gram_of(b, ())
     lam = np.linalg.eigvalsh(g)
     assert np.isclose(lam[-1], 1.0, atol=1e-10)
     assert np.allclose(lam[:-1], 0.0, atol=1e-10)
@@ -43,13 +64,16 @@ def test_empty_fragment_gram_is_rank_one():
 
 def test_perfect_records_give_diagonal_gram():
     b = two_branch(np.pi / 2, 4, p0=0.3)  # orthogonal conditionals
-    g = fragment_gram(b, FragmentSpec.of(1))
+    g = gram_of(b, (1,))
     assert np.allclose(g, np.diag([0.3, 0.7]), atol=1e-12)
 
 
 def test_include_system_collapses_to_branch_probs():
+    # the orthonormal pointer states put a delta_jk into every overlap
+    # product that includes the system
     b = random_branching_state(np.random.default_rng(1), 4, 3)
-    g = fragment_gram(b, FragmentSpec.of(0, 2), include_system=True)
+    inside, _ = branching._products(b, row((0, 2)))
+    g = branching._gram_kernel(b, np.eye(3) * inside[0])
     assert np.allclose(g, np.diag(b.probs), atol=1e-12)
 
 
@@ -57,7 +81,7 @@ def test_two_branch_gram_eigenvalues_closed_form():
     p0 = 0.35
     angle = 0.9
     b = two_branch(angle, 1, p0=p0)
-    g = fragment_gram(b, FragmentSpec.of(0))
+    g = gram_of(b, (0,))
     c = np.cos(angle)
     expect = np.array(
         [
@@ -70,8 +94,7 @@ def test_two_branch_gram_eigenvalues_closed_form():
 
 def test_global_state_is_pure():
     b = random_branching_state(np.random.default_rng(2), 6, 4)
-    everything = FragmentSpec(frozenset(range(6)))
-    assert fragment_entropy(b, everything, include_system=True) == pytest.approx(0.0, abs=1e-9)
+    assert entropies(b, range(6))[1] == pytest.approx(0.0, abs=1e-9)
 
 
 @settings(max_examples=40)
@@ -80,15 +103,11 @@ def test_fast_path_matches_dense(seed, k, n):
     rng = np.random.default_rng(seed)
     b = random_branching_state(rng, n, k)
     dense = to_state_vector(b)
-    frag = FragmentSpec(frozenset(int(i) for i in rng.choice(n, size=rng.integers(0, n + 1), replace=False)))
-    env_keep = FragmentSpec(frozenset(i + 1 for i in frag.indices))
-    assert fragment_entropy(b, frag) == pytest.approx(
-        subsystem_entropy(dense, env_keep), abs=1e-9
-    )
-    with_sys = FragmentSpec(frozenset({0} | set(env_keep.indices)))
-    assert fragment_entropy(b, frag, include_system=True) == pytest.approx(
-        subsystem_entropy(dense, with_sys), abs=1e-9
-    )
+    frag = np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
+    env_keep = tuple(int(i) + 1 for i in frag)
+    h_f, h_sf = entropies(b, frag)
+    assert h_f == pytest.approx(subsystem_entropy(dense, env_keep), abs=1e-9)
+    assert h_sf == pytest.approx(subsystem_entropy(dense, (0,) + env_keep), abs=1e-9)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -96,10 +115,10 @@ def test_mutual_info_antisymmetry(seed):
     rng = np.random.default_rng(seed)
     n = 7
     b = random_branching_state(rng, n, 3)
-    frag = FragmentSpec(frozenset(int(i) for i in rng.choice(n, size=3, replace=False)))
+    frag = rng.choice(n, size=3, replace=False)
     h_s = system_entropy(b)
-    i_f = mutual_info_branching(b, frag)
-    i_c = mutual_info_branching(b, frag.complement(n))
+    i_f = mutual_info(b, frag)
+    i_c = mutual_info(b, np.setdiff1d(np.arange(n), frag))
     assert i_f + i_c == pytest.approx(2 * h_s, abs=1e-9)
 
 
@@ -111,16 +130,15 @@ def test_mutual_info_monotone_in_fragment(seed):
     order = rng.permutation(n)
     last = 0.0
     for m in range(1, n + 1):
-        cur = mutual_info_branching(b, FragmentSpec(frozenset(int(i) for i in order[:m])))
+        cur = mutual_info(b, order[:m])
         assert cur >= last - 1e-9
         last = cur
 
 
 def test_mutual_info_endpoints():
     b = random_branching_state(np.random.default_rng(3), 5, 3)
-    assert mutual_info_branching(b, FragmentSpec.of()) == pytest.approx(0.0, abs=1e-9)
-    everything = FragmentSpec(frozenset(range(5)))
-    assert mutual_info_branching(b, everything) == pytest.approx(2 * system_entropy(b), abs=1e-9)
+    assert mutual_info(b, ()) == pytest.approx(0.0, abs=1e-9)
+    assert mutual_info(b, range(5)) == pytest.approx(2 * system_entropy(b), abs=1e-9)
 
 
 def test_phases_cancel_in_all_entropies():
@@ -129,11 +147,9 @@ def test_phases_cancel_in_all_entropies():
     shifted = BranchingState(
         base.probs.copy(), rng.uniform(0, 2 * np.pi, size=3), [t.copy() for t in base.conditionals]
     )
-    for frag in (FragmentSpec.of(0), FragmentSpec.of(1, 4), FragmentSpec.of(0, 2, 3, 5)):
-        assert fragment_entropy(base, frag) == pytest.approx(fragment_entropy(shifted, frag), abs=1e-12)
-        assert mutual_info_branching(base, frag) == pytest.approx(
-            mutual_info_branching(shifted, frag), abs=1e-12
-        )
+    for frag in ((0,), (1, 4), (0, 2, 3, 5)):
+        assert entropies(base, frag)[0] == pytest.approx(entropies(shifted, frag)[0], abs=1e-12)
+        assert mutual_info(base, frag) == pytest.approx(mutual_info(shifted, frag), abs=1e-12)
 
 
 def test_zero_amplitude_branch_carries_nothing():
@@ -147,11 +163,9 @@ def test_zero_amplitude_branch_carries_nothing():
     b2 = BranchingState(
         b3.probs[keep], b3.phases[keep], [t[keep] for t in b3.conditionals]
     )
-    for frag in (FragmentSpec.of(0), FragmentSpec.of(1, 3)):
-        assert fragment_entropy(b3, frag) == pytest.approx(fragment_entropy(b2, frag), abs=1e-10)
-        assert mutual_info_branching(b3, frag) == pytest.approx(
-            mutual_info_branching(b2, frag), abs=1e-10
-        )
+    for frag in ((0,), (1, 3)):
+        assert entropies(b3, frag)[0] == pytest.approx(entropies(b2, frag)[0], abs=1e-10)
+        assert mutual_info(b3, frag) == pytest.approx(mutual_info(b2, frag), abs=1e-10)
 
 
 def test_two_branch_entropy_endpoints_and_monotonicity():
@@ -185,10 +199,9 @@ def test_equal_two_branch_mutual_info_closed_form():
     c = np.cos(angle)
     b = two_branch(angle, n)
     for m in (1, 3, 5):
-        frag = FragmentSpec(frozenset(range(m)))
-        h_f = fragment_entropy(b, frag)
+        h_f = entropies(b, range(m))[0]
         assert h_f == pytest.approx(two_branch_entropy(c ** (2 * m)), abs=1e-9)
-        i = mutual_info_branching(b, frag)
+        i = mutual_info(b, range(m))
         expect = (
             two_branch_entropy(c ** (2 * n))
             + two_branch_entropy(c ** (2 * m))
@@ -203,7 +216,7 @@ def test_equal_two_branch_mutual_info_closed_form_large_n():
     n = 10 ** 4
     angle = np.arccos(0.25 ** (1 / (2 * n)))
     b = two_branch(angle, n)
-    c = b.overlap_product((0,))[0, 1].real  # the per-site overlap as the state holds it
+    c = b._pair_overlaps(0)[0, 1].real  # the per-site overlap as the state holds it
     rng = np.random.default_rng(8)
     for m in (1, n // 3, n // 2, n - 1):
         frag = rng.choice(n, size=m, replace=False)
@@ -212,7 +225,7 @@ def test_equal_two_branch_mutual_info_closed_form_large_n():
             + two_branch_entropy(c ** (2 * m))
             - two_branch_entropy(c ** (2 * (n - m)))
         )
-        assert mutual_info_branching(b, frag) == pytest.approx(expect, abs=1e-12)
+        assert mutual_info(b, frag) == pytest.approx(expect, abs=1e-12)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -220,18 +233,18 @@ def test_decomposition_sums_to_mutual_info(seed):
     rng = np.random.default_rng(seed)
     n = 6
     b = random_branching_state(rng, n, 3)
-    frag = FragmentSpec(frozenset(int(i) for i in rng.choice(n, size=2, replace=False)))
-    classical, quantum = classical_quantum_decomposition(b, frag)
-    assert classical + quantum == pytest.approx(mutual_info_branching(b, frag), abs=1e-9)
+    frag = rng.choice(n, size=2, replace=False)
+    classical, quantum = BranchingSource(b).decompose(row(frag))
+    assert classical[0] + quantum[0] == pytest.approx(mutual_info(b, frag), abs=1e-9)
 
 
 def test_decomposition_endpoints():
     b = random_branching_state(np.random.default_rng(6), 5, 2)
-    c0, q0 = classical_quantum_decomposition(b, FragmentSpec.of())
+    src = BranchingSource(b)
+    (c0,), (q0,) = src.decompose(row(()))
     assert c0 == pytest.approx(0.0, abs=1e-12)
     assert q0 == pytest.approx(0.0, abs=1e-9)
-    everything = FragmentSpec(frozenset(range(5)))
-    c1, q1 = classical_quantum_decomposition(b, everything)
+    (c1,), (q1,) = src.decompose(row(range(5)))
     h_s = system_entropy(b)
     assert c1 == pytest.approx(h_s, abs=1e-9)  # H_E = H_S for the pure global state
     assert q1 == pytest.approx(h_s, abs=1e-9)
@@ -240,8 +253,8 @@ def test_decomposition_endpoints():
 def test_surplus_decoherence_quantum_term_negligible():
     # strong records everywhere: the complement keeps the system decohered
     b = two_branch(np.pi / 2 * 0.9, 50)
-    _, quantum = classical_quantum_decomposition(b, FragmentSpec(frozenset(range(20))))
-    assert abs(quantum) < 1e-6
+    _, quantum = BranchingSource(b).decompose(row(range(20)))
+    assert abs(quantum[0]) < 1e-6
 
 
 def test_branch_cap_enforced():
@@ -253,40 +266,34 @@ def test_branch_cap_enforced():
         )
 
 
-SITE_FORMS = {
-    "spec": FragmentSpec.of(1, 4, 6),
-    "tuple": (1, 4, 6),
-    "list": [1, 4, 6],
-    "unsorted array": np.array([6, 1, 4]),
-    "repeat": [4, 1, 6, 4],
+BAD_ROWS = {
+    "neg list": [[-1]],
+    "neg array": np.array([[-1, 2]]),
+    "n list": [[0, 8]],
+    "n array": np.array([[8]]),
+    "unsorted": np.array([[6, 1, 4]]),
+    "repeat": np.array([[1, 4, 4, 6]]),
+    "flat": np.array([1, 4, 6]),
 }
-SITE_RULE_FUNCTIONS = {
-    "mutual_info": mutual_info_branching,
-    "fragment": fragment_entropy,
-    "fragment+system": lambda b, f: fragment_entropy(b, f, include_system=True),
+# every route from a row matrix to a number; all of them gather through
+# _products, which holds the module's one fragment check
+ROW_ROUTES = {
+    "mutual_info": mutual_info_many,
+    "fragment": lambda b, idx: branching._entropies(b, idx)[0],
+    "fragment+system": lambda b, idx: branching._entropies(b, idx)[1],
     "decohered": decohered_system_entropy,
-    "decomposition": classical_quantum_decomposition,
-    "gram": fragment_gram,
-    "overlap_product": lambda b, f: b.overlap_product(f),
+    "decomposition": lambda b, idx: BranchingSource(b).decompose(idx),
+    "gram": lambda b, idx: branching._gram_kernel(b, branching._products(b, idx)[0]),
+    "overlap_product": branching._products,
 }
 
 
-@pytest.mark.parametrize("name", SITE_RULE_FUNCTIONS)
-def test_site_forms_give_identical_values(name):
-    fn = SITE_RULE_FUNCTIONS[name]
-    b = random_branching_state(np.random.default_rng(9), 8, 3)
-    ref = fn(b, SITE_FORMS["spec"])
-    for form, sites in SITE_FORMS.items():
-        assert np.array_equal(fn(b, sites), ref), form
-
-
-@pytest.mark.parametrize("name", SITE_RULE_FUNCTIONS)
-@pytest.mark.parametrize("sites", [[-1], np.array([2, -1]), [0, 8], np.array([8])],
-                         ids=["neg list", "neg array", "n list", "n array"])
+@pytest.mark.parametrize("name", ROW_ROUTES)
+@pytest.mark.parametrize("sites", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
 def test_bad_site_index_rejected(name, sites):
     b = random_branching_state(np.random.default_rng(10), 8, 3)
     with pytest.raises(ValueError):
-        SITE_RULE_FUNCTIONS[name](b, sites)
+        ROW_ROUTES[name](b, sites)
 
 
 def test_system_entropy_solved_once_per_state(monkeypatch):
@@ -300,11 +307,11 @@ def test_system_entropy_solved_once_per_state(monkeypatch):
     monkeypatch.setattr(branching, "gram_entropy", counted)
     b = random_branching_state(np.random.default_rng(11), 6, 3)
     src = BranchingSource(b)
-    mutual_info_branching(b, (0, 2))
+    mutual_info(b, (0, 2))
     assert len(calls) == 3
     for sites in ((1,), (0, 2), (1, 3, 4, 5)):
         calls.clear()
-        mutual_info_branching(b, sites)
+        mutual_info(b, sites)
         assert len(calls) == 2
     calls.clear()
     h_s = src.system_entropy()
@@ -316,11 +323,11 @@ def test_uncached_overlaps_match_cached(monkeypatch):
     rng = np.random.default_rng(12)
     frags = [(0,), (1, 3), (0, 2, 4), (1, 2, 3, 4, 5)]
     cached = [random_branching_state(rng, 6, 3) for _ in range(3)]
-    expect = [[mutual_info_branching(b, f) for f in frags] for b in cached]
+    expect = [[mutual_info(b, f) for f in frags] for b in cached]
     monkeypatch.setattr(branching, "_OVERLAP_CACHE_LIMIT", 0)
     for b, want in zip(cached, expect):
         fresh = BranchingState(b.probs, b.phases, b.conditionals)
-        assert [mutual_info_branching(fresh, f) for f in frags] == want
+        assert [mutual_info(fresh, f) for f in frags] == want
         assert fresh._overlaps is None
 
 
@@ -378,9 +385,8 @@ def literal_complement(b, frag):
 
 
 def literal_mutual_info(b, frag):
-    frag = np.sort(np.asarray(frag, dtype=np.intp))
     h_sf = gram_entropy(branching._phase_kernel(b, literal_complement(b, frag)))
-    return system_entropy(b) + fragment_entropy(b, frag) - h_sf
+    return system_entropy(b) + entropies(b, frag)[0] - h_sf
 
 
 def assert_within_rule(b, frag):
@@ -389,7 +395,7 @@ def assert_within_rule(b, frag):
     o = b._pair_overlaps(np.arange(b.n_env))
     scale = EPS * np.sum(1.0 + np.abs(np.log(np.where(o == 0, 1.0, o))), axis=0)
     lit = literal_complement(b, frag)
-    fast = branching._complement_product(b, np.sort(np.asarray(frag, dtype=np.intp)))
+    fast = outside_product(b, frag)
     assert np.all(np.abs(fast - lit) <= 4.0 * scale * np.abs(lit) + 1e-300)
 
 
@@ -407,7 +413,7 @@ def test_weak_decoherence_within_error_rule():
     b = central_spin(2000, 0.02, seed=20)
     for frag in sample_fragments(2000, (1, 7, 64, 500, 1000, 1999), seed=21):
         assert_within_rule(b, frag)
-        assert mutual_info_branching(b, frag) == pytest.approx(
+        assert mutual_info(b, frag) == pytest.approx(
             literal_mutual_info(b, frag), abs=1e-14)
 
 
@@ -415,30 +421,30 @@ def test_strong_decoherence_values_equal():
     b = central_spin(2000, 4.0, seed=22)
     for frag in sample_fragments(2000, (1, 7, 64, 500, 1000), seed=23):
         assert_within_rule(b, frag)
-        assert mutual_info_branching(b, frag) == literal_mutual_info(b, frag)
+        assert mutual_info(b, frag) == literal_mutual_info(b, frag)
 
 
 def test_orthogonal_records_give_exact_zeros():
     # c-not records with branch weights of exactly 1/2
     b = BranchingState([0.5, 0.5], [0.0, 0.0], np.tile(np.eye(2, dtype=complex), (300, 1, 1)))
     for frag in sample_fragments(300, (1, 2, 150, 299), seed=24):
-        comp = branching._complement_product(b, np.sort(frag))
+        comp = outside_product(b, frag)
         assert comp[0, 1] == 0.0 and comp[1, 0] == 0.0
         assert np.array_equal(comp, literal_complement(b, frag))
         # the eigensolver leaves an ulp; the literal product gives the same bytes
-        assert mutual_info_branching(b, frag) == literal_mutual_info(b, frag)
-        assert abs(mutual_info_branching(b, frag) - LN2) <= EPS
-    assert np.array_equal(branching._complement_product(b, np.arange(300)), np.ones((2, 2)))
+        assert mutual_info(b, frag) == literal_mutual_info(b, frag)
+        assert abs(mutual_info(b, frag) - LN2) <= EPS
+    assert np.array_equal(outside_product(b, np.arange(300)), np.ones((2, 2)))
     cli_model = cnot_model(1 / np.sqrt(2), 1 / np.sqrt(2), 300)
     for frag in sample_fragments(300, (1, 150), seed=24):
-        assert mutual_info_branching(cli_model, frag) == literal_mutual_info(cli_model, frag)
+        assert mutual_info(cli_model, frag) == literal_mutual_info(cli_model, frag)
 
 
 def test_random_sixteen_branches_within_error_rule():
     b = random_branching_state(np.random.default_rng(25), 200, 16)
     for frag in sample_fragments(200, (1, 5, 50, 100, 199), seed=26):
         assert_within_rule(b, frag)
-        assert mutual_info_branching(b, frag) == pytest.approx(
+        assert mutual_info(b, frag) == pytest.approx(
             literal_mutual_info(b, frag), abs=1e-13)
 
 
@@ -447,7 +453,7 @@ def test_hundred_thousand_sites_within_error_rule():
     b = central_spin(10 ** 5, 0.005, seed=27)
     for frag in sample_fragments(10 ** 5, (1, 3000, 50000), seed=28):
         assert_within_rule(b, frag)
-        assert mutual_info_branching(b, frag) == pytest.approx(
+        assert mutual_info(b, frag) == pytest.approx(
             literal_mutual_info(b, frag), abs=1e-12)
 
 
@@ -460,7 +466,7 @@ def test_many_rows_equal_single_calls(k, n, t, monkeypatch):
         idx = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(5)],
                        dtype=np.intp).reshape(5, m)
         many = mutual_info_many(b, idx)
-        assert many.tolist() == [mutual_info_branching(b, row) for row in idx]
+        assert many.tolist() == [mutual_info_many(b, r[None])[0] for r in idx]
 
 
 def test_empty_fragment_leaves_the_system_entropy():
@@ -469,8 +475,9 @@ def test_empty_fragment_leaves_the_system_entropy():
     # (exp(T) would miss H_S by an ulp or two on these weak records)
     for seed in range(4):
         b = central_spin(500, 0.05, seed=seed)
-        assert fragment_entropy(b, (), include_system=True) == system_entropy(b)
-        want = system_entropy(b) + fragment_entropy(b, ()) - system_entropy(b)
+        h_f, h_sf = branching._entropies(b, np.zeros((3, 0), dtype=np.intp))
+        assert h_sf.tolist() == [system_entropy(b)] * 3
+        want = system_entropy(b) + h_f[0] - system_entropy(b)
         assert mutual_info_many(b, np.zeros((3, 0), dtype=np.intp)).tolist() == [want] * 3
 
 
@@ -483,10 +490,23 @@ def test_many_rejects_bad_rows(idx):
         mutual_info_many(b, idx)
 
 
+@pytest.mark.parametrize("n, t, k", [(2000, 0.02, 2), (2000, 4.0, 2), (200, None, 16)])
+def test_decohered_entropy_equals_literal_products(n, t, k):
+    # the one-fragment overlap-product route, kept here as the oracle
+    b = central_spin(n, t, seed=34) if t else random_branching_state(np.random.default_rng(34), n, k)
+    o = b._pair_overlaps(np.arange(n))
+    rng = np.random.default_rng(35)
+    for m in (1, 7, n // 2, n - 1, n):
+        idx = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(6)],
+                       dtype=np.intp)
+        want = [gram_entropy(branching._phase_kernel(b, np.prod(o[r], axis=0))) for r in idx]
+        assert decohered_system_entropy(b, idx).tolist() == want
+
+
 @pytest.mark.parametrize("cache_limit", [2 ** 24, 0], ids=["cached", "uncached"])
 def test_complement_of_everything_is_exactly_one(cache_limit, monkeypatch):
     # T adds the site chunks in order, so S_F over all sites equals T to the bit
     monkeypatch.setattr(branching, "_GATHER_LIMIT", 64)
     monkeypatch.setattr(branching, "_OVERLAP_CACHE_LIMIT", cache_limit)
     b = random_branching_state(np.random.default_rng(33), 150, 3)
-    assert np.array_equal(branching._complement_product(b, np.arange(150)), np.ones((3, 3)))
+    assert np.array_equal(outside_product(b, np.arange(150)), np.ones((3, 3)))

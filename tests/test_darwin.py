@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darwinlab.branching import fragment_entropy, two_branch_entropy
+from darwinlab.branching import two_branch_entropy
 from darwinlab import darwin
 from darwinlab.darwin import (
     BranchingSource,
@@ -32,7 +32,7 @@ from darwinlab.darwin import (
     redundancy_of_decoherence,
 )
 from darwinlab.photon import DecoherenceFactor, measured_photon_redundancy
-from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve, qbm_mutual_info
+from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve, qbm_mutual_info_many
 from darwinlab.qstate import HilbertShape, StateVector, subsystem_entropy
 from darwinlab.spinmodels import (
     CentralSpinParams,
@@ -120,7 +120,7 @@ class TestSources:
         src = GaussianSource(st)
         assert src.n_env == 16
         assert src.fragment_mutual_info((0, 3)) == pytest.approx(
-            qbm_mutual_info(st, [0, 3]))
+            qbm_mutual_info_many(st, np.array([[0, 3]]))[0])
 
     def test_interacting_matches_branching_when_pairs_vanish(self):
         rng = np.random.default_rng(7)
@@ -131,8 +131,9 @@ class TestSources:
         for sites in ((2,), (0, 4), (1, 2, 5)):
             assert src.fragment_mutual_info(sites) == pytest.approx(
                 ref.fragment_mutual_info(sites), abs=1e-9)
-            assert src.decohered_system_entropy(sites) == pytest.approx(
-                ref.decohered_system_entropy(sites), abs=1e-9)
+            idx = np.array([sites])
+            assert src.decohered_system_entropy(idx) == pytest.approx(
+                ref.decohered_system_entropy(idx), abs=1e-9)
 
     def test_interacting_pairs_disable_counterfactual(self):
         rng = np.random.default_rng(7)
@@ -140,7 +141,7 @@ class TestSources:
         src = InteractingSource(p)
         assert not src.pure_decoherence
         with pytest.raises(ValueError):
-            src.decohered_system_entropy((0, 1))
+            src.decohered_system_entropy(np.array([[0, 1]]))
 
 
 def two_side_mutual_info(state, sites):
@@ -375,6 +376,42 @@ class TestFragmentRows:
                 with pytest.raises(ValueError):
                     many(np.array(bad, dtype=np.intp))
 
+    @staticmethod
+    def decohering_sources():
+        rng = np.random.default_rng(14)
+        d = uniform_couplings(rng, 6)
+        return [
+            BranchingSource(random_branching_state(rng, 9, 3)),
+            spin_source(9, t=4.0, seed=3),
+            PhotonSource(0.3, n_env=40),
+            PhotonSource(0.3, n_env=40, isotropic=True),
+            HazySource(HazyCentralSpin(9, 0.6, 1.3, HazyParams(0.4))),
+            InteractingSource(InteractingEnvParams(d, np.zeros((6, 6)), t=3.0)),
+        ]
+
+    def test_decoherence_methods_contract(self):
+        rng = np.random.default_rng(15)
+        for src in self.decohering_sources():
+            assert src.pure_decoherence
+            n = src.n_env
+            for m in (0, 1, 3, n):
+                idx = np.array([np.sort(rng.choice(n, m, replace=False)) for _ in range(4)],
+                               dtype=np.intp).reshape(4, m)
+                decohered = src.decohered_system_entropy(idx)
+                classical, quantum = src.decompose(idx)
+                for got in (decohered, classical, quantum):
+                    assert isinstance(got, np.ndarray) and got.shape == (len(idx),)
+                for i, row in enumerate(idx):
+                    assert decohered[i] == src.decohered_system_entropy(row[None])[0]
+                    c, q = src.decompose(row[None])
+                    assert classical[i] == c[0] and quantum[i] == q[0]
+            if src.symmetric:
+                continue
+            for bad in ([[2, 1]], [[1, 1]], [[0, n]], [[-1, 2]], [1, 2]):
+                for method in (src.decohered_system_entropy, src.decompose):
+                    with pytest.raises(ValueError):
+                        method(np.array(bad, dtype=np.intp))
+
 
 class TestRedundancy:
     def test_perfect_records(self):
@@ -520,8 +557,8 @@ class TestDecomposition:
 
     def test_inconsistent_parts_raise(self):
         class Liar(BranchingSource):
-            def decompose(self, sites):
-                return 0.1, 0.1
+            def decompose(self, idx):
+                return np.full(len(idx), 0.1), np.full(len(idx), 0.1)
 
         src = Liar(cnot_model(INV_SQRT2, INV_SQRT2, 6))
         with pytest.raises(ArithmeticError):
@@ -631,7 +668,7 @@ class TestInvariants:
         src = BranchingSource(b)
         pip = build_pip(src, samples_per_fraction=16, seed=0)
         for m in range(1, 5):    # strictly below half
-            h_f = fragment_entropy(b, tuple(range(m)))
+            h_f = src.decompose(np.arange(m)[None])[0][0]  # the classical part is H_F
             assert pip.point_at(m).mean_i == pytest.approx(h_f, abs=1e-9)
 
     def test_photon_redundancy_monotone_in_delta(self):

@@ -16,7 +16,6 @@ from darwinlab.qbm import (
     gaussian_entropy,
     qbm_evolve,
     qbm_generator,
-    qbm_mutual_info,
     qbm_mutual_info_many,
     qbm_redundancy,
     qbm_system_entropy,
@@ -28,6 +27,11 @@ from darwinlab.qbm import (
 # small bath for unit tests; acceptance uses the full figure-scale setup
 BATH = OhmicBathParams(bands=64)
 EPS = np.finfo(float).eps
+
+
+def one_fragment_info(state, bands):
+    """I(S : bands) of one fragment, through the sources' one-row wrapper."""
+    return GaussianSource(state).fragment_mutual_info(bands)
 
 
 def complex_route_nus(cov):
@@ -166,16 +170,16 @@ class TestValidateOnce:
 
         monkeypatch.setattr(qbm, "_symplectic_spectrum", counted)
         frags = [[0, 1], [2, 5, 7], list(range(8)), [15, 3], [2, 5, 7]]
-        first = qbm_mutual_info(self.state, frags[0])
+        first = one_fragment_info(self.state, frags[0])
         assert shapes.count((2, 2)) == 1
         n_first = len(shapes)
         for frag in frags[1:]:
-            qbm_mutual_info(self.state, frag)
+            one_fragment_info(self.state, frag)
         # one stacked solve per side and call; the 2x2 block is never re-solved
         assert len(shapes) - n_first == 2 * (len(frags) - 1)
         assert (2, 2) not in shapes[n_first:]
         assert all(len(shape) == 3 for shape in shapes[n_first:])
-        assert qbm_mutual_info(self.state, frags[0]) == first
+        assert one_fragment_info(self.state, frags[0]) == first
         assert shapes.count((2, 2)) == 1
 
     def test_two_full_state_solves_per_source(self, monkeypatch):
@@ -359,11 +363,11 @@ class TestMutualInfo:
         self.state = qbm_evolve(BATH, 1000.0, "x", 4.0)
 
     def test_empty_fragment(self):
-        assert qbm_mutual_info(self.state, []) == 0.0
+        assert one_fragment_info(self.state, []) == 0.0
 
     def test_all_bands_give_twice_entropy(self):
         h_s = self.state.marginal([0]).entropy()
-        i_all = qbm_mutual_info(self.state, range(BATH.bands))
+        i_all = one_fragment_info(self.state, range(BATH.bands))
         assert i_all == pytest.approx(2 * h_s, abs=1e-6)
 
     def test_complement_antisymmetry(self):
@@ -371,7 +375,7 @@ class TestMutualInfo:
         h_s = self.state.marginal([0]).entropy()
         half = set(map(int, rng.choice(BATH.bands, BATH.bands // 2, replace=False)))
         rest = set(range(BATH.bands)) - half
-        total = qbm_mutual_info(self.state, half) + qbm_mutual_info(self.state, rest)
+        total = one_fragment_info(self.state, half) + one_fragment_info(self.state, rest)
         assert total == pytest.approx(2 * h_s, abs=1e-6)
 
     def test_universal_shape_midrange(self):
@@ -385,19 +389,19 @@ class TestMutualInfo:
             for _ in range(12):
                 sub = rng.choice(n, m, replace=False)
                 comp = np.setdiff1d(np.arange(n), sub)
-                vals.append(qbm_mutual_info(self.state, map(int, sub)))
-                vals.append(2 * h_s - qbm_mutual_info(self.state, map(int, comp)))
+                vals.append(one_fragment_info(self.state, map(int, sub)))
+                vals.append(2 * h_s - one_fragment_info(self.state, map(int, comp)))
             # 64 bands is coarse; the figure-scale bath is held to 0.1 nats
             # in the acceptance suite
             assert np.mean(vals) == pytest.approx(universal_pip(h_s, m / n), abs=0.3)
 
     def test_out_of_range_band(self):
         with pytest.raises(ValueError):
-            qbm_mutual_info(self.state, [BATH.bands])
+            one_fragment_info(self.state, [BATH.bands])
 
     def test_repeated_band(self):
         with pytest.raises(ValueError):
-            qbm_mutual_info(self.state, [2, 5, 2])
+            one_fragment_info(self.state, [2, 5, 2])
 
     def test_bad_rows_rejected(self):
         for idx in ([[2, 1]], [[3, 3]], [[0, BATH.bands]], [[-1, 4]], [1, 2]):
@@ -415,7 +419,7 @@ class TestMutualInfo:
             idx = np.array([np.sort(rng.choice(BATH.bands, m, replace=False))
                             for _ in range(3 * qbm._SLAB_ROWS + 1)], dtype=np.intp)
             got = qbm_mutual_info_many(self.state, idx)
-            assert got.tolist() == [qbm_mutual_info(self.state, row) for row in idx.tolist()]
+            assert got.tolist() == [one_fragment_info(self.state, row) for row in idx.tolist()]
 
 
 def two_cholesky_mutual_info(state, bands):

@@ -4,12 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from darwinlab import spinmodels
-from darwinlab.branching import (
-    fragment_entropy,
-    mutual_info_branching,
-    system_entropy,
-    to_state_vector,
-)
+from darwinlab.branching import mutual_info_many, system_entropy, to_state_vector
 from darwinlab.info import LN2, von_neumann_entropy
 from darwinlab.qstate import (
     FragmentSpec,
@@ -53,12 +48,12 @@ class TestCnotModel:
         h_s = system_entropy(b)
         assert h_s == pytest.approx(LN2, abs=1e-12)
         for m in (1, 4, 9):
-            i = mutual_info_branching(b, FragmentSpec(frozenset(range(m))))
+            i = mutual_info_many(b, np.arange(m)[None])[0]
             assert i == pytest.approx(h_s, abs=1e-12)
 
     def test_whole_environment_doubles(self):
         b = cnot_model(0.6, 0.8, n=6)
-        i_all = mutual_info_branching(b, FragmentSpec(frozenset(range(6))))
+        i_all = mutual_info_many(b, np.arange(6)[None])[0]
         assert i_all == pytest.approx(2 * system_entropy(b), abs=1e-12)
 
     def test_rejects_unnormalized(self):
@@ -94,14 +89,14 @@ class TestCentralSpin:
     def test_single_site_overlap_is_cos2dt(self):
         p = CentralSpinParams(np.array([0.25]), t=2.0)
         b = central_spin_branching(p)
-        ov = b.overlap_product(FragmentSpec.of(0))[0, 1]
+        ov = b._pair_overlaps(0)[0, 1]
         assert ov == pytest.approx(np.cos(2 * 0.25 * 2.0), abs=1e-12)
 
     def test_z_eigenstate_environment_records_nothing(self):
         p = CentralSpinParams(np.array([0.4, 0.7, 1.0]), t=3.0,
                               env_init=np.array([1.0, 0.0]))
         b = central_spin_branching(p)
-        i = mutual_info_branching(b, FragmentSpec(frozenset({0, 1, 2})))
+        i = mutual_info_many(b, np.array([[0, 1, 2]]))[0]
         assert i == pytest.approx(0.0, abs=1e-9)
 
     def test_plateau_reached_for_many_sites(self):
@@ -110,7 +105,7 @@ class TestCentralSpin:
         b = central_spin_branching(p)
         h_s = system_entropy(b)
         assert h_s == pytest.approx(LN2, abs=1e-6)
-        mid = mutual_info_branching(b, FragmentSpec(frozenset(range(20))))
+        mid = mutual_info_many(b, np.arange(20)[None])[0]
         assert mid == pytest.approx(h_s, abs=1e-6)
 
     @pytest.mark.parametrize("env_init", [None, np.array([0.6, 0.8j])])
@@ -287,9 +282,8 @@ class TestHazyCentralSpin:
         model = HazyCentralSpin(n, d, t, HazyParams(0.0))
         b = central_spin_branching(CentralSpinParams(np.full(n, d), t))
         for m in (1, 3, 6):
-            frag = FragmentSpec(frozenset(range(m)))
             assert model.mutual_info(m) == pytest.approx(
-                mutual_info_branching(b, frag), abs=1e-9)
+                mutual_info_many(b, np.arange(m)[None])[0], abs=1e-9)
 
     def test_classical_term_vanishes_at_full_haze(self):
         model = HazyCentralSpin(24, 0.8, 3.0, HazyParams(LN2))
