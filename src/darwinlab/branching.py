@@ -247,10 +247,15 @@ def _entropies(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
     """H_F and H_SF (nats) for every row F of idx, from one _products pass.
 
     H_F is the entropy of the fragment's Gram kernel; by global purity H_SF
-    is that of the complement's phase-carrying kernel.
+    is that of the complement's phase-carrying kernel. The empty fragment
+    is pure, so its H_F is exactly 0 (the eigensolver would leave an ulp),
+    and its H_SF is H_S to the bit: its I(S : F) is exactly 0.
     """
     inside, outside = _products(b, idx)
-    return gram_entropy(_gram_kernel(b, inside)), gram_entropy(_phase_kernel(b, outside))
+    h_sf = gram_entropy(_phase_kernel(b, outside))
+    if not np.shape(idx)[1]:
+        return np.zeros(len(h_sf)), h_sf
+    return gram_entropy(_gram_kernel(b, inside)), h_sf
 
 
 def decohered_system_entropy(b: BranchingState, idx) -> np.ndarray:

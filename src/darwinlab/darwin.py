@@ -42,11 +42,10 @@ class Source:
     Every source has n_env, tag, system_entropy() and the one fragment
     method fragment_mutual_info_many(idx): I(S : F) for every row F of idx,
     a (count, m) np.intp matrix of sorted, repeat-free site indices, so one
-    fragment size per call. An empty row gives 0.0; the branching kernel
-    returns the entropy of its rank-one Gram there, within a few ulps of 0.
-    A row out of range or with a repeat raises ValueError, except on a
-    symmetric source, which reads only idx.shape. fragment_mutual_info(sites)
-    is the one-row wrapper, defined here alone.
+    fragment size per call. An empty row gives exactly 0.0. A row out of
+    range or with a repeat raises ValueError, except on a symmetric source,
+    which reads only idx.shape. fragment_mutual_info(sites) is the one-row
+    wrapper, defined here alone.
 
     symmetric: I depends on the fragment size only, so one fragment per
     size is drawn. pure_global: the global state is pure, so mirrored

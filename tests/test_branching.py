@@ -471,14 +471,15 @@ def test_many_rows_equal_single_calls(k, n, t, monkeypatch):
 
 def test_empty_fragment_leaves_the_system_entropy():
     # the complement of nothing is the literal product over all sites, so
-    # H_SF is H_S to the bit and I reduces to the entropy of the empty gram
-    # (exp(T) would miss H_S by an ulp or two on these weak records)
+    # H_SF is H_S to the bit (exp(T) would miss it by an ulp or two on these
+    # weak records); the empty fragment is pure, so H_F and I are exactly 0
+    empty = np.zeros((3, 0), dtype=np.intp)
     for seed in range(4):
         b = central_spin(500, 0.05, seed=seed)
-        h_f, h_sf = branching._entropies(b, np.zeros((3, 0), dtype=np.intp))
+        h_f, h_sf = branching._entropies(b, empty)
         assert h_sf.tolist() == [system_entropy(b)] * 3
-        want = system_entropy(b) + h_f[0] - system_entropy(b)
-        assert mutual_info_many(b, np.zeros((3, 0), dtype=np.intp)).tolist() == [want] * 3
+        assert h_f.tolist() == [0.0] * 3
+        assert mutual_info_many(b, empty).tolist() == [0.0] * 3
 
 
 @pytest.mark.parametrize("idx", [np.array([[2, 1]]), np.array([[1, 1]]), np.array([[0, 8]]),
