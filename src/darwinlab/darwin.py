@@ -312,7 +312,6 @@ class InteractingSource(DenseSource):
         return h_f, self.system_entropy() - self.decohered_system_entropy(rest)
 
 
-
 def haar_random_source(n_env: int, seed: int, tag: str | None = None) -> DenseSource:
     """Haar-random pure state of one system qubit over n_env bath qubits."""
     if n_env < 1:
