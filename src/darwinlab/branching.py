@@ -24,10 +24,9 @@ counted apart) and its totals T = sum_l log o_l and Z = #{l : o_l = 0}:
 with S_F and Z_F summed over F alone. H_S is solved once per state.
 mutual_info_many evaluates a whole matrix of same-size fragments with one
 stacked eigensolve per side; decohered_system_entropy reads the row
-products of the same pass. Every per-fragment function takes one
-fragment form, a (count, m) np.intp matrix of sorted, repeat-free rows;
-_products gathers them and checks them there, once per call, with
-qstate.check_rows.
+products alone. Every per-fragment function takes one fragment form, a
+(count, m) np.intp matrix of sorted, repeat-free rows, and checks it once
+per call with qstate.check_rows.
 
 Error rule. A complement-product entry computed this way carries a
 relative error of about eps * sum_l |log o_l| (eps = 2.2e-16, the sum over
@@ -173,28 +172,46 @@ def _literal_product(b: BranchingState, idx) -> np.ndarray:
     return np.prod(b._pair_overlaps(idx), axis=-3)
 
 
-def _products(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap products over each row of idx and over its complement.
+def _chunk_rows(b: BranchingState, m: int) -> int:
+    """Rows of m sites per gather: at most _GATHER_LIMIT table entries, one
+    row at least."""
+    k = b.n_branches
+    return max(1, _GATHER_LIMIT // (m * k * k))
 
-    idx is checked here, the module's one fragment check. Rows are gathered
-    in chunks of at most _GATHER_LIMIT table entries (one row at least). The
-    row product is the literal np.prod; the complement product comes from
-    the log totals (module docstring). The empty fragment takes the literal
-    product over all sites, so that H_SF = H_S exactly.
-    """
-    idx = check_rows(idx, b.n_env)
+
+def _row_products(b: BranchingState, idx: np.ndarray) -> np.ndarray:
+    """The literal overlap product over each row of the checked idx,
+    gathered in chunks of _chunk_rows rows."""
     count, m = idx.shape
     k = b.n_branches
     inside = np.ones((count, k, k), dtype=complex)
+    if m:
+        step = _chunk_rows(b, m)
+        for lo in range(0, count, step):
+            inside[lo:lo + step] = _literal_product(b, idx[lo:lo + step])
+    return inside
+
+
+def _products(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap products over each row of idx and over its complement.
+
+    idx is checked here with the module's one fragment check. The row
+    product is _row_products; the complement product comes from the log
+    totals (module docstring), gathered in the same chunks. The empty
+    fragment takes the literal product over all sites, so that H_SF = H_S
+    exactly.
+    """
+    idx = check_rows(idx, b.n_env)
+    count, m = idx.shape
+    inside = _row_products(b, idx)
     if m == 0:
         return inside, np.broadcast_to(_literal_product(b, np.arange(b.n_env)), inside.shape)
     outside = np.empty_like(inside)
     t, z = b._log_totals()
     has_zeros = z.any()
-    step = max(1, _GATHER_LIMIT // (m * k * k))
+    step = _chunk_rows(b, m)
     for lo in range(0, count, step):
         rows = idx[lo:lo + step]
-        inside[lo:lo + step] = _literal_product(b, rows)
         logs, zeros = b._pair_logs(rows)
         out = outside[lo:lo + step]
         out[:] = np.exp(t - logs.sum(axis=1))
@@ -261,9 +278,8 @@ def _entropies(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
 def decohered_system_entropy(b: BranchingState, idx) -> np.ndarray:
     """Counterfactual system entropy with only the row F doing the
     decohering, for every row F of idx: off-diagonals are damped by the
-    fragment's records alone."""
-    inside, _ = _products(b, idx)
-    return gram_entropy(_phase_kernel(b, inside))
+    fragment's records alone. Only the row products are gathered."""
+    return gram_entropy(_phase_kernel(b, _row_products(b, check_rows(idx, b.n_env))))
 
 
 def mutual_info_many(b: BranchingState, idx) -> np.ndarray:

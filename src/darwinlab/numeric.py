@@ -20,8 +20,17 @@ Anal. Appl. 26 (2005) 1179-1193, in numpy alone, so that Gaussian evolution
 does not import scipy.linalg. It differs from scipy.linalg.expm (the later
 Al-Mohy & Higham variant) by rounding only; tests/test_numeric.py bounds
 the gap on the QBM propagators and on random matrices.
+
+_one_blas_thread pins numpy's bundled scipy-openblas to one thread for a
+scope and hands the thread count it had to the caller as a lane count.
+OpenBLAS rounds a product or factorization differently at different
+thread counts, so the Gaussian path, which runs inside this scope, gives
+the same bytes whatever OPENBLAS_NUM_THREADS says.
 """
+import contextlib
+import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -193,3 +202,47 @@ def expm(a) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled scipy-openblas,
+    found through ctypes in numpy.libs; None when numpy ships no such
+    library. Looked up on first use, so importing this module loads
+    nothing more."""
+    import ctypes
+    import glob
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the scope with the bundled OpenBLAS on one thread and yield the
+    lane count: OpenBLAS's own thread count before the scope, so that its
+    thread budget goes to lanes of work instead. The count is restored on
+    exit. Without the bundled library the scope yields one lane and leaves
+    BLAS as shipped. The thread count is process-wide, so scopes entered
+    on two threads at once would see each other's setting; darwinlab
+    enters them from one thread."""
+    handle = _openblas_threads()
+    if handle is None:
+        yield 1
+        return
+    get, put = handle
+    threads = get()
+    put(1)
+    try:
+        yield max(1, threads)
+    finally:
+        put(threads)

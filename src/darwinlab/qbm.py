@@ -32,23 +32,41 @@ further from a separate factorization of Delta_F.) Rows are gathered,
 factorized and solved as stacks, in slabs of _SLAB_ROWS that bound the
 working set.
 
+Lanes and BLAS. qbm_evolve and qbm_mutual_info_many run with numpy's
+bundled OpenBLAS pinned to one thread (numeric._one_blas_thread), because
+its threads gain nothing on matrices of a few hundred rows and change the
+rounding. The thread count OpenBLAS had becomes the number of lanes: the
+calling thread is lane 0 and starts one helper thread per further lane;
+lane j takes slabs j, j + lanes, j + 2 lanes, ... and writes only their
+rows of the result. A helper lane calls only this module's private
+helpers and numpy, so every public call stays on the caller's thread.
+Every helper is joined before the call returns, and an error raised in
+any lane is re-raised to the caller then. The bytes do not depend on the
+lane count, nor on OPENBLAS_NUM_THREADS. On a numpy without bundled
+scipy-openblas the path runs one lane with BLAS as shipped.
+
 hbar = 1 throughout.
 """
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import POLICY, CapExceeded, expm
+from .numeric import POLICY, CapExceeded, _one_blas_thread, expm
 from .qstate import check_rows
 
-# fragment rows per stacked gather, factorization and eigensolve. On the
-# oscillator-bands workload 4, 8 and 16 rows ran equally fast, while peak
-# memory grew from 46 MB at 8 rows to 51 MB at 16 and 67 MB at 64.
-_SLAB_ROWS = 8
+# fragment rows per stacked gather, factorization and eigensolve, in each
+# lane. With one lane, 4, 8 and 16 rows ran equally fast on the
+# oscillator-bands workload, while peak memory grew from 46 MB at 8 rows
+# to 51 MB at 16 and 67 MB at 64. Every lane holds its own slab, so two
+# lanes double the rows in flight: against 48.3 MB for one lane of 8 rows,
+# two lanes of 8 rows peaked at 51.9 MB and two lanes of 6 at 49.1-50.0 MB
+# (median 49.2 MB over ten runs; 2-vCPU x86 box).
+_SLAB_ROWS = 6
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
@@ -286,9 +304,10 @@ def _propagator(bath: OhmicBathParams, t: float) -> np.ndarray:
 def qbm_evolve(bath: OhmicBathParams, squeezing: float, direction: str,
                t: float) -> GaussianState:
     """Exact symplectic evolution of the squeezed start for time t."""
-    start = squeezed_start(bath, squeezing, direction)
-    s = _propagator(bath, t)
-    return GaussianState(s @ start.means, s @ start.cov @ s.T)
+    with _one_blas_thread():
+        start = squeezed_start(bath, squeezing, direction)
+        s = _propagator(bath, t)
+        return GaussianState(s @ start.means, s @ start.cov @ s.T)
 
 
 def evolved_purity_defect(bath: OhmicBathParams, squeezing: float, direction: str,
@@ -328,7 +347,8 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     The rows are checked once per call. Each slab of rows gathers its SF
     covariances, mode 0 first, as one stack and takes one stacked Cholesky;
     the F rows of each factor are a factor of Delta_F (module docstring).
-    H_S comes from qbm_system_entropy.
+    H_S comes from qbm_system_entropy. The slabs are split across lanes,
+    with BLAS on one thread (module docstring).
     """
     idx = check_rows(idx, state.n_modes - 1)
     count, m = idx.shape
@@ -338,13 +358,47 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     h_s = qbm_system_entropy(state)
     modes = np.concatenate((np.zeros((count, 1), dtype=np.intp), idx + 1), axis=1)
     rows = np.stack((2 * modes, 2 * modes + 1), axis=2).reshape(count, 2 * m + 2)
-    for lo in range(0, count, _SLAB_ROWS):
-        r = rows[lo:lo + _SLAB_ROWS]
-        l = _cholesky(state.cov[r[:, :, None], r[:, None, :]])
-        h_f = _spectrum_entropy(_symplectic_spectrum(l[:, 2:]))
-        h_sf = _spectrum_entropy(_symplectic_spectrum(l))
-        out[lo:lo + len(r)] = h_s + h_f - h_sf
+    cov = state.cov
+
+    def lane(first: int, lanes: int) -> None:
+        for lo in range(first * _SLAB_ROWS, count, lanes * _SLAB_ROWS):
+            r = rows[lo:lo + _SLAB_ROWS]
+            l = _cholesky(cov[r[:, :, None], r[:, None, :]])
+            h_f = _spectrum_entropy(_symplectic_spectrum(l[:, 2:]))
+            h_sf = _spectrum_entropy(_symplectic_spectrum(l))
+            out[lo:lo + len(r)] = h_s + h_f - h_sf
+
+    with _one_blas_thread() as lanes:
+        _in_lanes(min(lanes, math.ceil(count / _SLAB_ROWS)), lane)
     return out
+
+
+def _in_lanes(lanes: int, work) -> None:
+    """work(lane, lanes) for lane = 0 .. lanes - 1: lane 0 on the calling
+    thread, each other lane on a helper thread. Every helper is joined
+    before this returns; then the error of the lowest failed lane, if any,
+    is raised."""
+    errors = [None] * lanes
+
+    def helper(lane: int) -> None:
+        try:
+            work(lane, lanes)
+        except BaseException as exc:  # raised again in the caller below
+            errors[lane] = exc
+
+    threads = []
+    try:
+        for lane in range(1, lanes):
+            thread = threading.Thread(target=helper, args=(lane,))
+            thread.start()
+            threads.append(thread)
+        work(0, lanes)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def universal_pip(h_s: float, f: float) -> float:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import darwinlab
+from darwinlab import numeric
 from darwinlab.cli import main
 from darwinlab.darwin import git_blob_sha
 from darwinlab.photon import CONSTANTS
@@ -298,3 +299,24 @@ class TestNoScipyOnTheRunPath:
         run(tmp_path, "pip", "--model", "cnot", "--n", "6", "--seed", "0")
         m = json.loads((tmp_path / "pip.json").read_text())
         assert m["versions"]["scipy"] == scipy.__version__
+
+
+class TestBlasThreads:
+    """The Gaussian path pins BLAS to one thread, so its bytes do not follow
+    OPENBLAS_NUM_THREADS."""
+
+    def test_qbm_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        if numeric._openblas_threads() is None:
+            pytest.skip("numpy ships no scipy-openblas")
+        src = str(Path(darwinlab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            out = tmp_path / threads
+            argv = ["qbm", "--bands", "64", "--samples", "4", "--seed", "3", "--out", str(out)]
+            done = subprocess.run([sys.executable, "-m", "darwinlab.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / name).read_bytes() for name in ("qbm.csv", "qbm.json")])
+        assert outputs[0] == outputs[1]

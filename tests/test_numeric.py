@@ -210,3 +210,25 @@ class TestExpm:
                   np.array([[np.nan]])):
             with pytest.raises(ValueError):
                 expm(a)
+
+
+class TestOneBlasThread:
+    def test_pins_one_thread_and_restores(self):
+        handle = numeric._openblas_threads()
+        if handle is None:
+            pytest.skip("numpy ships no scipy-openblas")
+        get, put = handle
+        before = get()
+        with numeric._one_blas_thread() as lanes:
+            assert lanes == before
+            assert get() == 1
+        assert get() == before
+        with pytest.raises(RuntimeError):
+            with numeric._one_blas_thread():
+                raise RuntimeError
+        assert get() == before
+
+    def test_one_lane_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_openblas_threads", lambda: None)
+        with numeric._one_blas_thread() as lanes:
+            assert lanes == 1

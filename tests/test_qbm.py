@@ -1,11 +1,13 @@
+import contextlib
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from darwinlab import qbm
+from darwinlab import numeric, qbm
 from darwinlab.darwin import GaussianSource
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
@@ -420,6 +422,68 @@ class TestMutualInfo:
                             for _ in range(3 * qbm._SLAB_ROWS + 1)], dtype=np.intp)
             got = qbm_mutual_info_many(self.state, idx)
             assert got.tolist() == [one_fragment_info(self.state, row) for row in idx.tolist()]
+
+
+def force_lanes(monkeypatch, lanes):
+    """Keep the one-thread BLAS scope of qbm but make it yield `lanes`."""
+
+    @contextlib.contextmanager
+    def forced():
+        with numeric._one_blas_thread():
+            yield lanes
+
+    monkeypatch.setattr(qbm, "_one_blas_thread", forced)
+
+
+class TestLanes:
+    """The slabs of a fragment size split across lanes: the bits do not
+    depend on the lane count, and no helper thread outlives the call."""
+
+    def setup_method(self):
+        self.state = qbm_evolve(OhmicBathParams(), 1e3, "x", 3.0)
+
+    def test_lanes_give_identical_bits(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        for m in (1, 5, 32, 64):
+            count = 3 * qbm._SLAB_ROWS + 2
+            idx = np.array([np.sort(rng.choice(128, m, replace=False)) for _ in range(count)],
+                           dtype=np.intp)
+            got = {}
+            for lanes in (1, 2, 3):
+                force_lanes(monkeypatch, lanes)
+                before = set(threading.enumerate())
+                got[lanes] = qbm_mutual_info_many(self.state, idx).tobytes()
+                assert set(threading.enumerate()) == before
+            assert got[2] == got[1] and got[3] == got[1]
+
+    def test_helper_lanes_run_off_the_calling_thread(self, monkeypatch):
+        threads = set()
+        cholesky = qbm._cholesky
+
+        def recorded(cov):
+            threads.add(threading.get_ident())
+            return cholesky(cov)
+
+        monkeypatch.setattr(qbm, "_cholesky", recorded)
+        force_lanes(monkeypatch, 2)
+        idx = np.tile(np.arange(4, dtype=np.intp), (2 * qbm._SLAB_ROWS, 1))
+        qbm_mutual_info_many(self.state, idx)
+        assert len(threads) == 2 and threading.get_ident() in threads
+
+    def test_error_in_a_helper_lane_reaches_the_caller(self, monkeypatch):
+        cov = self.state.cov.copy()
+        cov[2 * 8, 2 * 8] = -1.0  # band 7 has a negative variance
+        bad = GaussianState._unchecked(self.state.means, cov)
+        bad._h_system = qbm_system_entropy(self.state)
+        rows = [[1, 2, 3]] * (3 * qbm._SLAB_ROWS)
+        # only the second slab, which lane 1 of 2 takes, holds band 7
+        rows[qbm._SLAB_ROWS + 1] = [1, 7, 9]
+        idx = np.array(rows, dtype=np.intp)
+        force_lanes(monkeypatch, 2)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="positive definite"):
+            qbm_mutual_info_many(bad, idx)
+        assert set(threading.enumerate()) == before
 
 
 def two_cholesky_mutual_info(state, bands):
