@@ -1,15 +1,18 @@
 """Reproducible experiment runner.
 
 One executable, one subcommand per experiment family. A run is fully
-determined by its merged configuration plus the mandatory seed: file
-outputs are byte-identical across machines, all randomness flows from
-the single seed through fixed counter keys, and no environment variable
-changes a run.
+determined by its merged configuration plus the mandatory seed: all
+randomness flows from the single seed through fixed counter keys, and
+file outputs are byte-identical across reruns and BLAS thread counts.
+No environment variable changes a run, with one exception: on a numpy
+without bundled scipy-openblas the Gaussian path cannot pin BLAS to one
+thread, so the last digits of a qbm run may follow OPENBLAS_NUM_THREADS.
 
 Configuration comes from an INI file (one section per subcommand, keys
 named like the long flags) with command-line flags taking precedence.
 
-Exit codes: 0 success, 1 configuration error, 2 resource cap exceeded.
+Exit codes: 0 success, 1 configuration error or undefined result (such as
+a redundancy at zero system entropy), 2 resource cap exceeded.
 """
 
 from __future__ import annotations

@@ -43,9 +43,9 @@ class Source:
     method fragment_mutual_info_many(idx): I(S : F) for every row F of idx,
     a (count, m) np.intp matrix of sorted, repeat-free site indices, so one
     fragment size per call. An empty row gives exactly 0.0. A row out of
-    range or with a repeat raises ValueError, except on a symmetric source,
-    which reads only idx.shape. fragment_mutual_info(sites) is the one-row
-    wrapper, defined here alone.
+    range, with a repeat or of a non-integer dtype raises ValueError,
+    except on a symmetric source, which reads only idx.shape.
+    fragment_mutual_info(sites) is the one-row wrapper, defined here alone.
 
     symmetric: I depends on the fragment size only, so one fragment per
     size is drawn. pure_global: the global state is pure, so mirrored
@@ -76,9 +76,11 @@ class Source:
 
 
 def _one_row(sites) -> np.ndarray:
-    """One fragment's sites as a sorted (1, m) np.intp row matrix; a repeat
-    or a bad index is left for the source's row check."""
-    return np.array(sorted(int(s) for s in sites), dtype=np.intp)[None]
+    """One fragment's sites as a sorted (1, m) row matrix, np.intp when
+    empty; a repeat, a non-integer or a bad index is left for the source's
+    row check."""
+    row = np.array([sorted(sites)])
+    return row if row.size else row.astype(np.intp)
 
 
 def _site_mask(idx: np.ndarray, n: int) -> np.ndarray:
@@ -553,12 +555,14 @@ def redundancy_of_decoherence(source, delta_d: float = 0.1,
     the information crossing this one has no purity shortcut, so sizes
     run all the way to n, where the fully decohered system reaches H_S
     and the scan always crosses. A source with a closed-form
-    decoherence_fraction skips the scan.
+    decoherence_fraction skips the scan. An H_S at or below
+    POLICY.spectrum_atol counts as zero and raises ValueError, as in
+    info._first_crossing.
     """
     if not 0.0 < delta_d < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     h_s = source.system_entropy()
-    if h_s <= 0.0:
+    if h_s <= POLICY.spectrum_atol:
         raise ValueError("system entropy is zero; redundancy undefined")
     n = source.n_env
     f = source.decoherence_fraction(delta_d)

@@ -3,6 +3,10 @@
 All quantities are in nats internally (the analytic closed forms downstream
 are stated in natural log); use to_bits() at the output boundary when
 base-2 numbers are wanted.
+
+Subsystem positions follow qstate's one rule: a sequence, in any order, of
+integers inside range(n) with no repeats; a repeated or non-integer
+position raises ValueError rather than collapsing or being truncated.
 """
 from __future__ import annotations
 
@@ -11,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY
-from .qstate import (DensityMatrix, FragmentSpec, HilbertShape, _as_fragment,
-                     _entropy_from_eigs, partial_trace)
+from .qstate import DensityMatrix, _entropy_from_eigs, _sorted_positions, partial_trace
 
 LN2 = float(np.log(2.0))
 
@@ -103,11 +106,13 @@ def _first_crossing(n: int, sizes, value_of, h_s: float,
     crossing gives R = n; a crossing at the first scanned size is taken
     as is; a later one is interpolated linearly against the previous
     scanned size. With no crossing sharpF is None and R is the largest
-    scanned value over the threshold, below one.
+    scanned value over the threshold, below one. An H_S at or below
+    POLICY.spectrum_atol is rounding, not a record, so it counts as zero
+    and raises ValueError: no redundancy.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if h_s <= 0.0:
+    if h_s <= POLICY.spectrum_atol:
         raise ValueError("system entropy is zero; redundancy undefined")
     threshold = (1.0 - delta) * h_s
     prev_m, prev_v, best = None, 0.0, -np.inf
@@ -140,26 +145,24 @@ def shannon_entropy(p) -> float:
 
 def mutual_information(rho: DensityMatrix, part_a) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) over the (part_a, complement) split."""
-    part_a = _as_fragment(part_a)
-    part_a.validate_for(rho.shape)
     n = rho.shape.n_subsystems
-    if not part_a.indices or len(part_a) == n:
+    part_a = _sorted_positions(part_a, n)
+    if not part_a or len(part_a) == n:
         raise ValueError("bipartition must be a proper nonempty subset")
-    part_b = part_a.complement(n)
+    part_b = tuple(i for i in range(n) if i not in part_a)
     ha = von_neumann_entropy(partial_trace(rho, part_a))
     hb = von_neumann_entropy(partial_trace(rho, part_b))
     hab = von_neumann_entropy(rho)
     return ha + hb - hab
 
 
-def _apply_projector(rho: DensityMatrix, projector: np.ndarray, on: FragmentSpec) -> np.ndarray:
-    """Compute P rho P with P acting on the `on` subsystems only."""
+def _apply_projector(rho: DensityMatrix, projector: np.ndarray, on: tuple) -> np.ndarray:
+    """Compute P rho P with P acting on the sorted `on` subsystems only."""
     dims = rho.shape.dims
     n = len(dims)
-    on_s = on.sorted
-    rest = [i for i in range(n) if i not in on.indices]
-    d_on = rho.shape.dim_of(on_s)
-    perm = list(on_s) + rest
+    rest = [i for i in range(n) if i not in on]
+    d_on = rho.shape.dim_of(on)
+    perm = list(on) + rest
     t = rho.mat.reshape(dims + dims)
     t = t.transpose(perm + [n + i for i in perm]).reshape(d_on, -1, d_on, rho.shape.dim_of(rest))
     t = np.einsum("ai,ibjc,jd->abdc", projector, t, projector.conj().T, optimize=True)
@@ -177,8 +180,7 @@ def conditional_state(rho: DensityMatrix, projector: np.ndarray, on) -> tuple[De
     A zero-probability branch returns (None, 0.0) rather than raising;
     callers that average over a basis just skip it.
     """
-    on = _as_fragment(on)
-    on.validate_for(rho.shape)
+    on = _sorted_positions(on, rho.shape.n_subsystems)
     projected = _apply_projector(rho, np.asarray(projector, dtype=complex), on)
     p = float(np.trace(projected).real)
     if p <= POLICY.eig_floor:
@@ -190,10 +192,10 @@ def conditional_state(rho: DensityMatrix, projector: np.ndarray, on) -> tuple[De
 
 def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
     """H(rest | basis on `on`) = sum_k p_k H(rho_rest | outcome k)."""
-    on = _as_fragment(on)
-    on.validate_for(rho.shape)
-    rest = on.complement(rho.shape.n_subsystems)
-    if not rest.indices:
+    n = rho.shape.n_subsystems
+    on = _sorted_positions(on, n)
+    rest = tuple(i for i in range(n) if i not in on)
+    if not rest:
         raise ValueError("measurement must leave a nonempty remainder")
     total = 0.0
     for proj in basis.projectors:
@@ -206,15 +208,15 @@ def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on)
 
 def asymmetric_mutual_info(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
     """J = H(rest) - H(rest | outcomes of basis on `on`)."""
-    on = _as_fragment(on)
-    rest = on.complement(rho.shape.n_subsystems)
+    n = rho.shape.n_subsystems
+    on = _sorted_positions(on, n)
+    rest = tuple(i for i in range(n) if i not in on)
     h_rest = von_neumann_entropy(partial_trace(rho, rest))
     return h_rest - average_conditional_entropy(rho, basis, on)
 
 
 def discord(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
     """Locally inaccessible information for this particular measurement."""
-    on = _as_fragment(on)
     return mutual_information(rho, on) - asymmetric_mutual_info(rho, basis, on)
 
 
@@ -232,12 +234,12 @@ def min_discord(rho: DensityMatrix, on, grid: tuple[int, int] = (180, 90)) -> fl
     POVMs are out of scope. Grid resolution trades accuracy for time;
     the default matches the documented policy.
     """
-    on = _as_fragment(on)
-    on.validate_for(rho.shape)
-    if rho.shape.dim_of(on.sorted) != 2:
+    n = rho.shape.n_subsystems
+    on = _sorted_positions(on, n)
+    if rho.shape.dim_of(on) != 2:
         raise ValueError("basis search implemented for qubit subsystems only")
     i_sym = mutual_information(rho, on)
-    rest = on.complement(rho.shape.n_subsystems)
+    rest = tuple(i for i in range(n) if i not in on)
     h_rest = von_neumann_entropy(partial_trace(rho, rest))
     n_theta, n_phi = grid
     best = np.inf
@@ -263,8 +265,9 @@ def holevo(ensemble: Ensemble) -> float:
 def joint_distribution(rho: DensityMatrix, basis_a: MeasurementBasis, on_a,
                        basis_b: MeasurementBasis, on_b) -> np.ndarray:
     """p(i, j) for commuting projective measurements on disjoint subsystem sets."""
-    on_a, on_b = _as_fragment(on_a), _as_fragment(on_b)
-    if on_a.indices & on_b.indices:
+    n = rho.shape.n_subsystems
+    on_a, on_b = _sorted_positions(on_a, n), _sorted_positions(on_b, n)
+    if set(on_a) & set(on_b):
         raise ValueError("measured subsystem sets overlap")
     out = np.zeros((len(basis_a.projectors), len(basis_b.projectors)))
     for i, pa in enumerate(basis_a.projectors):

@@ -4,6 +4,12 @@ Subsystem index 0 is the leftmost tensor factor, i.e. the most significant
 axis of the flattened amplitude vector (C order). Everything here is dense
 and immutable; the dimension cap in the numeric policy keeps all of it at
 desk scale.
+
+Subsystem positions are a plain sequence, in any order (apply_unitary
+alone reads it as the tensor order of u), checked by the rule check_rows
+applies to a fragment row: integers, no repeats, inside range(n). Anything
+else raises ValueError: a repeat rather than collapsing to one position, a
+non-integer (1.0 included) rather than being truncated.
 """
 from __future__ import annotations
 
@@ -44,46 +50,17 @@ def qubits(n: int) -> HilbertShape:
     return HilbertShape((2,) * n)
 
 
-@dataclass(frozen=True)
-class FragmentSpec:
-    """A set of subsystem positions within some HilbertShape."""
-
-    indices: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
-        if any(i < 0 for i in self.indices):
-            raise ValueError("negative subsystem index")
-
-    @classmethod
-    def of(cls, *indices: int) -> "FragmentSpec":
-        return cls(frozenset(indices))
-
-    @property
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
-    def complement(self, n_subsystems: int) -> "FragmentSpec":
-        return FragmentSpec(frozenset(range(n_subsystems)) - self.indices)
-
-    def validate_for(self, shape: HilbertShape) -> None:
-        if self.indices and max(self.indices) >= shape.n_subsystems:
-            raise ValueError(f"fragment {self.sorted} out of range for {shape.dims}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.indices
-
-
 def check_rows(idx, n_sites: int) -> np.ndarray:
     """idx as a (count, m) np.intp matrix of fragments of range(n_sites).
 
-    Every row must be sorted and repeat-free; ValueError otherwise, or if
-    an index falls outside range(n_sites).
+    Every row must be sorted and repeat-free; ValueError otherwise, if an
+    index falls outside range(n_sites), or if a non-empty idx is not of an
+    integer dtype (so 2.2 raises rather than truncating to 2).
     """
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = np.asarray(idx)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"fragment indices must be integers, not {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.ndim != 2:
         raise ValueError("fragments must be a (count, m) matrix of site indices")
     if idx.shape[1] > 1 and not (idx[:, 1:] > idx[:, :-1]).all():
@@ -93,10 +70,10 @@ def check_rows(idx, n_sites: int) -> np.ndarray:
     return idx
 
 
-def _as_fragment(frag) -> FragmentSpec:
-    if isinstance(frag, FragmentSpec):
-        return frag
-    return FragmentSpec(frozenset(frag))
+def _sorted_positions(positions, n: int) -> tuple[int, ...]:
+    """A sequence of subsystem positions, sorted and checked as one row by
+    check_rows: integers, no repeats, inside range(n); ValueError otherwise."""
+    return tuple(check_rows([sorted(positions)], n)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -195,9 +172,7 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     Never materializes the global density matrix; cost is
     O(dim(keep)^2 * dim(rest)).
     """
-    keep = _as_fragment(keep)
-    keep.validate_for(state.shape)
-    ks = keep.sorted
+    ks = _sorted_positions(keep, state.shape.n_subsystems)
     a = _moved_matrix(state, ks)
     rho = a @ a.conj().T
     # guard against round-off asymmetry before the constructor checks it
@@ -222,9 +197,8 @@ def _schmidt_entropy(a: np.ndarray) -> float:
 
 def subsystem_entropy(state: StateVector, keep) -> float:
     """Entanglement entropy (nats) of a subsystem of a pure state."""
-    keep = _as_fragment(keep)
-    keep.validate_for(state.shape)
-    return _schmidt_entropy(_moved_matrix(state, keep.sorted))
+    ks = _sorted_positions(keep, state.shape.n_subsystems)
+    return _schmidt_entropy(_moved_matrix(state, ks))
 
 
 def system_fragment_entropies(state: StateVector, frag: tuple[int, ...]) -> tuple[float, float]:
@@ -248,12 +222,10 @@ def system_fragment_entropies(state: StateVector, frag: tuple[int, ...]) -> tupl
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    keep = _as_fragment(keep)
-    keep.validate_for(rho.shape)
-    ks = keep.sorted
     dims = rho.shape.dims
     n = len(dims)
-    rest = [i for i in range(n) if i not in keep]
+    ks = _sorted_positions(keep, n)
+    rest = [i for i in range(n) if i not in ks]
     dk = rho.shape.dim_of(ks)
     dr = rho.shape.dim_of(rest)
     t = rho.mat.reshape(dims + dims)
@@ -268,14 +240,13 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def apply_unitary(state: StateVector, u: np.ndarray, targets) -> StateVector:
     """Apply u to the listed target subsystems.
 
-    targets may be a FragmentSpec (ascending order assumed) or an ordered
-    sequence; the order of the sequence is the tensor order of u's factors.
+    targets is a sequence of positions in the tensor order of u's factors;
+    a sorted copy must pass the one position rule (integers, no repeats,
+    inside range(n)), else ValueError.
     """
-    if isinstance(targets, FragmentSpec):
-        targets = targets.sorted
+    n = state.shape.n_subsystems
+    _sorted_positions(targets, n)
     targets = [int(i) for i in targets]
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target index")
     dims = state.shape.dims
     dt = math.prod(dims[i] for i in targets)
     u = np.asarray(u, dtype=complex)
@@ -283,7 +254,6 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets) -> StateVector:
         raise ValueError(f"unitary shape {u.shape} does not match target dim {dt}")
     if not np.allclose(u.conj().T @ u, np.eye(dt), atol=POLICY.state_atol, rtol=0.0):
         raise ValueError("matrix is not unitary within tolerance")
-    n = state.shape.n_subsystems
     rest = [i for i in range(n) if i not in targets]
     grid = state.as_grid().transpose(targets + rest)
     moved = grid.reshape(dt, -1)
@@ -315,14 +285,13 @@ def schmidt(state: StateVector, left) -> list[tuple[float, StateVector, StateVec
     tolerance are dropped. Left/right vectors keep the original relative
     subsystem order.
     """
-    left = _as_fragment(left)
-    left.validate_for(state.shape)
-    ls = left.sorted
-    if not ls or len(ls) == state.shape.n_subsystems:
+    n = state.shape.n_subsystems
+    ls = _sorted_positions(left, n)
+    if not ls or len(ls) == n:
         raise ValueError("bipartition must be a proper nonempty subset")
     a = _moved_matrix(state, ls)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rs = left.complement(state.shape.n_subsystems).sorted
+    rs = tuple(i for i in range(n) if i not in ls)
     lshape = HilbertShape(tuple(state.shape.dims[i] for i in ls))
     rshape = HilbertShape(tuple(state.shape.dims[i] for i in rs))
     out = []
@@ -335,9 +304,9 @@ def schmidt(state: StateVector, left) -> list[tuple[float, StateVector, StateVec
 
 def reconstruct_from_schmidt(terms, shape: HilbertShape, left) -> StateVector:
     """Rebuild the global state from schmidt() output (test helper)."""
-    left = _as_fragment(left)
-    ls = left.sorted
-    rs = left.complement(shape.n_subsystems).sorted
+    n = shape.n_subsystems
+    ls = _sorted_positions(left, n)
+    rs = tuple(i for i in range(n) if i not in ls)
     a = np.zeros((shape.dim_of(ls), shape.dim_of(rs)), dtype=complex)
     for coeff, lv, rv in terms:
         a += coeff * np.outer(lv.amps, rv.amps.conj())

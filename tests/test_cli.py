@@ -157,6 +157,13 @@ class TestCommands:
         assert rep["plateau_reached"] is True
         assert rep["r_delta_d"] == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("model", ["central-spin", "hazy"])
+    def test_rounding_floor_entropy_exits_1(self, tmp_path, capsys, model):
+        # t = 0: H_S is rounding alone (2e-15 on central spin), not a record
+        assert run(tmp_path, "redundancy", "--model", model, "--n", "8", "--t", "0",
+                   "--seed", "0") == 1
+        assert "system entropy is zero" in capsys.readouterr().err
+
     def test_sweep_csv(self, tmp_path):
         assert run(tmp_path, "sweep", "--model", "central-spin", "--n", "6",
                    "--t", "6", "--fragment-size", "2", "--mu-points", "5",

@@ -31,6 +31,7 @@ from darwinlab.darwin import (
     redundancy,
     redundancy_of_decoherence,
 )
+from darwinlab.numeric import POLICY
 from darwinlab.photon import DecoherenceFactor, measured_photon_redundancy
 from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve, qbm_mutual_info_many
 from darwinlab.qstate import HilbertShape, StateVector, subsystem_entropy
@@ -363,12 +364,16 @@ class TestFragmentRows:
             assert src.fragment_mutual_info(()) == 0.0
             if src.symmetric:
                 continue
-            for bad in ((0, src.n_env), (-1, 2), (1, 1), (2, 4, 2)):
+            for bad in ((0, src.n_env), (-1, 2), (1, 1), (2, 4, 2), (0.9,), (1, 2.2)):
                 with pytest.raises(ValueError):
                     src.fragment_mutual_info(bad)
             for bad in ([[2, 1]], [[0, src.n_env]], [1, 2]):
                 with pytest.raises(ValueError):
                     many(np.array(bad, dtype=np.intp))
+            # a float matrix is refused, not cast; an empty one of any dtype is valid
+            with pytest.raises(ValueError, match="integers"):
+                many(np.array([[0.0, 2.0]]))
+            assert many(np.zeros((2, 0))).tolist() == [0.0, 0.0]
 
     @staticmethod
     def decohering_sources():
@@ -478,6 +483,19 @@ class TestRedundancy:
                 redundancy(pip, bad)
         with pytest.raises(ValueError):
             redundancy(build_pip(haar_random_source(1, 0), seed=0), 0.1)
+
+    @pytest.mark.parametrize("src", [
+        spin_source(8, t=0.0),
+        HazySource(HazyCentralSpin(8, 0.5, 0.0, HazyParams(0.3))),
+    ], ids=["central-spin", "hazy"])
+    def test_rounding_floor_entropy_has_no_redundancy(self, src):
+        # at t = 0 the environment holds no records; H_S is rounding alone
+        pip = build_pip(src, seed=0)
+        assert pip.h_system <= POLICY.spectrum_atol
+        with pytest.raises(ValueError, match="system entropy is zero"):
+            redundancy(pip, 0.1)
+        with pytest.raises(ValueError, match="system entropy is zero"):
+            redundancy_of_decoherence(src, 0.1)
 
     def test_report_carries_companion_value(self):
         rep = redundancy(build_pip(cnot_source(8), seed=0), 0.1, r_delta_d=8.0)

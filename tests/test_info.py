@@ -14,6 +14,7 @@ from darwinlab.info import (
     conditional_state,
     discord,
     holevo,
+    joint_distribution,
     min_discord,
     mutual_information,
     shannon_entropy,
@@ -21,13 +22,19 @@ from darwinlab.info import (
     to_bits,
     von_neumann_entropy,
 )
+from darwinlab.numeric import POLICY
 from darwinlab.qstate import (
     DensityMatrix,
-    FragmentSpec,
     HilbertShape,
+    apply_unitary,
     ket,
+    partial_trace,
     pure_density,
     qubits,
+    reconstruct_from_schmidt,
+    reduced_density,
+    schmidt,
+    subsystem_entropy,
     tensor,
 )
 from helpers import random_state_vector
@@ -78,19 +85,19 @@ def test_prob_vector_validation():
 def test_mutual_information_product_state():
     rng = np.random.default_rng(0)
     s = tensor(random_state_vector(rng, (2,)), random_state_vector(rng, (2,)))
-    assert mutual_information(pure_density(s), FragmentSpec.of(0)) == pytest.approx(0.0, abs=1e-10)
+    assert mutual_information(pure_density(s), (0,)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_mutual_information_bell_and_classical():
-    assert mutual_information(bell_density(), FragmentSpec.of(0)) == pytest.approx(2 * LN2, abs=1e-10)
-    assert mutual_information(classically_correlated(), FragmentSpec.of(0)) == pytest.approx(LN2, abs=1e-10)
+    assert mutual_information(bell_density(), (0,)) == pytest.approx(2 * LN2, abs=1e-10)
+    assert mutual_information(classically_correlated(), (0,)) == pytest.approx(LN2, abs=1e-10)
 
 
 @given(st.integers(0, 10 ** 6))
 def test_mutual_information_bounds(seed):
     rng = np.random.default_rng(seed)
     rho = pure_density(random_state_vector(rng, (2, 2, 2)))
-    part = FragmentSpec.of(rng.integers(3))
+    part = (rng.integers(3),)
     i = mutual_information(rho, part)
     assert i >= -1e-9
 
@@ -99,7 +106,7 @@ def test_mutual_information_bounds(seed):
 def test_subadditivity(seed):
     rng = np.random.default_rng(seed)
     rho = pure_density(random_state_vector(rng, (2, 2, 3)))
-    a, b = FragmentSpec.of(0), FragmentSpec.of(1, 2)
+    a, b = (0,), (1, 2)
     ha = von_neumann_entropy(
         DensityMatrix(HilbertShape((2,)), rho.mat.reshape(2, 6, 2, 6).trace(axis1=1, axis2=3))
     )
@@ -111,11 +118,11 @@ def test_subadditivity(seed):
 
 def test_conditional_state_bell():
     proj0 = np.outer([1, 0], [1, 0])
-    cond, p = conditional_state(bell_density(), proj0, FragmentSpec.of(0))
+    cond, p = conditional_state(bell_density(), proj0, (0,))
     assert p == pytest.approx(0.5, abs=1e-12)
     from darwinlab.qstate import partial_trace
 
-    rho_b = partial_trace(cond, FragmentSpec.of(1))
+    rho_b = partial_trace(cond, (1,))
     assert np.allclose(rho_b.mat, np.outer([1, 0], [1, 0]), atol=1e-12)
 
 
@@ -123,7 +130,7 @@ def test_conditional_state_zero_probability_flagged():
     rho = pure_density(ket([1, 0], dims=(2,)))
     big = pure_density(tensor(ket([1, 0]), ket([0, 1])))
     proj1 = np.outer([0, 1], [0, 1])
-    cond, p = conditional_state(big, proj1, FragmentSpec.of(0))
+    cond, p = conditional_state(big, proj1, (0,))
     assert cond is None and p == 0.0
 
 
@@ -132,7 +139,7 @@ def test_conditional_probabilities_complete():
     rho = pure_density(random_state_vector(rng, (2, 2)))
     total = 0.0
     for proj in Z_BASIS.projectors:
-        _, p = conditional_state(rho, proj, FragmentSpec.of(0))
+        _, p = conditional_state(rho, proj, (0,))
         total += p
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -140,14 +147,14 @@ def test_conditional_probabilities_complete():
 def test_average_conditional_entropy_classical_record():
     # measuring the record side in z leaves no remaining uncertainty
     assert average_conditional_entropy(
-        classically_correlated(), Z_BASIS, FragmentSpec.of(0)
+        classically_correlated(), Z_BASIS, (0,)
     ) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_average_conditional_entropy_bell_any_basis():
     for basis in (Z_BASIS, X_BASIS, bloch_basis(0.77, 1.3)):
         assert average_conditional_entropy(
-            bell_density(), basis, FragmentSpec.of(0)
+            bell_density(), basis, (0,)
         ) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -162,19 +169,19 @@ def one_sided_mixture():
 
 def test_one_sided_accessibility():
     rho = one_sided_mixture()
-    on_a = average_conditional_entropy(rho, Z_BASIS, FragmentSpec.of(0))
-    on_b = average_conditional_entropy(rho, Z_BASIS, FragmentSpec.of(1))
+    on_a = average_conditional_entropy(rho, Z_BASIS, (0,))
+    on_b = average_conditional_entropy(rho, Z_BASIS, (1,))
     assert on_a == pytest.approx(0.0, abs=1e-10)
     assert on_b > 0.1
 
 
 def test_asymmetric_mutual_info_examples():
-    assert asymmetric_mutual_info(bell_density(), Z_BASIS, FragmentSpec.of(0)) == pytest.approx(
+    assert asymmetric_mutual_info(bell_density(), Z_BASIS, (0,)) == pytest.approx(
         LN2, abs=1e-10
     )
     rho = classically_correlated()
-    j = asymmetric_mutual_info(rho, Z_BASIS, FragmentSpec.of(0))
-    assert j == pytest.approx(mutual_information(rho, FragmentSpec.of(0)), abs=1e-10)
+    j = asymmetric_mutual_info(rho, Z_BASIS, (0,))
+    assert j == pytest.approx(mutual_information(rho, (0,)), abs=1e-10)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -182,7 +189,7 @@ def test_j_below_i_and_conservation(seed):
     rng = np.random.default_rng(seed)
     rho = pure_density(random_state_vector(rng, (2, 2)))
     basis = bloch_basis(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-    on = FragmentSpec.of(1)
+    on = (1,)
     i = mutual_information(rho, on)
     j = asymmetric_mutual_info(rho, basis, on)
     d = discord(rho, basis, on)
@@ -192,14 +199,14 @@ def test_j_below_i_and_conservation(seed):
 
 
 def test_discord_classical_pointer_basis_zero():
-    assert discord(classically_correlated(), Z_BASIS, FragmentSpec.of(0)) == pytest.approx(
+    assert discord(classically_correlated(), Z_BASIS, (0,)) == pytest.approx(
         0.0, abs=1e-10
     )
 
 
 def test_discord_bell_any_basis():
     for basis in (Z_BASIS, X_BASIS):
-        assert discord(bell_density(), basis, FragmentSpec.of(0)) == pytest.approx(LN2, abs=1e-10)
+        assert discord(bell_density(), basis, (0,)) == pytest.approx(LN2, abs=1e-10)
 
 
 def up_upright_mixture():
@@ -218,8 +225,8 @@ def up_upright_mixture():
 def test_min_discord_asymmetry_of_access():
     rho = up_upright_mixture()
     grid = (24, 12)  # coarse grid keeps this test quick
-    d_measuring_record = min_discord(rho, FragmentSpec.of(1), grid=grid)
-    d_measuring_system = min_discord(rho, FragmentSpec.of(0), grid=grid)
+    d_measuring_record = min_discord(rho, (1,), grid=grid)
+    d_measuring_system = min_discord(rho, (0,), grid=grid)
     assert d_measuring_record <= 5e-3
     assert d_measuring_system > 0.01
 
@@ -249,17 +256,17 @@ def test_holevo_bounded_by_weight_entropy():
 def test_shannon_mutual_observables():
     rho = classically_correlated()
     assert shannon_mutual_observables(
-        rho, Z_BASIS, FragmentSpec.of(0), Z_BASIS, FragmentSpec.of(1)
+        rho, Z_BASIS, (0,), Z_BASIS, (1,)
     ) == pytest.approx(LN2, abs=1e-10)
     bell = bell_density()
-    m = shannon_mutual_observables(bell, Z_BASIS, FragmentSpec.of(0), Z_BASIS, FragmentSpec.of(1))
+    m = shannon_mutual_observables(bell, Z_BASIS, (0,), Z_BASIS, (1,))
     assert m == pytest.approx(LN2, abs=1e-10)
-    assert m < mutual_information(bell, FragmentSpec.of(0)) - 0.5
+    assert m < mutual_information(bell, (0,)) - 0.5
 
     rng = np.random.default_rng(1)
     prod = pure_density(tensor(random_state_vector(rng, (2,)), random_state_vector(rng, (2,))))
     assert shannon_mutual_observables(
-        prod, Z_BASIS, FragmentSpec.of(0), X_BASIS, FragmentSpec.of(1)
+        prod, Z_BASIS, (0,), X_BASIS, (1,)
     ) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -267,8 +274,8 @@ def test_shannon_mutual_observables():
 def test_measured_mi_below_quantum_mi(seed):
     rng = np.random.default_rng(seed)
     rho = pure_density(random_state_vector(rng, (2, 2)))
-    m = shannon_mutual_observables(rho, Z_BASIS, FragmentSpec.of(0), Z_BASIS, FragmentSpec.of(1))
-    assert m <= mutual_information(rho, FragmentSpec.of(0)) + 1e-9
+    m = shannon_mutual_observables(rho, Z_BASIS, (0,), Z_BASIS, (1,))
+    assert m <= mutual_information(rho, (0,)) + 1e-9
 
 
 # n = 10, H_S = 1, delta = 0.1: the threshold is 0.9
@@ -297,7 +304,66 @@ def test_first_crossing_outcomes(values, expected, scanned):
     assert calls == scanned
 
 
-@pytest.mark.parametrize("h_s, delta", [(1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (0.0, 0.1)])
+# an H_S at the rounding floor (2e-15 at t = 0) holds no record: no redundancy
+@pytest.mark.parametrize("h_s, delta", [(1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (0.0, 0.1),
+                                        (2.0e-15, 0.1), (POLICY.spectrum_atol, 0.1)])
 def test_first_crossing_rejects_bad_threshold(h_s, delta):
     with pytest.raises(ValueError):
         _first_crossing(10, [1, 2], lambda m: 1.0, h_s, delta)
+
+
+# one position rule at every dense entry point: each takes a sequence of
+# subsystem positions of a four-qubit state, a unitary or basis sized to it
+STATE = random_state_vector(np.random.default_rng(21), (2, 2, 2, 2))
+RHO = pure_density(STATE)
+
+
+def _basis(pos):
+    return MeasurementBasis.from_states(np.eye(2 ** len(pos)))
+
+
+def _flat(result):
+    """Any entry point's result as one flat array, to compare bit for bit."""
+    if isinstance(result, DensityMatrix):
+        return result.mat.ravel()
+    if isinstance(result, (tuple, list)):
+        return np.concatenate([_flat(r) for r in result])
+    if hasattr(result, "amps"):
+        return result.amps
+    return np.atleast_1d(np.asarray(result, dtype=complex)).ravel()
+
+
+ENTRY_POINTS = {
+    "reduced_density": lambda pos: reduced_density(STATE, pos),
+    "subsystem_entropy": lambda pos: subsystem_entropy(STATE, pos),
+    "partial_trace": lambda pos: partial_trace(RHO, pos),
+    "schmidt": lambda pos: schmidt(STATE, pos),
+    "reconstruct_from_schmidt": lambda pos: reconstruct_from_schmidt(
+        schmidt(STATE, (0, 2)), STATE.shape, pos),
+    "apply_unitary": lambda pos: apply_unitary(STATE, np.eye(2 ** len(pos)), pos),
+    "mutual_information": lambda pos: mutual_information(RHO, pos),
+    "conditional_state": lambda pos: conditional_state(RHO, _basis(pos).projectors[1], pos),
+    "average_conditional_entropy": lambda pos: average_conditional_entropy(RHO, _basis(pos), pos),
+    "asymmetric_mutual_info": lambda pos: asymmetric_mutual_info(RHO, _basis(pos), pos),
+    "discord": lambda pos: discord(RHO, _basis(pos), pos),
+    "min_discord": lambda pos: min_discord(RHO, pos, grid=(4, 2)),
+    "joint_distribution": lambda pos: joint_distribution(RHO, _basis(pos), pos, Z_BASIS, (3,)),
+}
+
+
+@pytest.mark.parametrize("bad", [[1, 1], [-1], [4], [2.2], [1.0]],
+                         ids=["repeated", "negative", "out of range", "fraction", "float"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_one_position_rule(entry, bad):
+    # a repeat must not collapse to one position, nor a float be truncated;
+    # every message is check_rows' own
+    with pytest.raises(ValueError, match="fragment"):
+        ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"apply_unitary", "min_discord"}))
+def test_unsorted_positions_match_sorted(entry):
+    # apply_unitary's order is the tensor order of u (its own tests); min_discord
+    # takes a single qubit, so it has no order
+    assert np.array_equal(_flat(ENTRY_POINTS[entry]([2, 0])),
+                          _flat(ENTRY_POINTS[entry]([0, 2])))

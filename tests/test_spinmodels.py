@@ -7,7 +7,6 @@ from darwinlab import spinmodels
 from darwinlab.branching import mutual_info_many, system_entropy, to_state_vector
 from darwinlab.info import LN2, von_neumann_entropy
 from darwinlab.qstate import (
-    FragmentSpec,
     HilbertShape,
     StateVector,
     apply_unitary,
@@ -195,12 +194,12 @@ class TestInteractingEnv:
         rng = np.random.default_rng(5)
         weak = random_interacting_params(rng, 8, t=10.0, sigma_m=0.0)
         scrambler = random_interacting_params(rng, 8, t=10.0, sigma_m=2.0)
-        frag = FragmentSpec(frozenset(range(1, 3)))
+        frag = tuple(range(1, 3))
         def info(p):
             psi = interacting_evolve(p)
-            h_s = subsystem_entropy(psi, FragmentSpec.of(0))
+            h_s = subsystem_entropy(psi, (0,))
             h_f = subsystem_entropy(psi, frag)
-            h_sf = subsystem_entropy(psi, FragmentSpec(frozenset({0}) | frag.indices))
+            h_sf = subsystem_entropy(psi, (0,) + frag)
             return h_s + h_f - h_sf
         strong = InteractingEnvParams(weak.couplings, scrambler.pair_couplings, t=10.0)
         assert info(strong) < 0.5 * info(weak)
@@ -261,9 +260,9 @@ def _dense_entropies(model: HazyCentralSpin, m: int) -> tuple[float, float, floa
     """Brute-force H_S, H_F, H_SF from the purified state, bath qubits only."""
     psi = model.dense_export()
     qubit_idx = [1 + 2 * i for i in range(m)]
-    h_s = subsystem_entropy(psi, FragmentSpec.of(0))
-    h_f = von_neumann_entropy(reduced_density(psi, FragmentSpec(frozenset(qubit_idx))))
-    h_sf = von_neumann_entropy(reduced_density(psi, FragmentSpec(frozenset([0] + qubit_idx))))
+    h_s = subsystem_entropy(psi, (0,))
+    h_f = von_neumann_entropy(reduced_density(psi, qubit_idx))
+    h_sf = von_neumann_entropy(reduced_density(psi, [0] + qubit_idx))
     return h_s, h_f, h_sf
 
 
