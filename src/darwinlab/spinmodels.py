@@ -323,14 +323,16 @@ class HazyCentralSpin:
     ancilla, and observers hold bath qubits only. Permutation symmetry
     turns all reduced spectra into per-sector blocks, exact for any N.
 
-    The branch maps u0, u1 are diagonal with unit determinant, so both
-    conditional site states x, y have determinant c = q(1 - q). The
-    fragment block of m qubits in the sector of degree d = 2j is then
-    c^((m - d)/2) (p0 Sym^d x + p1 Sym^d y): its spectrum is one
-    degree-d spectrum, solved once per degree and reused by every m.
+    The branch maps u0 = diag(e^{-ia}, e^{ia}) (a = coupling t) and u1 = u0*
+    give site states x = u0 rho_mix u0^+, y = u1 rho_mix u1^+ of determinant
+    c = q(1 - q); the fragment block of m qubits in the sector of degree
+    d = 2j is c^((m - d)/2) (p0 Sym^d x + p1 Sym^d y). Sym^d u0 is diagonal,
+    so that sum is (Sym^d rho_mix) o Phi_d, Phi_d[r, s] = p0 e^{2ia(r-s)}
+    + p1 e^{-2ia(r-s)}: one lift and one eigensolve per degree, for all m.
     The joint state of system and fragment is a controlled unitary
     applied to P_m (x) rho_mix^(x m), with P_m the system decohered by
     the n - m sites outside the fragment, so H_SF = m H(q) + H(P_m).
+    A size outside [0, n] raises ValueError.
     """
 
     def __init__(self, n: int, coupling: float, t: float, haze: HazyParams,
@@ -345,45 +347,45 @@ class HazyCentralSpin:
         if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > POLICY.state_atol:
             raise ValueError("system amplitudes not normalized")
         self.amps = np.array([a, b], dtype=complex)
-        q = haze_weight(haze.h)
-        self.q = q
+        self.p = np.abs(self.amps) ** 2
+        self.q = haze_weight(haze.h)
         phase = np.exp(-1j * self.coupling * self.t * np.array([1.0, -1.0]))
         u0 = np.diag(phase)
         u1 = np.diag(phase.conj())
         plus = np.outer(PLUS, PLUS.conj())
-        minus = np.eye(2) - plus
-        rho_mix = q * plus + (1 - q) * minus
-        self.x = u0 @ rho_mix @ u0.conj().T
-        self.y = u1 @ rho_mix @ u1.conj().T
+        self.rho_mix = self.q * plus + (1 - self.q) * (np.eye(2) - plus)
         # per-site branch overlap; independent of q
-        self.g = float(np.trace(rho_mix @ u1.conj().T @ u0).real)
+        self.g = float(np.trace(self.rho_mix @ u1.conj().T @ u0).real)
         self._degree_eigs: dict[int, np.ndarray] = {}
 
-    def _p(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+    def _check_size(self, m: int) -> None:
+        if not 0 <= m <= self.n:
+            raise ValueError("fragment size out of range")
 
     def decohered_entropy(self, k: int) -> float:
         """Entropy of the system once k bath sites have decohered it."""
-        p = self._p()
+        self._check_size(k)
         off = self.amps[0] * self.amps[1].conjugate() * self.g ** k
-        rho = np.array([[p[0], off], [np.conj(off), p[1]]])
+        rho = np.array([[self.p[0], off], [np.conj(off), self.p[1]]])
         return _entropy_from_eigs(np.linalg.eigvalsh(rho))
 
     def system_entropy(self) -> float:
         return self.decohered_entropy(self.n)
 
     def _eigs_of_degree(self, d: int) -> np.ndarray:
-        """Spectrum of p0 Sym^d x + p1 Sym^d y, solved on first use."""
+        """Spectrum of (Sym^d rho_mix) o Phi_d: one lift, one eigensolve, cached."""
         lam = self._degree_eigs.get(d)
         if lam is None:
-            p = self._p()
-            block = p[0] * sym_power(self.x, d) + p[1] * sym_power(self.y, d)
+            r = np.arange(d + 1)
+            phase = np.exp(2j * self.coupling * self.t * np.subtract.outer(r, r))
+            block = sym_power(self.rho_mix, d) * (self.p[0] * phase + self.p[1] * phase.conj())
             lam = np.clip(np.linalg.eigvalsh(0.5 * (block + block.conj().T)), 0.0, None)
             self._degree_eigs[d] = lam
         return lam
 
     def fragment_entropy(self, m: int) -> float:
         """Entropy of m bath qubits (ancillas and system traced out)."""
+        self._check_size(m)
         c = self.q * (1.0 - self.q)
         total = 0.0
         for d in range(m % 2, m + 1, 2):
@@ -399,8 +401,6 @@ class HazyCentralSpin:
         return m * binary_entropy(self.q) + self.decohered_entropy(self.n - m)
 
     def mutual_info(self, m: int) -> float:
-        if not 0 <= m <= self.n:
-            raise ValueError("fragment size out of range")
         if m == 0:
             return 0.0
         return self.system_entropy() + self.fragment_entropy(m) - self.joint_entropy(m)

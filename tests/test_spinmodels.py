@@ -15,6 +15,7 @@ from darwinlab.qstate import (
     subsystem_entropy,
 )
 from darwinlab.spinmodels import (
+    HALF,
     PLUS,
     CentralSpinParams,
     HazyCentralSpin,
@@ -310,20 +311,24 @@ class TestHazyCentralSpin:
         assert 0.0 < i <= model.system_entropy() + 1e-9
 
 
+def _branch_site_states(model: HazyCentralSpin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = u0 rho u0^dagger, y = u1 rho u1^dagger and u0 rho u1^dagger, rebuilt from the
+    model's parameters rather than read from the model."""
+    q = model.q
+    plus = np.outer(PLUS, PLUS.conj())
+    rho_mix = q * plus + (1 - q) * (np.eye(2) - plus)
+    phase = np.exp(-1j * model.coupling * model.t * np.array([1.0, -1.0]))
+    u0, u1 = np.diag(phase), np.diag(phase.conj())
+    return u0 @ rho_mix @ u0.conj().T, u1 @ rho_mix @ u1.conj().T, u0 @ rho_mix @ u1.conj().T
+
+
 def _literal_sector_entropies(model: HazyCentralSpin, m: int) -> tuple[float, float]:
     """H_F and H_SF as a literal sum over spin sectors of the lifted blocks.
 
     Every sector lifts x, y and u0 rho u1^dagger with sector_block and
     solves the fragment block and the 2(2j + 1) joint block outright.
     """
-    q = model.q
-    plus = np.outer(PLUS, PLUS.conj())
-    rho_mix = q * plus + (1 - q) * (np.eye(2) - plus)
-    phase = np.exp(-1j * model.coupling * model.t * np.array([1.0, -1.0]))
-    u0, u1 = np.diag(phase), np.diag(phase.conj())
-    x = u0 @ rho_mix @ u0.conj().T
-    y = u1 @ rho_mix @ u1.conj().T
-    m01 = u0 @ rho_mix @ u1.conj().T
+    x, y, m01 = _branch_site_states(model)
     p = np.abs(model.amps) ** 2
     gamma = model.amps[0] * np.conj(model.amps[1]) * model.g ** (model.n - m)
 
@@ -356,11 +361,11 @@ class TestHazyFastPath:
             assert model.joint_entropy(m) == pytest.approx(h_sf, abs=1e-10)
 
     def test_one_spectrum_per_degree(self, monkeypatch):
-        degrees = []
+        lifts = []
         lift = spinmodels.sym_power
 
         def counted(a, k):
-            degrees.append(k)
+            lifts.append((k, np.array(a)))
             return lift(a, k)
 
         monkeypatch.setattr(spinmodels, "sym_power", counted)
@@ -368,20 +373,55 @@ class TestHazyFastPath:
         # through every sub-half size m = 1 ... 31
         base = CentralSpinParams(np.full(64, 0.01), t=0.1)
         hazy_redundancy(base, HazyParams(0.4 * LN2))
-        assert set(degrees) == set(range(32))
-        assert all(degrees.count(d) <= 2 for d in set(degrees))
+        # exactly one lift per degree, always of rho_mix itself
+        assert sorted(k for k, _ in lifts) == list(range(32))
+        rho_mix = HazyCentralSpin(64, 0.01, 0.1, HazyParams(0.4 * LN2)).rho_mix
+        assert all(np.array_equal(a, rho_mix) for _, a in lifts)
 
         model = HazyCentralSpin(64, 0.3, 0.5, HazyParams(0.4 * LN2))
+        lifts.clear()
         first = [model.mutual_info(m) for m in (1, 7, 20, 31)]
-        n_first = len(degrees)
+        degrees = [k for k, _ in lifts]
+        assert len(degrees) == len(set(degrees))
+        assert all(np.array_equal(a, model.rho_mix) for _, a in lifts)
+        n_first = len(lifts)
         again = [model.mutual_info(m) for m in (31, 20, 7, 1)]
-        assert len(degrees) == n_first
+        assert len(lifts) == n_first
         assert again == first[::-1]
+
+    @pytest.mark.parametrize("t", [0.5, 6.0])
+    @pytest.mark.parametrize("system_init", [(HALF, HALF), (0.6, 0.8)])
+    @pytest.mark.parametrize("h", [0.0, 0.5 * LN2, LN2])
+    def test_degree_spectra_match_two_lift_sum(self, h, system_init, t):
+        """The phase-kernel block (Sym^d rho_mix) o Phi_d against the two-lift
+        sum p0 Sym^d x + p1 Sym^d y it stands for, spectrum by spectrum.
+
+        Blind to a flipped sign of Phi_d's exponent: Sym^d rho_mix is real,
+        so the flip turns the Hermitian block into its complex conjugate,
+        which has the same spectrum; no entropy can tell the two apart.
+        """
+        model = HazyCentralSpin(128, 0.3, t, HazyParams(h), system_init=system_init)
+        x, y, _ = _branch_site_states(model)
+        p = np.abs(model.amps) ** 2
+        for d in (0, 1, 2, 7, 31, 64, 128):
+            block = p[0] * sym_power(x, d) + p[1] * sym_power(y, d)
+            lam = np.clip(np.linalg.eigvalsh(0.5 * (block + block.conj().T)), 0.0, None)
+            np.testing.assert_allclose(model._eigs_of_degree(d), lam, rtol=0.0, atol=1e-12)
 
     def test_decohered_entropy_endpoints(self):
         model = HazyCentralSpin(12, 0.3, 0.5, HazyParams(0.2), system_init=(0.6, 0.8))
         assert model.decohered_entropy(0) == pytest.approx(0.0, abs=1e-12)
         assert model.joint_entropy(0) == model.system_entropy()
+
+    @pytest.mark.parametrize("method", ["decohered_entropy", "fragment_entropy",
+                                        "joint_entropy", "mutual_info", "classical_term"])
+    def test_one_size_range(self, method):
+        """Sizes 0 ... n are accepted and every other size raises (n = 8)."""
+        of_size = getattr(HazyCentralSpin(8, 0.3, 0.5, HazyParams(0.3)), method)
+        assert all(np.isfinite(of_size(m)) for m in (0, 8))
+        for m in (-3, -1, 9, 12):
+            with pytest.raises(ValueError, match="out of range"):
+                of_size(m)
 
 
 class TestHazyRedundancy:
