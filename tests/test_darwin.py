@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.branching import two_branch_entropy
-from darwinlab import darwin
+from darwinlab import darwin, qstate
 from darwinlab.darwin import (
     BranchingSource,
     DenseSource,
@@ -153,14 +153,20 @@ def two_side_mutual_info(state, sites):
 
 
 class TestDenseKernel:
-    """One transpose and one Gram matrix per fragment, against the
-    two-transpose formula."""
+    """The stacked dense kernel: rows grouped by d_F and solved a slab at a
+    time, against the two-transpose formula; half-size rows whose complement
+    is in the same matrix take H_SF from their partner's H_F, to the bit."""
 
     def assert_matches_oracle(self, src, rows):
         idx = np.array(rows, dtype=np.intp)
         got = src.fragment_mutual_info_many(idx)
         want = [two_side_mutual_info(src.state, row) for row in rows]
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    def assert_matches_lone_rows(self, src, idx):
+        # a row passed alone has no partner, so it solves both of its spectra
+        alone = [src.fragment_mutual_info_many(idx[i:i + 1])[0] for i in range(len(idx))]
+        assert src.fragment_mutual_info_many(idx).tolist() == alone
 
     def test_every_size_of_a_haar_state(self):
         # S+F is the smaller side up to m = 3, the rest side from m = 4, and
@@ -171,11 +177,48 @@ class TestDenseKernel:
             rows = [sorted(rng.choice(8, m, replace=False).tolist()) for _ in range(4)]
             self.assert_matches_oracle(src, rows)
 
+    def test_exhaustive_half_pairs_every_row(self, monkeypatch):
+        src = haar_random_source(8, seed=7)
+        idx = np.array(list(itertools.combinations(range(8), 4)), dtype=np.intp)
+        self.assert_matches_lone_rows(src, idx)
+        solved = []
+        spectra = qstate._stacked_entropies
+        monkeypatch.setattr(qstate, "_stacked_entropies",
+                            lambda g: solved.append(len(g)) or spectra(g))
+        src.fragment_mutual_info_many(idx)
+        assert sum(solved) == len(idx)    # H_F of every row, no H_SF
+
+    def test_sampled_half_pairs_span_slabs(self):
+        rows = darwin._paired_half_rows(12, 6, 24, np.random.default_rng(8))
+        assert len(rows) > qstate._SLAB_ROWS
+        self.assert_matches_lone_rows(haar_random_source(12, seed=8), rows)
+
+    def test_half_rows_without_their_complement(self):
+        rows = darwin._paired_half_rows(10, 5, 12, np.random.default_rng(9))
+        # drop the partner of every other pair: those rows solve both sides
+        idx = np.concatenate((rows[0::4], rows[1::4], rows[2::4]))
+        self.assert_matches_lone_rows(haar_random_source(10, seed=9), idx)
+
+    def test_mixed_dimension_half_rows(self):
+        # {0, 1} holds 8 dimensions and {2, 3} 4: S+C is not the larger side,
+        # so these complements share no Gram matrix and stay unpaired
+        src = DenseSource(random_state_vector(np.random.default_rng(10), (2, 2, 4, 2, 2)))
+        idx = np.array(list(itertools.combinations(range(4), 2)), dtype=np.intp)
+        self.assert_matches_lone_rows(src, idx)
+        self.assert_matches_oracle(src, idx.tolist())
+
     def test_qutrit_system_sums_three_blocks(self):
         src = DenseSource(random_state_vector(np.random.default_rng(6), (3, 2, 4, 2)))
         rows = [list(c) for m in (1, 2, 3) for c in itertools.combinations(range(3), m)]
         for row in rows:
             self.assert_matches_oracle(src, [row])
+
+    def test_rows_of_one_size_with_different_dims(self):
+        # one matrix per size: its rows hold 2, 4 or 8 dimensions, so the
+        # kernel stacks them in groups of equal d_F
+        src = DenseSource(random_state_vector(np.random.default_rng(6), (3, 2, 4, 2)))
+        for m in (1, 2):
+            self.assert_matches_oracle(src, [list(c) for c in itertools.combinations(range(3), m)])
 
 
 class TestCardinalities:

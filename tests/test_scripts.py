@@ -43,6 +43,28 @@ def test_rise_and_fall_small_bath(tmp_path, monkeypatch):
     assert all(0.0 < float(r["h_system_nats"]) <= math.log(2.0) + 1e-12 for r in rows)
 
 
+def test_rise_and_fall_draws(tmp_path, monkeypatch):
+    scan = tmp_path / "r_of_t.csv"
+    monkeypatch.setattr(sys, "argv", ["rise_and_fall.py", "--n", "6", str(scan)])
+    module = _load("rise_and_fall")
+    module.main()
+    out = tmp_path / "r_peaks.csv"
+    monkeypatch.setattr(sys, "argv", ["rise_and_fall.py", "--n", "6", "--draws", "2", str(out)])
+    module.main()
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "seed,t_peak,r_peak,r_first,r_last"
+    rows = list(csv.DictReader(lines))
+    assert [int(r["seed"]) for r in rows] == [module.SEED, module.SEED + 1]
+    for r in rows:
+        assert float(r["r_peak"]) >= max(float(r["r_first"]), float(r["r_last"]))
+        assert 0.25 <= float(r["t_peak"]) <= 500.0
+    # the first draw is the default scan
+    default = list(csv.DictReader(scan.read_text(encoding="utf-8").splitlines()))
+    assert float(rows[0]["r_peak"]) == max(float(r["r_delta"]) for r in default)
+    assert float(rows[0]["r_first"]) == float(default[0]["r_delta"])
+    assert float(rows[0]["r_last"]) == float(default[-1]["r_delta"])
+
+
 def test_oscillator_overlay_small_bath(tmp_path, monkeypatch):
     out = tmp_path / "overlay.csv"
     monkeypatch.setattr(sys, "argv", ["oscillator_overlay.py", "--bands", "16",
