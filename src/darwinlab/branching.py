@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import POLICY, CapExceeded
-from .qstate import HilbertShape, StateVector, check_rows
+from .qstate import HilbertShape, StateVector, _stacked_entropies, check_rows
 from .info import LN2, _entropy_from_eigs
 
 # cache per-subsystem overlap (and log) tables only below this entry count
@@ -246,10 +246,9 @@ def _phase_kernel(b: BranchingState, prod: np.ndarray) -> np.ndarray:
 
 def gram_entropy(g: np.ndarray):
     """Entropy of a K x K kernel, or an array of entropies of a stack."""
-    lam = np.linalg.eigvalsh(g)
-    if lam.ndim == 1:
-        return _entropy_from_eigs(lam)
-    return np.array([_entropy_from_eigs(row) for row in lam])
+    if np.ndim(g) == 2:
+        return _entropy_from_eigs(np.linalg.eigvalsh(g))
+    return _stacked_entropies(g)
 
 
 def system_entropy(b: BranchingState) -> float:

@@ -297,9 +297,18 @@ def _slab_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray):
         yield slice(lo, lo + len(slab)), a @ conj.swapaxes(-1, -2)
 
 
-def _stacked_entropies(g: np.ndarray) -> list[float]:
-    """Entropy of each matrix of a stack of density matrices."""
-    return [_entropy_from_eigs(lam) for lam in np.linalg.eigvalsh(g)]
+def _stacked_entropies(g: np.ndarray) -> np.ndarray:
+    """Entropy of each matrix of a stack of density matrices. eigvalsh sorts
+    each spectrum ascending, so the entries above the floor are a suffix of
+    its row; rows keeping k entries are summed together, bit for bit as
+    _entropy_from_eigs sums one row."""
+    lam = np.linalg.eigvalsh(g)
+    kept = np.count_nonzero(lam > POLICY.eig_floor, axis=-1)
+    out = np.empty(len(lam))
+    for k in set(kept.tolist()):
+        x = lam[kept == k, lam.shape[-1] - k:]
+        out[kept == k] = -np.sum(x * np.log(x), axis=-1)
+    return out
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

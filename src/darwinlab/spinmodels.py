@@ -9,17 +9,19 @@ partly mixed ("hazy"), purified by local ancillas.
 The hazy model with site-independent couplings is permutation symmetric
 over the bath, so reduced spectra decompose into spin-sector blocks of
 size O(m) instead of 2^m. That is what makes bath sizes of ~10^2 with
-per-qubit ancillas tractable.
+per-qubit ancillas tractable. A sector block lifts a 2x2 site matrix to
+its symmetric power, built one degree at a time by the Clebsch-Gordan
+isometry step (O(d^2) per degree, no eigensolve).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numeric import POLICY, CapExceeded, brentq
-from .branching import BranchingState, gram_entropy
+from .branching import BranchingState
 from .info import LN2, _entropy_from_eigs, _first_crossing
 from .qstate import HilbertShape, StateVector, evolve_diagonal, qubits, tensor
 
@@ -248,35 +250,21 @@ def haze_weight(h: float) -> float:
     return brentq(lambda q: binary_entropy(q) - h, 0.5, 1.0 - 1e-16, 1e-15)
 
 
-def _spin_axis_op(k: int, axis: np.ndarray) -> np.ndarray:
-    """n . J for spin j = k/2 in the basis |r> = x^{k-r} y^r, m_j = j - r."""
-    mj = k / 2.0 - np.arange(k + 1)
-    lower = np.sqrt((k / 2.0 + mj[:-1]) * (k / 2.0 - mj[:-1] + 1.0))
-    op = np.diag(axis[2] * mj).astype(complex)
-    op += np.diag(0.5 * (axis[0] + 1j * axis[1]) * lower, k=-1)
-    op += np.diag(0.5 * (axis[0] - 1j * axis[1]) * lower, k=1)
-    return op
-
-
-def _sym_unitary(u: np.ndarray, k: int) -> np.ndarray:
-    """sym_power of a 2x2 unitary via its spin-j rotation matrix.
-
-    All intermediates stay O(1), unlike the direct polynomial expansion
-    whose binomial coefficients cancel catastrophically for k beyond ~30.
+def _sym_step(a: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """Sym^d(A) from lift = Sym^(d-1)(A) through the Clebsch-Gordan isometry
+    |d, r> = sqrt((d - r)/d) |x>|d-1, r> + sqrt(r/d) |y>|d-1, r-1>. All weights
+    are at most one, so accuracy holds up with d; the cross terms are added
+    first, as conjugate pairs, so a Hermitian A keeps the lift exactly Hermitian.
     """
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    phase = np.sqrt(det)
-    su = u / phase
-    cos_half = float(np.clip(su[0, 0].real, -1.0, 1.0))
-    sin_half = math.sqrt(max(0.0, 1.0 - cos_half * cos_half))
-    theta = 2.0 * math.atan2(sin_half, cos_half)
-    if sin_half < 1e-12:
-        axis = np.array([0.0, 0.0, 1.0])
-    else:
-        axis = np.array([-su[0, 1].imag, -su[0, 1].real, -su[0, 0].imag]) / sin_half
-    lam, vec = np.linalg.eigh(_spin_axis_op(k, axis))
-    rot = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
-    return phase ** k * rot
+    d = len(lift)
+    r = np.arange(d + 1)
+    cx, cy = np.sqrt((d - r) / d), np.sqrt(r / d)
+    pad = np.zeros((d + 2, d + 2), dtype=np.result_type(a, lift))
+    pad[1:-1, 1:-1] = lift
+    return (a[0, 0] * (np.outer(cx, cx) * pad[1:, 1:])
+            + (a[0, 1] * (np.outer(cx, cy) * pad[1:, :-1])
+               + a[1, 0] * (np.outer(cy, cx) * pad[:-1, 1:]))
+            + a[1, 1] * (np.outer(cy, cy) * pad[:-1, :-1]))
 
 
 def sym_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -285,17 +273,13 @@ def sym_power(a: np.ndarray, k: int) -> np.ndarray:
     |r> ~ sym(x^{k-r} y^r). Hermitian for Hermitian A and multiplicative:
     sym_power(AB) = sym_power(A) sym_power(B).
 
-    Computed from the SVD A = U S V*: the diagonal factor lifts exactly
-    and each unitary lifts to a Wigner rotation, so accuracy does not
-    degrade with k.
+    Built one degree at a time by the isometry step of _sym_step.
     """
-    if k == 0:
-        return np.ones((1, 1), dtype=complex)
     a = np.asarray(a, dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    r = np.arange(k + 1)
-    lifted = s[0] ** (k - r) * s[1] ** r
-    return _sym_unitary(u, k) @ (lifted[:, None] * _sym_unitary(vh, k))
+    lift = np.ones((1, 1), dtype=complex)
+    for _ in range(k):
+        lift = _sym_step(a, lift)
+    return lift
 
 
 def sector_label_range(m: int):
@@ -328,7 +312,7 @@ class HazyCentralSpin:
     c = q(1 - q); the fragment block of m qubits in the sector of degree
     d = 2j is c^((m - d)/2) (p0 Sym^d x + p1 Sym^d y). Sym^d u0 is diagonal,
     so that sum is (Sym^d rho_mix) o Phi_d, Phi_d[r, s] = p0 e^{2ia(r-s)}
-    + p1 e^{-2ia(r-s)}: one lift and one eigensolve per degree, for all m.
+    + p1 e^{-2ia(r-s)}: one lift step and one eigensolve per degree, all m.
     The joint state of system and fragment is a controlled unitary
     applied to P_m (x) rho_mix^(x m), with P_m the system decohered by
     the n - m sites outside the fragment, so H_SF = m H(q) + H(P_m).
@@ -352,11 +336,12 @@ class HazyCentralSpin:
         phase = np.exp(-1j * self.coupling * self.t * np.array([1.0, -1.0]))
         u0 = np.diag(phase)
         u1 = np.diag(phase.conj())
-        plus = np.outer(PLUS, PLUS.conj())
+        plus = np.outer(PLUS, PLUS.conj()).real
         self.rho_mix = self.q * plus + (1 - self.q) * (np.eye(2) - plus)
         # per-site branch overlap; independent of q
         self.g = float(np.trace(self.rho_mix @ u1.conj().T @ u0).real)
         self._degree_eigs: dict[int, np.ndarray] = {}
+        self._lift = np.ones((1, 1))  # Sym^d rho_mix, d = len - 1
 
     def _check_size(self, m: int) -> None:
         if not 0 <= m <= self.n:
@@ -373,13 +358,19 @@ class HazyCentralSpin:
         return self.decohered_entropy(self.n)
 
     def _eigs_of_degree(self, d: int) -> np.ndarray:
-        """Spectrum of (Sym^d rho_mix) o Phi_d: one lift, one eigensolve, cached."""
+        """Spectrum of the exactly Hermitian block (Sym^d rho_mix) o Phi_d, cached:
+        one eigensolve per degree. The lift climbs one _sym_step per degree; a
+        lower degree never solved restarts it at degree 0."""
         lam = self._degree_eigs.get(d)
         if lam is None:
+            if d < len(self._lift) - 1:
+                self._lift = np.ones((1, 1))
+            while len(self._lift) <= d:
+                self._lift = _sym_step(self.rho_mix, self._lift)
             r = np.arange(d + 1)
             phase = np.exp(2j * self.coupling * self.t * np.subtract.outer(r, r))
-            block = sym_power(self.rho_mix, d) * (self.p[0] * phase + self.p[1] * phase.conj())
-            lam = np.clip(np.linalg.eigvalsh(0.5 * (block + block.conj().T)), 0.0, None)
+            block = self._lift * (self.p[0] * phase + self.p[1] * phase.conj())
+            lam = np.clip(np.linalg.eigvalsh(block), 0.0, None)
             self._degree_eigs[d] = lam
         return lam
 
@@ -443,8 +434,8 @@ def hazy_redundancy(base: CentralSpinParams, hp: HazyParams, delta: float = 0.1)
     A bath of two qubits or fewer has no sub-half fragment and raises,
     as does delta outside (0, 1).
     """
-    d = np.unique(base.couplings)
-    if len(d) != 1:
+    d = base.couplings
+    if np.any(d != d[0]):
         raise ValueError("fast path requires equal couplings")
     model = HazyCentralSpin(base.n_env, float(d[0]), base.t, hp, base.system_init)
     _, r, _ = _first_crossing(base.n_env, range(1, (base.n_env - 1) // 2 + 1),

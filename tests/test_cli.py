@@ -242,7 +242,7 @@ class TestCommands:
 class TestNoScipyOnTheRunPath:
     """The CLI imports no scipy; hazy and photon runs load neither
     scipy.optimize nor scipy.special, and qbm and c-not runs load no scipy
-    module at all."""
+    module at all. The hazy redundancy scan loads no numpy.ma."""
 
     @staticmethod
     def _fresh(code: str) -> list:
@@ -270,6 +270,17 @@ class TestNoScipyOnTheRunPath:
         """)
         assert lines[0] == "[]"
         assert lines[-1] == "[]"
+
+    def test_hazy_redundancy_loads_no_numpy_ma(self):
+        # np.unique would import numpy.ma (about 0.5 MB, 14 ms) on first use
+        lines = self._fresh("""
+            import sys
+            import numpy as np
+            from darwinlab.spinmodels import CentralSpinParams, HazyParams, hazy_redundancy
+            hazy_redundancy(CentralSpinParams(np.full(32, 0.3), t=0.5), HazyParams(0.3))
+            print("numpy.ma" in sys.modules)
+        """)
+        assert lines == ["False"]
 
     def test_qbm_run_loads_no_scipy(self, tmp_path):
         lines = self._fresh(f"""

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from darwinlab.numeric import CapExceeded
+from darwinlab.numeric import POLICY, CapExceeded
 from darwinlab.qstate import (
     DensityMatrix,
     HilbertShape,
     StateVector,
+    _stacked_entropies,
     apply_unitary,
     basis_state,
     evolve_diagonal,
@@ -286,3 +287,21 @@ def test_density_matrix_validation():
         DensityMatrix(qubits(1), np.array([[0.5, 0.5], [0.1, 0.5]]))
     with pytest.raises(ValueError):
         DensityMatrix(qubits(1), np.array([[0.7, 0.0], [0.0, 0.7]]))
+
+
+def test_stacked_entropies_equal_the_per_row_sum():
+    """The grouped reduction gives, bit for bit, each row's own sum over the
+    eigenvalues above the floor; rows of partial and zero rank included."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k, count = int(rng.integers(2, 131)), int(rng.integers(1, 8))
+        a = rng.normal(size=(count, k, k)) + 1j * rng.normal(size=(count, k, k))
+        for row, rank in zip(a, rng.integers(0, k + 1, size=count)):
+            row[:, rank:] = 0.0
+        g = a @ a.conj().swapaxes(-1, -2)
+        g /= np.maximum(np.trace(g, axis1=1, axis2=2).real, 1.0)[:, None, None]
+        want = []
+        for lam in np.linalg.eigvalsh(g):
+            lam = lam[lam > POLICY.eig_floor]
+            want.append(float(-np.sum(lam * np.log(lam))))
+        assert _stacked_entropies(g).tolist() == want

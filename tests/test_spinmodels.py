@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,6 +226,68 @@ class TestHazeWeight:
         assert binary_entropy(haze_weight(h)) == pytest.approx(h, abs=1e-12)
 
 
+def _spin_axis_op(k: int, axis: np.ndarray) -> np.ndarray:
+    """n . J for spin j = k/2 in the basis |r> = x^{k-r} y^r, m_j = j - r."""
+    mj = k / 2.0 - np.arange(k + 1)
+    lower = np.sqrt((k / 2.0 + mj[:-1]) * (k / 2.0 - mj[:-1] + 1.0))
+    op = np.diag(axis[2] * mj).astype(complex)
+    op += np.diag(0.5 * (axis[0] + 1j * axis[1]) * lower, k=-1)
+    op += np.diag(0.5 * (axis[0] - 1j * axis[1]) * lower, k=1)
+    return op
+
+
+def _wigner_unitary(u: np.ndarray, k: int) -> np.ndarray:
+    """Degree-k symmetric power of a 2x2 unitary: its spin-k/2 rotation
+    exp(-i theta n . J), from an eigensolve of n . J, times det(u)^(k/2)."""
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    phase = np.sqrt(det)
+    su = u / phase
+    cos_half = float(np.clip(su[0, 0].real, -1.0, 1.0))
+    sin_half = math.sqrt(max(0.0, 1.0 - cos_half * cos_half))
+    theta = 2.0 * math.atan2(sin_half, cos_half)
+    if sin_half < 1e-12:
+        axis = np.array([0.0, 0.0, 1.0])
+    else:
+        axis = np.array([-su[0, 1].imag, -su[0, 1].real, -su[0, 0].imag]) / sin_half
+    lam, vec = np.linalg.eigh(_spin_axis_op(k, axis))
+    return phase ** k * ((vec * np.exp(-1j * theta * lam)) @ vec.conj().T)
+
+
+def _wigner_sym_power(a: np.ndarray, k: int) -> np.ndarray:
+    """Oracle for sym_power by another route: A = U S V*, the diagonal S
+    lifts exactly and each unitary lifts to a Wigner rotation."""
+    u, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
+    r = np.arange(k + 1)
+    return _wigner_unitary(u, k) @ ((s[0] ** (k - r) * s[1] ** r)[:, None]
+                                    * _wigner_unitary(vh, k))
+
+
+def _decimal_sym_power(a: np.ndarray, k: int) -> np.ndarray:
+    """Sym^k of a real 2x2 matrix from the polynomial expansion, at 40
+    significant digits: column s holds the coefficients of x^{k-r} y^r in
+    (a00 x + a10 y)^(k-s) (a01 x + a11 y)^s, scaled by sqrt(C(k,s)/C(k,r))
+    into the orthonormal basis."""
+    out = np.empty((k + 1, k + 1))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        (a00, a01), (a10, a11) = [[Decimal(float(v)) for v in row] for row in np.real(a)]
+
+        def powers(x):
+            p = [Decimal(1)]
+            for _ in range(k):
+                p.append(p[-1] * x)
+            return p
+
+        p00, p01, p10, p11 = (powers(x) for x in (a00, a01, a10, a11))
+        for s in range(k + 1):
+            left = [math.comb(k - s, i) * p00[k - s - i] * p10[i] for i in range(k - s + 1)]
+            right = [math.comb(s, j) * p01[s - j] * p11[j] for j in range(s + 1)]
+            for r in range(k + 1):
+                c = sum(left[i] * right[r - i] for i in range(max(0, r - s), min(r, k - s) + 1))
+                out[r, s] = float(c * (Decimal(math.comb(k, s)) / math.comb(k, r)).sqrt())
+    return out
+
+
 class TestSymPower:
     def test_identity(self):
         for k in (1, 3, 6):
@@ -241,6 +306,34 @@ class TestSymPower:
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert np.allclose(sym_power(a @ b, k), sym_power(a, k) @ sym_power(b, k),
                            atol=1e-10 * max(1, np.abs(a).max() * np.abs(b).max()) ** k)
+
+    @pytest.mark.parametrize("kind", ["complex", "rank_one", "non_normal"])
+    def test_matches_wigner_lift(self, kind):
+        rng = np.random.default_rng(["complex", "rank_one", "non_normal"].index(kind))
+        for _ in range(4):
+            z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+            if kind == "complex":
+                a = z[:2]
+            elif kind == "rank_one":
+                a = np.outer(z[0], z[1].conj())
+            else:
+                a = np.array([[z[0, 0], 3.0 * z[0, 1]], [0.0, z[1, 0]]])
+            a = a / np.linalg.norm(a, 2)
+            for k in (0, 1, 2, 5, 16, 33, 64):
+                want = _wigner_sym_power(a, k)
+                np.testing.assert_allclose(sym_power(a, k), want, rtol=0.0,
+                                           atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("k", [16, 64])
+    @pytest.mark.parametrize("a", [
+        HazyCentralSpin(8, 0.3, 0.5, HazyParams(0.3 * LN2)).rho_mix,
+        HazyCentralSpin(8, 0.3, 0.5, HazyParams(0.9 * LN2)).rho_mix,
+        np.array([[0.6, -0.5], [0.3, 0.7]]),
+    ], ids=["rho_mix_0.3", "rho_mix_0.9", "mixed_signs"])
+    def test_matches_40_digit_reference(self, a, k):
+        want = _decimal_sym_power(a, k)
+        err = np.abs(sym_power(a, k) - want).max()
+        assert err <= 1e-14 * np.abs(want).max()
 
     def test_sector_dimensions_tile_the_tensor_power(self):
         for m in (2, 3, 6, 9):
@@ -361,32 +454,53 @@ class TestHazyFastPath:
             assert model.joint_entropy(m) == pytest.approx(h_sf, abs=1e-10)
 
     def test_one_spectrum_per_degree(self, monkeypatch):
-        lifts = []
-        lift = spinmodels.sym_power
+        steps, sizes, decohered = [], [], []
+        step, eigvalsh = spinmodels._sym_step, np.linalg.eigvalsh
+        decohered_entropy = HazyCentralSpin.decohered_entropy
 
-        def counted(a, k):
-            lifts.append((k, np.array(a)))
-            return lift(a, k)
+        def counted_step(a, lift):
+            steps.append((len(lift), np.array(a)))
+            return step(a, lift)
 
-        monkeypatch.setattr(spinmodels, "sym_power", counted)
+        def counted_eigvalsh(a):
+            sizes.append(len(a))
+            return eigvalsh(a)
+
+        def counted_decohered(model, k):
+            decohered.append(k)
+            return decohered_entropy(model, k)
+
+        def degrees_solved():
+            """Degrees of the sector eigensolves: every eigvalsh call but the
+            one 2x2 solve of each decohered_entropy call."""
+            rest = list(sizes)
+            for _ in decohered:
+                rest.remove(2)
+            return sorted(size - 1 for size in rest)
+
+        monkeypatch.setattr(spinmodels, "_sym_step", counted_step)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(HazyCentralSpin, "decohered_entropy", counted_decohered)
         # barely-entangling couplings: nothing crosses, so the scan runs
         # through every sub-half size m = 1 ... 31
         base = CentralSpinParams(np.full(64, 0.01), t=0.1)
         hazy_redundancy(base, HazyParams(0.4 * LN2))
-        # exactly one lift per degree, always of rho_mix itself
-        assert sorted(k for k, _ in lifts) == list(range(32))
+        # one eigensolve and at most one lift step per degree, always of rho_mix
+        assert degrees_solved() == list(range(32))
+        assert len(steps) <= 32 and max(d for d, _ in steps) == 31
         rho_mix = HazyCentralSpin(64, 0.01, 0.1, HazyParams(0.4 * LN2)).rho_mix
-        assert all(np.array_equal(a, rho_mix) for _, a in lifts)
+        assert all(np.array_equal(a, rho_mix) for _, a in steps)
 
         model = HazyCentralSpin(64, 0.3, 0.5, HazyParams(0.4 * LN2))
-        lifts.clear()
+        steps.clear(), sizes.clear(), decohered.clear()
         first = [model.mutual_info(m) for m in (1, 7, 20, 31)]
-        degrees = [k for k, _ in lifts]
-        assert len(degrees) == len(set(degrees))
-        assert all(np.array_equal(a, model.rho_mix) for _, a in lifts)
-        n_first = len(lifts)
+        solved = degrees_solved()
+        assert len(solved) == len(set(solved))
+        assert all(np.array_equal(a, model.rho_mix) for _, a in steps)
+        # repeat calls hit the cache: no step, no sector eigensolve
+        n_steps = len(steps)
         again = [model.mutual_info(m) for m in (31, 20, 7, 1)]
-        assert len(lifts) == n_first
+        assert len(steps) == n_steps and degrees_solved() == solved
         assert again == first[::-1]
 
     @pytest.mark.parametrize("t", [0.5, 6.0])
@@ -462,6 +576,20 @@ class TestHazyRedundancy:
             hazy_redundancy(base, HazyParams(0.0), delta=delta)
 
     def test_requires_equal_couplings(self):
-        base = CentralSpinParams(np.array([0.5, 0.6]), t=1.0)
-        with pytest.raises(ValueError):
-            hazy_redundancy(base, HazyParams(0.0))
+        for couplings in ([0.5, 0.6], [0.3] * 7 + [np.nextafter(0.3, 1.0)],
+                          [np.nextafter(0.3, 0.0)] + [0.3] * 7):
+            base = CentralSpinParams(np.array(couplings), t=1.0)
+            with pytest.raises(ValueError, match="equal couplings"):
+                hazy_redundancy(base, HazyParams(0.0))
+
+    def test_equal_couplings_pass_one_float(self, monkeypatch):
+        seen = []
+
+        class Recorded(HazyCentralSpin):
+            def __init__(self, n, coupling, *args):
+                seen.append(coupling)
+                super().__init__(n, coupling, *args)
+
+        monkeypatch.setattr(spinmodels, "HazyCentralSpin", Recorded)
+        hazy_redundancy(CentralSpinParams(np.full(8, 0.3), t=1.0), HazyParams(0.0))
+        assert len(seen) == 1 and type(seen[0]) is float and seen[0] == 0.3
