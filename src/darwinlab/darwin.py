@@ -27,7 +27,7 @@ import numpy as np
 from .branching import (BranchingState, _entropies, decohered_system_entropy,
                         mutual_info_many, system_entropy, to_state_vector,
                         two_branch_entropy)
-from .info import Ensemble, ProbVector, _first_crossing, holevo, shannon_entropy
+from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, brentq
 from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
 from .qbm import GaussianState, qbm_mutual_info_many, qbm_system_entropy
@@ -312,8 +312,7 @@ class InteractingSource(DenseSource):
     def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = check_rows(idx, self.n_env)
         count, m = idx.shape
-        h_f = np.array([subsystem_entropy(self.state, tuple(row)) if m else 0.0
-                        for row in (idx + 1).tolist()])
+        h_f = system_fragment_entropies(self.state, idx + 1)[0] if m else np.zeros(count)
         rest = np.nonzero(~_site_mask(idx, self.n_env))[1].reshape(count, self.n_env - m)
         return h_f, self.system_entropy() - self.decohered_system_entropy(rest)
 
@@ -343,12 +342,13 @@ class PIPPoint:
 
 @dataclass(frozen=True)
 class PartialInfoPlot:
-    """Averaged I(S : fragment) against the fragment fraction f."""
+    """Averaged I(S : fragment) against f; the source's pure_global sets the sizes that count."""
 
     points: tuple
     source_tag: str
     h_system: float
     n_env: int
+    pure_global: bool
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -478,7 +478,7 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
         if key != m:
             mean = 2.0 * h_s - mean
         points.append(PIPPoint(m / n, m, mean, sd, k))
-    return PartialInfoPlot(tuple(points), source.tag, h_s, n)
+    return PartialInfoPlot(tuple(points), source.tag, h_s, n, pure)
 
 
 # ---------------------------------------------------------------------------
@@ -512,29 +512,20 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1,
                r_delta_d: float | None = None) -> RedundancyReport:
     """How many disjoint fragments each miss at most delta of H_S.
 
-    The crossing of (1 - delta) H_S is searched on fragments of at most
-    half the environment and R = n / sharpF there, with the crossing
-    size linearly interpolated between the bracketing samples. A size-1
-    crossing means every unit is a full record and R = n exactly.
-
-    At even n the exact-half fragment is scanned: purity pins I(n/2) at
-    H_S, so a globally pure source always crosses by f = 1/2 and R bottoms
-    out near 2, redundancy without records, the random-state baseline.
-    At odd n there is no exact-half fragment. The largest scanned size is
-    (n - 1)/2, which purity does not pin, so a pure source without
-    records need not cross at all (Haar sources at n = 7 reach about 0.6
-    of the threshold). plateau_reached reports whether a strictly-sub-half
-    fragment crossed, so the even-n baseline comes with the flag False.
-    If no scanned size crosses, f_delta is None and r_delta is the
-    achieved fraction of the threshold, below one.
+    R = n / sharpF at the crossing of (1 - delta) H_S, searched on the
+    sizes info._counted_sizes counts for the plot's n and purity and
+    interpolated linearly between them; a size-1 crossing gives R = n
+    exactly. A pure plot crosses by f = 1/2 or just past it, so R bottoms
+    out near 2, the random-state baseline, where plateau_reached (some
+    size a mixed plot counts too crossed) is False. With no crossing
+    f_delta is None and r_delta the achieved fraction of the threshold.
     """
     n = pip.n_env
-    means = {p.sharp_f: p.mean_i for p in pip.points if 1 <= p.sharp_f and 2 * p.sharp_f <= n}
-    if not means:
-        raise ValueError("plot has no fragments of half size or below")
-    sharp, r, interpolated = _first_crossing(n, means, means.get, pip.h_system, delta)
+    means = {p.sharp_f: p.mean_i for p in pip.points}
+    sharp, r, interpolated = _first_crossing(
+        n, _counted_sizes(n, pip.pure_global, means), means.get, pip.h_system, delta)
     threshold = (1.0 - delta) * pip.h_system
-    plateau = any(v >= threshold for m, v in means.items() if 2 * m < n)
+    plateau = any(means[m] >= threshold for m in _counted_sizes(n, False, means))
     f_delta = None if sharp is None else sharp / n
     return RedundancyReport(delta, f_delta, r, plateau, interpolated, r_delta_d)
 

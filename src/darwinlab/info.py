@@ -96,13 +96,29 @@ class Ensemble:
             raise ValueError("ensemble members must share one shape")
 
 
+def _counted_sizes(n: int, pure_global: bool, sizes):
+    """The fragment sizes that count toward R_delta, lazily, from ascending `sizes`.
+
+    Sizes 1 <= m < n/2 count. A globally pure plot also counts the half and
+    the first size in (n/2, n), whose mirrored mean 2 H_S - I(n - m) is
+    above (1 + delta) H_S if I(floor(n/2)) misses the threshold, so it
+    always crosses. A mixed plot stops below the half, where nothing pins I.
+    """
+    for m in sizes:
+        past = 2 * m > n if pure_global else 2 * m >= n
+        if m and (not past or (pure_global and m < n)):
+            yield m
+        if past:
+            return
+
+
 def _first_crossing(n: int, sizes, value_of, h_s: float,
                     delta: float) -> tuple[float | None, float, bool]:
     """First fragment size whose value reaches (1 - delta) H_S, and R = n / sharpF.
 
     Ascending `sizes` are scanned, calling value_of(m) only up to the
-    first crossing. Which sizes count (whether the exact half does) is
-    the caller's rule. Returns (sharpF, R, interpolated): a size-1
+    first crossing. Which sizes count is the rule of _counted_sizes,
+    applied by the caller. Returns (sharpF, R, interpolated): a size-1
     crossing gives R = n; a crossing at the first scanned size is taken
     as is; a later one is interpolated linearly against the previous
     scanned size. With no crossing sharpF is None and R is the largest

@@ -22,7 +22,7 @@ import numpy as np
 
 from .numeric import POLICY, CapExceeded, brentq
 from .branching import BranchingState
-from .info import LN2, _entropy_from_eigs, _first_crossing
+from .info import LN2, _counted_sizes, _entropy_from_eigs, _first_crossing
 from .qstate import HilbertShape, StateVector, evolve_diagonal, qubits, tensor
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -126,10 +126,7 @@ def redundancy_estimate(h_s: float, d_env: int, sharp_e: int, delta: float) -> t
     """
     if h_s <= 0 or not 0 < delta < 1:
         raise ValueError("need H_S > 0 and 0 < delta < 1")
-    arg = 2.0 * delta * h_s
-    if arg <= 0:
-        raise ValueError("log argument nonpositive")
-    sharp_f = (h_s - math.log(arg)) / math.log(d_env)
+    sharp_f = (h_s - math.log(2.0 * delta * h_s)) / math.log(d_env)
     if sharp_f <= 0:
         raise ValueError(f"estimate breaks down: sharpF = {sharp_f!r} <= 0")
     return sharp_f, sharp_e / sharp_f
@@ -424,20 +421,16 @@ def hazy_redundancy(base: CentralSpinParams, hp: HazyParams, delta: float = 0.1)
     """Redundancy at deficit delta for the hazy central-spin model.
 
     Site couplings must be equal (the permutation-symmetric fast path).
-    Crossing of (1 - delta) H_S is located by linear interpolation between
-    integer fragment sizes, never below one qubit. Only fragments strictly
-    below half the bath count: observers hold bath qubits but not their
-    purifying ancillas, so system plus bath is mixed and nothing pins I
-    at H_S at the half size; a crossing there would report R near 2,
-    which says nothing about records. If no sub-half fragment crosses,
-    the returned value is the achieved fraction of the threshold (< 1).
-    A bath of two qubits or fewer has no sub-half fragment and raises,
-    as does delta outside (0, 1).
+    The crossing of (1 - delta) H_S is interpolated linearly between the
+    integer sizes info._counted_sizes counts for a mixed plot (observers
+    hold no purifying ancillas); with no crossing the value is the achieved
+    fraction of the threshold (< 1). No counted size, or delta outside
+    (0, 1), raises.
     """
     d = base.couplings
     if np.any(d != d[0]):
         raise ValueError("fast path requires equal couplings")
     model = HazyCentralSpin(base.n_env, float(d[0]), base.t, hp, base.system_init)
-    _, r, _ = _first_crossing(base.n_env, range(1, (base.n_env - 1) // 2 + 1),
+    _, r, _ = _first_crossing(model.n, _counted_sizes(model.n, False, range(1, model.n + 1)),
                               model.mutual_info, model.system_entropy(), delta)
     return r

@@ -42,6 +42,7 @@ from darwinlab.spinmodels import (
     InteractingEnvParams,
     central_spin_branching,
     cnot_model,
+    hazy_redundancy,
     random_interacting_params,
     uniform_couplings,
 )
@@ -49,6 +50,8 @@ from helpers import random_branching_state, random_state_vector
 
 LN2 = math.log(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# (size, mean) of a hand-built n = 10 plot that crosses 0.9 ln 2 only at the half
+HALF_ONLY = ((0, 0.0), (1, 0.30), (3, 0.55), (4, 0.60), (5, 0.6931))
 
 
 def cnot_source(n=50):
@@ -305,9 +308,9 @@ class TestBuildPip:
     def test_plot_validation(self):
         good = PIPPoint(0.5, 1, 0.1, 0.0, 1)
         with pytest.raises(ValueError):
-            PartialInfoPlot((good, good), "x", 0.7, 2)
+            PartialInfoPlot((good, good), "x", 0.7, 2, True)
         with pytest.raises(ValueError):
-            PartialInfoPlot((PIPPoint(0.5, 1, 5.0, 0.0, 1),), "x", 0.7, 2)
+            PartialInfoPlot((PIPPoint(0.5, 1, 5.0, 0.0, 1),), "x", 0.7, 2, True)
 
 
 # the tuple samplers the index matrices replaced, kept as the reference
@@ -463,25 +466,34 @@ class TestRedundancy:
         assert rep.plateau_reached and not rep.interpolated
 
     def test_interpolation_by_hand(self):
-        points = (PIPPoint(0.0, 0, 0.0, 0.0, 1),
-                  PIPPoint(0.1, 1, 0.30, 0.0, 4),
-                  PIPPoint(0.3, 3, 0.55, 0.0, 4),
-                  PIPPoint(0.4, 4, 0.66, 0.0, 4),
-                  PIPPoint(0.5, 5, 0.6931, 0.0, 4))
-        pip = PartialInfoPlot(points, "hand", LN2, 10)
-        rep = redundancy(pip, 0.1)
+        # a sub-half crossing counts with or without purity; a pure plot
+        # also counts the half, and at odd n = 151, where the grid steps
+        # 64 -> 80 over the half, its mirror 2 H_S - I(71) at 80; a
+        # crossing only there leaves the plateau not reached
+        ten = ((0, 0.0), (1, 0.30), (3, 0.55), (4, 0.66), (5, 0.6931))
+        odd = tuple((m, 0.55 * m / 64 if 2 * m < 151 else 2 * LN2 - 0.55 * (151 - m) / 64)
+                    for m in default_cardinalities(151))
         thr = 0.9 * LN2
-        sharp = 3 + (thr - 0.55) / (0.66 - 0.55)
-        assert rep.r_delta == pytest.approx(10 / sharp, abs=1e-12)
-        assert rep.f_delta == pytest.approx(sharp / 10, abs=1e-12)
-        assert rep.interpolated and rep.plateau_reached
+        for n, means, pure, lo, hi, plateau in ((10, ten, True, 3, 4, True),
+                                                (10, ten, False, 3, 4, True),
+                                                (10, HALF_ONLY, True, 4, 5, False),
+                                                (151, odd, True, 64, 80, False)):
+            points = tuple(PIPPoint(m / n, m, v, 0.0, 4) for m, v in means)
+            rep = redundancy(PartialInfoPlot(points, "hand", LN2, n, pure), 0.1)
+            v = dict(means)
+            sharp = lo + (thr - v[lo]) / (v[hi] - v[lo]) * (hi - lo)
+            assert rep.r_delta == pytest.approx(n / sharp, abs=1e-12)
+            assert rep.f_delta == pytest.approx(sharp / n, abs=1e-12)
+            assert rep.interpolated
+            assert rep.plateau_reached == plateau
 
     def test_first_grid_point_crossing_is_not_interpolated(self):
         points = (PIPPoint(0.2, 2, 0.68, 0.0, 1),
                   PIPPoint(0.5, 5, 0.6931, 0.0, 1))
-        rep = redundancy(PartialInfoPlot(points, "hand", LN2, 10), 0.1)
-        assert rep.r_delta == pytest.approx(5.0)
-        assert not rep.interpolated
+        for pure in (True, False):
+            rep = redundancy(PartialInfoPlot(points, "hand", LN2, 10, pure), 0.1)
+            assert rep.r_delta == pytest.approx(5.0)
+            assert not rep.interpolated
 
     def test_haar_baseline_close_to_two(self):
         rs = []
@@ -492,14 +504,17 @@ class TestRedundancy:
             rs.append(rep.r_delta)
         assert 1.5 <= float(np.mean(rs)) <= 3.0
 
-    def test_odd_n_pure_source_need_not_cross(self):
-        # no exact-half fragment at odd n, so purity pins no scanned size
-        odd = redundancy(build_pip(haar_random_source(7, 0), seed=0), 0.1)
-        assert odd.r_delta < 1.0
-        assert odd.f_delta is None
+    def test_odd_n_pure_source_crosses_past_the_half(self):
+        # no exact-half fragment at odd n; the first size past the half
+        # counts, and its mirrored mean 2 H_S - I((n - 1)/2) crosses
         even = redundancy(build_pip(haar_random_source(8, 0), seed=0), 0.1)
         assert even.f_delta is not None
         assert even.r_delta == pytest.approx(2.0, abs=0.2)
+        for n in (7, 9):
+            odd = redundancy(build_pip(haar_random_source(n, 0), seed=0), 0.1)
+            assert odd.f_delta is not None and odd.interpolated
+            assert not odd.plateau_reached
+            assert odd.r_delta == pytest.approx(even.r_delta, abs=0.1)
 
     def test_photon_matches_closed_form_inversion(self):
         src = PhotonSource(DecoherenceFactor.from_time(10.0), n_env=500)
@@ -509,10 +524,15 @@ class TestRedundancy:
 
     def test_mixed_global_state_below_one(self):
         model = HazyCentralSpin(10, 0.2, 0.5, HazyParams(LN2))
-        rep = redundancy(build_pip(HazySource(model), seed=0), 0.1)
-        assert rep.r_delta < 1.0
-        assert rep.f_delta is None
-        assert not rep.plateau_reached
+        # by hand: only the half crosses, which a mixed plot does not count
+        by_hand = PartialInfoPlot(tuple(PIPPoint(m / 10, m, v, 0.0, 4) for m, v in HALF_ONLY),
+                                  "hand", LN2, 10, False)
+        for pip in (build_pip(HazySource(model), seed=0), by_hand):
+            rep = redundancy(pip, 0.1)
+            assert rep.r_delta < 1.0
+            assert rep.f_delta is None
+            assert not rep.plateau_reached
+        assert redundancy(by_hand, 0.1).r_delta == 0.60 / (0.9 * LN2)
 
     def test_monotone_in_delta(self):
         pip = build_pip(spin_source(12, t=2.5), samples_per_fraction=10, seed=1)
@@ -526,6 +546,20 @@ class TestRedundancy:
                 redundancy(pip, bad)
         with pytest.raises(ValueError):
             redundancy(build_pip(haar_random_source(1, 0), seed=0), 0.1)
+        hazy = HazySource(HazyCentralSpin(2, 0.5, 1.0, HazyParams(0.3)))
+        with pytest.raises(ValueError, match="no fragment sizes"):
+            redundancy(build_pip(hazy, seed=0), 0.1)
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 64])
+    def test_plot_route_agrees_with_hazy_redundancy(self, n):
+        # the CLI's route (default coupling, samples and delta) and the
+        # library's hazy scan count the same sizes: == on every config
+        for haze in np.linspace(0.0, 0.69, 24):
+            for t in (0.5, 1.0, 2.0, 4.0):
+                hp = HazyParams(float(haze))
+                src = HazySource(HazyCentralSpin(n, 0.5, t, hp))
+                rep = redundancy(build_pip(src, seed=0), 0.1)
+                assert rep.r_delta == hazy_redundancy(CentralSpinParams(np.full(n, 0.5), t=t), hp)
 
     @pytest.mark.parametrize("src", [
         spin_source(8, t=0.0),

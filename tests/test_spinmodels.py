@@ -563,6 +563,21 @@ class TestHazyRedundancy:
         assert r == pytest.approx(model.mutual_info(7) / threshold, rel=1e-12)
         assert model.mutual_info(8) / threshold > r * (1 + 1e-6)
 
+    @pytest.mark.parametrize("n, coupling, t, scanned",
+                             [(16, 0.01, 0.1, 7), (15, 0.01, 0.1, 7), (64, 0.3, 1.0, 6)])
+    def test_scans_sizes_lazily(self, monkeypatch, n, coupling, t, scanned):
+        # sizes 1, 2, ... up to the first crossing, never the half or past it
+        seen = []
+
+        class Recorded(HazyCentralSpin):
+            def mutual_info(self, m):
+                seen.append(m)
+                return super().mutual_info(m)
+
+        monkeypatch.setattr(spinmodels, "HazyCentralSpin", Recorded)
+        hazy_redundancy(CentralSpinParams(np.full(n, coupling), t=t), HazyParams(0.0))
+        assert seen == list(range(1, scanned + 1))
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_sub_half_fragment_rejected(self, n):
         base = CentralSpinParams(np.full(n, 0.3), t=1.0)
