@@ -125,18 +125,21 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     cfg = {k: d for k, (_, d) in table.items()}
     if args.config is not None:
         ini = configparser.ConfigParser()
-        if not ini.read(args.config, encoding="utf-8"):
-            raise ConfigError(f"cannot read config file {args.config!r}")
-        if ini.has_section(command):
-            for raw_key, raw_val in ini.items(command):
-                key = raw_key.replace("-", "_")
-                if key not in table:
-                    raise ConfigError(f"unknown option {raw_key!r} in [{command}]")
-                typ = table[key][0]
-                try:
-                    cfg[key] = typ(raw_val)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {raw_key!r}: {raw_val!r}") from exc
+        try:
+            if not ini.read(args.config, encoding="utf-8"):
+                raise ConfigError(f"cannot read config file {args.config!r}")
+            items = ini.items(command) if ini.has_section(command) else []
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {args.config!r}: {exc}") from exc
+        for raw_key, raw_val in items:
+            key = raw_key.replace("-", "_")
+            if key not in table:
+                raise ConfigError(f"unknown option {raw_key!r} in [{command}]")
+            typ = table[key][0]
+            try:
+                cfg[key] = typ(raw_val)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {raw_key!r}: {raw_val!r}") from exc
     for key in table:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -145,6 +148,9 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         raise ConfigError("a seed is required (--seed or config)")
     if cfg["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
+    for key in ("mu_points", "states"):  # counts a run needs at least one of
+        if cfg.get(key, 1) < 1:
+            raise ConfigError(f"--{key.replace('_', '-')} must be at least 1")
     return cfg
 
 
@@ -228,10 +234,9 @@ def _cmd_pip(cfg: dict) -> None:
 def _cmd_redundancy(cfg: dict) -> None:
     src = _model_source(cfg, cfg["seed"])
     pip = build_pip(src, samples_per_fraction=cfg["samples"], seed=cfg["seed"])
-    try:
-        r_dd = redundancy_of_decoherence(src, cfg["delta"], seed=cfg["seed"])
-    except ValueError:
-        r_dd = None
+    # null exactly when the model has no fragment-only counterfactual
+    r_dd = (redundancy_of_decoherence(src, cfg["delta"], seed=cfg["seed"])
+            if src.pure_decoherence else None)
     rep = redundancy(pip, cfg["delta"], r_delta_d=r_dd)
     report = {
         "delta": rep.delta,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,12 @@ from .branching import (BranchingState, _entropies, decohered_system_entropy,
                         two_branch_entropy)
 from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, brentq
-from .photon import DecoherenceFactor, isotropic_mutual_info, photon_mutual_info
+from .photon import _gamma_of, isotropic_mutual_info, photon_mutual_info
 from .qbm import GaussianState, qbm_mutual_info_many, qbm_system_entropy
 from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
                      reduced_density, subsystem_entropy, system_fragment_entropies)
-from .spinmodels import HALF, HazyCentralSpin, InteractingEnvParams, interacting_evolve
+from .spinmodels import (HALF, CentralSpinParams, HazyCentralSpin, InteractingEnvParams,
+                         central_spin_branching, interacting_evolve)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +85,6 @@ def _one_row(sites) -> np.ndarray:
     row check."""
     row = np.array([sorted(sites)])
     return row if row.size else row.astype(np.intp)
-
-
-def _site_mask(idx: np.ndarray, n: int) -> np.ndarray:
-    """(count, n) boolean matrix, True at the sites of each row of idx."""
-    mask = np.zeros((len(idx), n), dtype=bool)
-    mask[np.arange(len(idx))[:, None], idx] = True
-    return mask
 
 
 class DenseSource(Source):
@@ -203,7 +197,7 @@ class PhotonSource(Source):
 
     def __init__(self, gamma, n_env: int = 512, isotropic: bool = False,
                  tag: str | None = None):
-        g = gamma.gamma if isinstance(gamma, DecoherenceFactor) else float(gamma)
+        g = _gamma_of(gamma)
         if not 0.0 <= g <= 1.0:
             raise ValueError("decoherence factor must lie in [0, 1]")
         if n_env < 2:
@@ -281,40 +275,32 @@ class InteractingSource(DenseSource):
     """Interacting-environment model evolved once to a dense state.
 
     Pair couplings inside the bath scramble records away from single
-    sites; with all of them zero the model is pure decoherence and the
-    fragment-only counterfactuals are well defined (re-evolve with the
-    couplings outside the fragment cut).
+    sites. With all of them zero the model is the central spin, pure
+    decoherence: its branching records are built once, here, and the
+    fragment-only counterfactuals (decohered_system_entropy, decompose)
+    are read from them; I(S : F) stays on the dense kernel.
     """
 
     def __init__(self, params: InteractingEnvParams,
                  system_init: tuple[complex, complex] = (HALF, HALF),
                  env_init: np.ndarray | None = None, tag: str = "interacting"):
-        self.params = params
-        self.system_init = (complex(system_init[0]), complex(system_init[1]))
-        self.env_init = env_init
-        super().__init__(interacting_evolve(params, self.system_init, env_init), tag=tag)
+        super().__init__(interacting_evolve(params, system_init, env_init), tag=tag)
+        self.pure_decoherence = not np.any(params.pair_couplings)
+        self._records = None
+        if self.pure_decoherence:
+            self._records = BranchingSource(central_spin_branching(
+                CentralSpinParams(params.couplings, params.t, system_init, env_init)))
 
-    @property
-    def pure_decoherence(self) -> bool:
-        return not np.any(self.params.pair_couplings)
+    def _counterfactual(self) -> BranchingSource:
+        if self._records is None:
+            raise ValueError("intra-bath couplings leave no clean fragment-only counterfactual")
+        return self._records
 
     def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
-        """Re-evolve once per row, with the couplings outside it cut."""
-        if not self.pure_decoherence:
-            raise ValueError("intra-bath couplings leave no clean fragment-only counterfactual")
-        out = np.empty(len(idx))
-        for i, keep in enumerate(_site_mask(check_rows(idx, self.n_env), self.n_env)):
-            cut = replace(self.params, couplings=np.where(keep, self.params.couplings, 0.0))
-            out[i] = subsystem_entropy(interacting_evolve(cut, self.system_init, self.env_init),
-                                       (0,))
-        return out
+        return self._counterfactual().decohered_system_entropy(idx)
 
     def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = check_rows(idx, self.n_env)
-        count, m = idx.shape
-        h_f = system_fragment_entropies(self.state, idx + 1)[0] if m else np.zeros(count)
-        rest = np.nonzero(~_site_mask(idx, self.n_env))[1].reshape(count, self.n_env - m)
-        return h_f, self.system_entropy() - self.decohered_system_entropy(rest)
+        return self._counterfactual().decompose(idx)
 
 
 def haar_random_source(n_env: int, seed: int, tag: str | None = None) -> DenseSource:

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import darwinlab
-from darwinlab import numeric
+from darwinlab import cli, numeric
 from darwinlab.cli import main
-from darwinlab.darwin import git_blob_sha
+from darwinlab.darwin import BranchingSource, git_blob_sha
 from darwinlab.photon import CONSTANTS
+from darwinlab.spinmodels import cnot_model
 
 LN2 = math.log(2.0)
 
@@ -98,6 +99,15 @@ class TestConfigMerge:
         ini.write_text("[qbm]\nbands = 8\n\n[pip]\nmodel = cnot\nn = 6\nseed = 1\n")
         assert run(tmp_path, "pip", "--config", str(ini)) == 0
 
+    @pytest.mark.parametrize("text", ["seed = 1\n", "[pip]\nseed = 1\nseed = 2\n",
+                                      "[pip]\nseed = 1\nmodel = 5%\n"],
+                             ids=["no-section-header", "duplicate-option", "bare-percent"])
+    def test_malformed_file_exits_1(self, tmp_path, capsys, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert run(tmp_path, "pip", "--config", str(ini)) == 1
+        assert "error: malformed config file" in capsys.readouterr().err
+
 
 class TestReproducibility:
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -156,6 +166,34 @@ class TestCommands:
         assert rep["r_delta"] == pytest.approx(20.0)
         assert rep["plateau_reached"] is True
         assert rep["r_delta_d"] == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("argv, known", [
+        (("--model", "interacting", "--sigma-m", "0"), True),
+        (("--model", "interacting", "--sigma-m", "0.001"), False),
+        (("--model", "haar",), False),
+    ])
+    def test_r_delta_d_null_without_counterfactual(self, tmp_path, argv, known):
+        assert run(tmp_path, "redundancy", *argv, "--n", "6", "--seed", "0") == 0
+        rep = json.loads((tmp_path / "redundancy.json").read_text())["report"]
+        assert (rep["r_delta_d"] is not None) == known
+
+    def test_counterfactual_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        class Faulty(BranchingSource):
+            def decohered_system_entropy(self, idx):
+                raise ValueError("counterfactual fault")
+
+        source = Faulty(cnot_model(1 / math.sqrt(2.0), 1 / math.sqrt(2.0), 8))
+        monkeypatch.setattr(cli, "_model_source", lambda cfg, seed: source)
+        assert run(tmp_path, "redundancy", "--seed", "0") == 1
+        assert "error: counterfactual fault" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option", [
+        (("sweep", "--model", "central-spin", "--n", "6", "--mu-points", "0"), "--mu-points"),
+        (("baseline", "--n", "6", "--states", "0"), "--states"),
+    ])
+    def test_count_below_one_exits_1(self, tmp_path, capsys, argv, option):
+        assert run(tmp_path, *argv, "--seed", "0") == 1
+        assert f"error: {option} must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["central-spin", "hazy"])
     def test_rounding_floor_entropy_exits_1(self, tmp_path, capsys, model):

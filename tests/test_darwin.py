@@ -43,6 +43,7 @@ from darwinlab.spinmodels import (
     central_spin_branching,
     cnot_model,
     hazy_redundancy,
+    interacting_evolve,
     random_interacting_params,
     uniform_couplings,
 )
@@ -127,25 +128,44 @@ class TestSources:
             qbm_mutual_info_many(st, np.array([[0, 3]]))[0])
 
     def test_interacting_matches_branching_when_pairs_vanish(self):
+        # oracle: the dense state re-evolved with the couplings outside a row cut
         rng = np.random.default_rng(7)
-        d = uniform_couplings(rng, 6)
-        src = InteractingSource(InteractingEnvParams(d, np.zeros((6, 6)), t=3.0))
-        ref = BranchingSource(central_spin_branching(CentralSpinParams(d, t=3.0)))
+        n, t = 6, 3.0
+        d = uniform_couplings(rng, n)
+        system_init = (0.6, 0.8j)
+        kets = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        src = InteractingSource(InteractingEnvParams(d, np.zeros((n, n)), t),
+                                system_init, kets)
+        ref = BranchingSource(central_spin_branching(CentralSpinParams(d, t, system_init, kets)))
         assert src.pure_decoherence
-        for sites in ((2,), (0, 4), (1, 2, 5)):
+
+        def decohered(sites):
+            cut = np.where(np.isin(np.arange(n), sites), d, 0.0)
+            psi = interacting_evolve(InteractingEnvParams(cut, np.zeros((n, n)), t),
+                                     system_init, kets)
+            return subsystem_entropy(psi, (0,))
+
+        for sites in ((), (2,), (0, 4), (1, 2, 5), tuple(range(n))):
+            idx = np.array(sites, dtype=np.intp).reshape(1, -1)
+            rest = tuple(sorted(set(range(n)) - set(sites)))
+            h_f = subsystem_entropy(src.state, tuple(s + 1 for s in sites)) if sites else 0.0
             assert src.fragment_mutual_info(sites) == pytest.approx(
                 ref.fragment_mutual_info(sites), abs=1e-9)
-            idx = np.array([sites])
-            assert src.decohered_system_entropy(idx) == pytest.approx(
-                ref.decohered_system_entropy(idx), abs=1e-9)
+            assert src.decohered_system_entropy(idx)[0] == pytest.approx(
+                decohered(sites), abs=1e-12)
+            classical, quantum = src.decompose(idx)
+            assert classical[0] == pytest.approx(h_f, abs=1e-12)
+            assert quantum[0] == pytest.approx(src.system_entropy() - decohered(rest), abs=1e-12)
 
     def test_interacting_pairs_disable_counterfactual(self):
         rng = np.random.default_rng(7)
         p = random_interacting_params(rng, 5, t=1.0, sigma_m=0.01)
         src = InteractingSource(p)
         assert not src.pure_decoherence
-        with pytest.raises(ValueError):
-            src.decohered_system_entropy(np.array([[0, 1]]))
+        for method in (src.decohered_system_entropy, src.decompose):
+            with pytest.raises(ValueError, match="intra-bath couplings"):
+                method(np.array([[0, 1]]))
 
 
 def two_side_mutual_info(state, sites):
