@@ -151,21 +151,28 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     for key in ("mu_points", "states"):  # counts a run needs at least one of
         if cfg.get(key, 1) < 1:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least 1")
+    for key, (typ, _) in table.items():
+        if typ is float and not math.isfinite(cfg[key]):
+            raise ConfigError(f"--{key.replace('_', '-')} must be finite, not {cfg[key]!r}")
     return cfg
+
+
+def _coupling_rng(seed: int) -> np.random.Generator:
+    # only for models that draw couplings: other runs never import numpy.random
+    return np.random.default_rng(np.random.SeedSequence((seed, 0x6D0DE1)))
 
 
 def _model_source(cfg: dict, seed: int):
     model = cfg["model"]
     n, t = cfg["n"], cfg["t"]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6D0DE1)))
     if model == "cnot":
         r = 1.0 / math.sqrt(2.0)
         return BranchingSource(cnot_model(r, r, n), tag="cnot")
     if model == "central-spin":
-        p = CentralSpinParams(uniform_couplings(rng, n), t=t)
+        p = CentralSpinParams(uniform_couplings(_coupling_rng(seed), n), t=t)
         return BranchingSource(central_spin_branching(p), tag="central-spin")
     if model == "interacting":
-        p = random_interacting_params(rng, n, t, cfg["sigma_d"], cfg["sigma_m"])
+        p = random_interacting_params(_coupling_rng(seed), n, t, cfg["sigma_d"], cfg["sigma_m"])
         return InteractingSource(p)
     if model == "haar":
         return haar_random_source(n, seed)

@@ -310,6 +310,10 @@ class HazyCentralSpin:
     d = 2j is c^((m - d)/2) (p0 Sym^d x + p1 Sym^d y). Sym^d u0 is diagonal,
     so that sum is (Sym^d rho_mix) o Phi_d, Phi_d[r, s] = p0 e^{2ia(r-s)}
     + p1 e^{-2ia(r-s)}: one lift step and one eigensolve per degree, all m.
+    Each spectrum is kept as its moments A_d = sum lam ln lam, B_d = sum lam,
+    so H_F(m) = -sum_d mult(m, d) c^k (A_d + k ln c B_d), k = (m - d)/2, is one
+    array expression per size; a crisp bath (c = 0) reads ln c as 0, so only
+    k = 0 survives.
     The joint state of system and fragment is a controlled unitary
     applied to P_m (x) rho_mix^(x m), with P_m the system decohered by
     the n - m sites outside the fragment, so H_SF = m H(q) + H(P_m).
@@ -337,8 +341,10 @@ class HazyCentralSpin:
         self.rho_mix = self.q * plus + (1 - self.q) * (np.eye(2) - plus)
         # per-site branch overlap; independent of q
         self.g = float(np.trace(self.rho_mix @ u1.conj().T @ u0).real)
-        self._degree_eigs: dict[int, np.ndarray] = {}
+        # per degree d: A_d = sum lam ln lam and B_d = sum lam; nan until solved
+        self._moments = np.full((2, n + 1), np.nan)
         self._lift = np.ones((1, 1))  # Sym^d rho_mix, d = len - 1
+        self._h_s = self.decohered_entropy(n)
 
     def _check_size(self, m: int) -> None:
         if not 0 <= m <= self.n:
@@ -352,37 +358,39 @@ class HazyCentralSpin:
         return _entropy_from_eigs(np.linalg.eigvalsh(rho))
 
     def system_entropy(self) -> float:
-        return self.decohered_entropy(self.n)
+        return self._h_s
 
     def _eigs_of_degree(self, d: int) -> np.ndarray:
-        """Spectrum of the exactly Hermitian block (Sym^d rho_mix) o Phi_d, cached:
-        one eigensolve per degree. The lift climbs one _sym_step per degree; a
-        lower degree never solved restarts it at degree 0."""
-        lam = self._degree_eigs.get(d)
-        if lam is None:
-            if d < len(self._lift) - 1:
-                self._lift = np.ones((1, 1))
-            while len(self._lift) <= d:
-                self._lift = _sym_step(self.rho_mix, self._lift)
-            r = np.arange(d + 1)
-            phase = np.exp(2j * self.coupling * self.t * np.subtract.outer(r, r))
-            block = self._lift * (self.p[0] * phase + self.p[1] * phase.conj())
-            lam = np.clip(np.linalg.eigvalsh(block), 0.0, None)
-            self._degree_eigs[d] = lam
-        return lam
+        """Spectrum of the exactly Hermitian block (Sym^d rho_mix) o Phi_d. The
+        lift climbs one _sym_step per degree; a degree below the lift restarts
+        it at degree 0."""
+        if d < len(self._lift) - 1:
+            self._lift = np.ones((1, 1))
+        while len(self._lift) <= d:
+            self._lift = _sym_step(self.rho_mix, self._lift)
+        r = np.arange(d + 1)
+        phase = np.exp(2j * self.coupling * self.t * np.subtract.outer(r, r))
+        block = self._lift * (self.p[0] * phase + self.p[1] * phase.conj())
+        return np.clip(np.linalg.eigvalsh(block), 0.0, None)
 
     def fragment_entropy(self, m: int) -> float:
         """Entropy of m bath qubits (ancillas and system traced out)."""
         self._check_size(m)
-        c = self.q * (1.0 - self.q)
-        total = 0.0
-        for d in range(m % 2, m + 1, 2):
-            lam = c ** ((m - d) // 2) * self._eigs_of_degree(d)
+        d = np.arange(m % 2, m + 1, 2)
+        for deg in d[np.isnan(self._moments[0, d])]:  # each degree solved once, ascending
+            lam = self._eigs_of_degree(int(deg))
             # no absolute floor here: sector multiplicities reach 1e12+,
             # so even 1e-14 eigenvalues can carry real weight
-            xlogx = lam * np.log(np.where(lam > 0.0, lam, 1.0))
-            total += sector_multiplicity(m, d / 2.0) * float(-np.sum(xlogx))
-        return total
+            self._moments[:, deg] = np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0))), np.sum(lam)
+        mult, prev, comb = [], 0, 1  # exact sector multiplicities C(m, i) - C(m, i - 1)
+        for i in range(m // 2 + 1):
+            mult.append(comb - prev)
+            prev, comb = comb, comb * (m - i) // (i + 1)
+        k = (m - d) // 2
+        c = self.q * (1.0 - self.q)
+        log_c = math.log(c) if c > 0.0 else 0.0  # crisp bath: only k = 0 survives
+        a, b = self._moments[:, d]
+        return float(-np.sum(np.array(mult[::-1], dtype=float) * c ** k * (a + k * log_c * b)))
 
     def joint_entropy(self, m: int) -> float:
         """Entropy of the system plus m bath qubits."""

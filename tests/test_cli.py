@@ -195,6 +195,29 @@ class TestCommands:
         assert run(tmp_path, *argv, "--seed", "0") == 1
         assert f"error: {option} must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option, value", [
+        (("pip", "--model", "central-spin", "--n", "6", "--t", "nan"), "--t", "nan"),
+        (("pip", "--model", "central-spin", "--n", "6", "--t", "inf"), "--t", "inf"),
+        (("redundancy", "--model", "interacting", "--n", "6", "--sigma-d", "nan"),
+         "--sigma-d", "nan"),
+        (("pip", "--model", "hazy", "--n", "6", "--coupling", "nan"), "--coupling", "nan"),
+        # "=" keeps argparse from reading -inf as a flag
+        (("pip", "--model", "hazy", "--n", "6", "--haze=-inf"), "--haze", "-inf"),
+    ])
+    def test_non_finite_float_exits_1(self, tmp_path, capsys, argv, option, value):
+        assert run(tmp_path, *argv, "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert f"error: {option} must be finite, not {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    def test_non_finite_float_in_config_exits_1(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[pip]\nmodel = central-spin\nn = 6\nt = nan\nseed = 1\n")
+        assert run(tmp_path, "pip", "--config", str(ini)) == 1
+        assert "error: --t must be finite, not nan" in capsys.readouterr().err
+        assert not (tmp_path / "pip.csv").exists()
+
     @pytest.mark.parametrize("model", ["central-spin", "hazy"])
     def test_rounding_floor_entropy_exits_1(self, tmp_path, capsys, model):
         # t = 0: H_S is rounding alone (2e-15 on central spin), not a record
@@ -280,7 +303,8 @@ class TestCommands:
 class TestNoScipyOnTheRunPath:
     """The CLI imports no scipy; hazy and photon runs load neither
     scipy.optimize nor scipy.special, and qbm and c-not runs load no scipy
-    module at all. The hazy redundancy scan loads no numpy.ma."""
+    module at all. The hazy redundancy scan loads no numpy.ma, and a hazy
+    CLI run no numpy.random."""
 
     @staticmethod
     def _fresh(code: str) -> list:
@@ -319,6 +343,18 @@ class TestNoScipyOnTheRunPath:
             print("numpy.ma" in sys.modules)
         """)
         assert lines == ["False"]
+
+    def test_hazy_run_loads_no_numpy_random(self, tmp_path):
+        # only the models that draw couplings build the coupling generator
+        lines = self._fresh(f"""
+            import sys
+            import darwinlab.cli
+            argv = ["redundancy", "--model", "hazy", "--n", "16", "--seed", "1"]
+            assert darwinlab.cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0
+            print("numpy.random" in sys.modules)
+        """)
+        assert lines[-1] == "False"
+        assert (tmp_path / "redundancy.csv").exists()
 
     def test_qbm_run_loads_no_scipy(self, tmp_path):
         lines = self._fresh(f"""

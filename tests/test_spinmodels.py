@@ -453,6 +453,47 @@ class TestHazyFastPath:
             assert model.fragment_entropy(m) == pytest.approx(h_f, abs=1e-10)
             assert model.joint_entropy(m) == pytest.approx(h_sf, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("system_init", [(HALF, HALF), (0.6, 0.8)])
+    @pytest.mark.parametrize("h", [0.0, 0.5 * LN2, 0.99 * LN2, LN2])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_moment_form_matches_eigenvalue_sum(self, n, h, system_init):
+        """fragment_entropy from the per-degree moments A_d, B_d against the
+        sum over every eigenvalue of every sector, c^k lam ln(c^k lam), at
+        every size. At h = 0 (c = 0) neither side may warn."""
+        model = HazyCentralSpin(n, 0.3, 0.5, HazyParams(h), system_init=system_init)
+        eigs, solve = {}, model._eigs_of_degree
+
+        def recorded(d):  # the oracle sums the very spectra the moments came from
+            eigs[d] = solve(d)
+            return eigs[d]
+
+        model._eigs_of_degree = recorded
+        fast = [model.fragment_entropy(m) for m in range(n + 1)]
+        assert sorted(eigs) == list(range(n + 1))
+        c = model.q * (1.0 - model.q)
+        for m in range(n + 1):
+            h_f = 0.0
+            for d in range(m % 2, m + 1, 2):
+                lam = c ** ((m - d) // 2) * eigs[d]
+                xlogx = lam * np.log(np.where(lam > 0.0, lam, 1.0))
+                h_f += sector_multiplicity(m, d / 2.0) * float(-np.sum(xlogx))
+            assert fast[m] == pytest.approx(h_f, rel=0.0, abs=1e-12)
+
+    def test_system_entropy_solved_once_per_scan(self, monkeypatch):
+        sizes = []
+        decohered_entropy = HazyCentralSpin.decohered_entropy
+
+        def counted_decohered(model, k):
+            sizes.append(k)
+            return decohered_entropy(model, k)
+
+        monkeypatch.setattr(HazyCentralSpin, "decohered_entropy", counted_decohered)
+        # nothing crosses: the scan reads H_S against every size m = 1 ... 31
+        hazy_redundancy(CentralSpinParams(np.full(64, 0.01), t=0.1), HazyParams(0.4 * LN2))
+        assert sizes.count(64) <= 1
+        assert 64 - 31 in sizes
+
     def test_one_spectrum_per_degree(self, monkeypatch):
         steps, sizes, decohered = [], [], []
         step, eigvalsh = spinmodels._sym_step, np.linalg.eigvalsh
