@@ -117,6 +117,24 @@ def _build_argparser() -> _Parser:
     return top
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with every negative number that follows an option joined to it
+    as --option=value. Every option takes one value, but argparse reads a
+    token such as -1e-3 or -inf as a flag of its own."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     """Defaults, then the config file section, then explicit flags."""
     table = dict(_OPTIONS[command])
@@ -393,7 +411,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_argparser().parse_args(argv)
+        args = _build_argparser().parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
         cfg = _merge_config(args.command, args)
         _COMMANDS[args.command](cfg)
         return 0

@@ -29,8 +29,7 @@ the m pairs nu^2 of Delta_F plus one zero pair, whose area max(2 nu, 1)
 is 1 and adds exactly 0 to the entropy. (The F-first order, where the
 factor of Delta_F is the leading block of L, moves values ten times
 further from a separate factorization of Delta_F.) Rows are gathered,
-factorized and solved as stacks, in slabs of _SLAB_ROWS that bound the
-working set.
+factorized and solved as stacks, in slabs that bound the working set.
 
 Lanes and BLAS. qbm_evolve and qbm_mutual_info_many run with numpy's
 bundled OpenBLAS pinned to one thread (numeric._one_blas_thread), because
@@ -38,7 +37,12 @@ its threads gain nothing on matrices of a few hundred rows and change the
 rounding. The thread count OpenBLAS had becomes the number of lanes: the
 calling thread is lane 0 and starts one helper thread per further lane;
 lane j takes slabs j, j + lanes, j + 2 lanes, ... and writes only their
-rows of the result. A helper lane calls only this module's private
+rows of the result. _slab_rows sizes a slab by matrix elements: as many
+(2m + 2)-square matrices as _SLAB_ELEMS holds, at least _SLAB_ROWS and at
+most ceil(count / lanes), so that each lane gets a slab. A second lane
+pays only on stacks of many matrices; with fixed 6-row slabs, two lanes
+lost to one on every size below 2m + 2 = 86 at 128 bands (the table at
+_SLAB_ROWS). A helper lane calls only this module's private
 helpers and numpy, so every public call stays on the caller's thread.
 Every helper is joined before the call returns, and an error raised in
 any lane is re-raised to the caller then. The bytes do not depend on the
@@ -60,13 +64,27 @@ from .numeric import POLICY, CapExceeded, _one_blas_thread, expm
 from .qstate import check_rows
 
 # fragment rows per stacked gather, factorization and eigensolve, in each
-# lane. With one lane, 4, 8 and 16 rows ran equally fast on the
-# oscillator-bands workload, while peak memory grew from 46 MB at 8 rows
-# to 51 MB at 16 and 67 MB at 64. Every lane holds its own slab, so two
-# lanes double the rows in flight: against 48.3 MB for one lane of 8 rows,
-# two lanes of 8 rows peaked at 51.9 MB and two lanes of 6 at 49.1-50.0 MB
-# (median 49.2 MB over ten runs; 2-vCPU x86 box).
+# lane (_slab_rows). Every lane holds its own slab, so peak memory follows
+# the matrix elements in flight: on the oscillator-bands workload, two lanes
+# of fixed 8-row slabs peaked at 51.9 MB and two of 6 rows at 49.1-50.0 MB.
+# _SLAB_ELEMS caps a slab at six 130 x 130 matrices, the largest slab of a
+# 128-band plot (m = 64, the half size of a pure state). Smaller matrices
+# come in taller stacks, which is what a second lane needs: two threads
+# sharing 384 stacked eigvalsh ran 1.25-1.86x faster than one on 48-matrix
+# stacks at 2m + 2 = 34-130, but 0.81-0.82x on 6-matrix stacks at 34 and 66.
+# Two lanes against one, per fragment size at 128 bands, 48 fragments a
+# size (best of 5 calls, two rounds; 2-vCPU x86 box):
+#
+#   2m + 2              18         34         50         66         86         98
+#   fixed 6-row slabs   0.53-0.82  0.63-0.84  0.82-0.89  0.84-0.85  1.18-1.69  1.48-1.81
+#   element-sized       0.84-0.89  0.99-1.62  1.73-1.77  1.40-1.64  1.60-1.77  1.59-1.64
+#
+# At 2m + 2 = 4, a size takes under 1 ms and the helper thread's start
+# outweighs its share. The _SLAB_ROWS floor binds above 2m + 2 = 130: a
+# pure element budget cut m = 96 and 128 at 256 bands to 2 and 1 rows a
+# slab and made them 40-55 % slower on two lanes.
 _SLAB_ROWS = 6
+_SLAB_ELEMS = _SLAB_ROWS * 130 ** 2
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
@@ -353,7 +371,7 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     idx = check_rows(idx, state.n_modes - 1)
     count, m = idx.shape
     out = np.zeros(count)
-    if not m:
+    if not (count and m):
         return out
     h_s = qbm_system_entropy(state)
     modes = np.concatenate((np.zeros((count, 1), dtype=np.intp), idx + 1), axis=1)
@@ -361,16 +379,25 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     cov = state.cov
 
     def lane(first: int, lanes: int) -> None:
-        for lo in range(first * _SLAB_ROWS, count, lanes * _SLAB_ROWS):
-            r = rows[lo:lo + _SLAB_ROWS]
+        for lo in range(first * slab, count, lanes * slab):
+            r = rows[lo:lo + slab]
             l = _cholesky(cov[r[:, :, None], r[:, None, :]])
             h_f = _spectrum_entropy(_symplectic_spectrum(l[:, 2:]))
             h_sf = _spectrum_entropy(_symplectic_spectrum(l))
             out[lo:lo + len(r)] = h_s + h_f - h_sf
 
     with _one_blas_thread() as lanes:
-        _in_lanes(min(lanes, math.ceil(count / _SLAB_ROWS)), lane)
+        slab = _slab_rows(m, count, lanes)
+        _in_lanes(min(lanes, math.ceil(count / slab)), lane)
     return out
+
+
+def _slab_rows(m: int, count: int, lanes: int) -> int:
+    """Rows per slab for count fragments of m bands: as many (2m + 2)-square
+    matrices as _SLAB_ELEMS holds, at least _SLAB_ROWS, and at most
+    ceil(count / lanes), so that every lane gets a slab."""
+    budget = max(_SLAB_ROWS, _SLAB_ELEMS // (2 * m + 2) ** 2)
+    return min(budget, math.ceil(count / lanes))
 
 
 def _in_lanes(lanes: int, work) -> None:

@@ -181,19 +181,31 @@ def random_interacting_params(rng, n: int, t: float, sigma_d: float = 0.1,
     return InteractingEnvParams(d, m, t)
 
 
-def _z_values(n: int) -> np.ndarray:
-    """(2^n, n) matrix of sigma^z eigenvalues per computational basis state."""
-    idx = np.arange(2 ** n, dtype=np.int64)
+# basis states per block of interacting_phase_vector: the (block, n) sigma^z
+# matrix then stays near 0.7 MB at the dense cap, where the whole basis would
+# take 168 MB
+_PHASE_BLOCK = 2 ** 12
+
+
+def _z_values(n: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, n) matrix of sigma^z eigenvalues of computational basis
+    states lo .. hi - 1."""
+    idx = np.arange(lo, hi, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
     return 1.0 - 2.0 * bits
 
 
 def interacting_phase_vector(p: InteractingEnvParams) -> np.ndarray:
     """Energy-times-time phases of H = sz sum_i d_i sz_i + sum_{j<k} m_jk sz_j sz_k
-    over the (system, bath_1..bath_N) computational basis."""
-    z = _z_values(p.n_env + 1)
-    zs, ze = z[:, 0], z[:, 1:]
-    energy = zs * (ze @ p.couplings) + 0.5 * np.einsum("bi,ij,bj->b", ze, p.pair_couplings, ze)
+    over the (system, bath_1..bath_N) computational basis, built over blocks
+    of at most _PHASE_BLOCK basis states."""
+    n = p.n_env + 1
+    energy = np.empty(2 ** n)
+    for lo in range(0, 2 ** n, _PHASE_BLOCK):
+        z = _z_values(n, lo, min(lo + _PHASE_BLOCK, 2 ** n))
+        zs, ze = z[:, 0], z[:, 1:]
+        energy[lo:lo + len(z)] = (zs * (ze @ p.couplings)
+                                  + 0.5 * np.einsum("bi,ij,bj->b", ze, p.pair_couplings, ze))
     return p.t * energy
 
 

@@ -201,8 +201,9 @@ class TestCommands:
         (("redundancy", "--model", "interacting", "--n", "6", "--sigma-d", "nan"),
          "--sigma-d", "nan"),
         (("pip", "--model", "hazy", "--n", "6", "--coupling", "nan"), "--coupling", "nan"),
-        # "=" keeps argparse from reading -inf as a flag
         (("pip", "--model", "hazy", "--n", "6", "--haze=-inf"), "--haze", "-inf"),
+        (("pip", "--model", "hazy", "--n", "6", "--haze", "-inf"), "--haze", "-inf"),
+        (("pip", "--model", "central-spin", "--n", "6", "--t", "-inf"), "--t", "-inf"),
     ])
     def test_non_finite_float_exits_1(self, tmp_path, capsys, argv, option, value):
         assert run(tmp_path, *argv, "--seed", "1") == 1
@@ -210,6 +211,29 @@ class TestCommands:
         assert f"error: {option} must be finite, not {value}" in err
         assert "Traceback" not in err
         assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e1", "-2"])
+    def test_negative_value_after_a_space(self, tmp_path, value):
+        # argparse alone reads -1e-3 as a flag; the run must equal --t=value
+        a, b = tmp_path / "a", tmp_path / "b"
+        opts = ["pip", "--model", "central-spin", "--n", "6", "--seed", "1"]
+        assert main([*opts, "--t", value, "--out", str(a)]) == 0
+        assert main([*opts, f"--t={value}", "--out", str(b)]) == 0
+        for name in ("pip.csv", "pip.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_negative_value_from_sys_argv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["darwinlab", "pip", "--model", "hazy", "--n", "6",
+                                          "--haze", "-inf", "--seed", "1", "--out", str(tmp_path)])
+        assert main() == 1
+        assert "error: --haze must be finite, not -inf" in capsys.readouterr().err
+
+    def test_negative_value_joins_only_its_option(self):
+        argv = ["pip", "--t", "-1e-3", "--haze", "-inf", "--seed", "1", "--out", "-x",
+                "--n=4", "-5", "--delta", "0.1"]
+        assert cli._attach_negative_values(argv) == [
+            "pip", "--t=-1e-3", "--haze=-inf", "--seed", "1", "--out", "-x",
+            "--n=4", "-5", "--delta", "0.1"]
 
     def test_non_finite_float_in_config_exits_1(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

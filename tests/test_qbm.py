@@ -414,14 +414,32 @@ class TestMutualInfo:
         got = qbm_mutual_info_many(self.state, np.zeros((3, 0), dtype=np.intp))
         assert got.tolist() == [0.0, 0.0, 0.0]
 
+    def test_zero_rows(self):
+        got = qbm_mutual_info_many(self.state, np.zeros((0, 3), dtype=np.intp))
+        assert got.shape == (0,)
+
     def test_slabs_match_single_rows(self):
-        # more rows than one slab: every row still gets the bytes of a lone call
+        # more rows than one slab holds at any lane count: every row still
+        # gets the bytes of a lone call
         rng = np.random.default_rng(13)
         for m in (1, 5, 32):
+            count = max(qbm._SLAB_ROWS, qbm._SLAB_ELEMS // (2 * m + 2) ** 2) + 1
             idx = np.array([np.sort(rng.choice(BATH.bands, m, replace=False))
-                            for _ in range(3 * qbm._SLAB_ROWS + 1)], dtype=np.intp)
+                            for _ in range(count)], dtype=np.intp)
             got = qbm_mutual_info_many(self.state, idx)
             assert got.tolist() == [one_fragment_info(self.state, row) for row in idx.tolist()]
+
+    @pytest.mark.parametrize("m, count, lanes, rows", [
+        (64, 48, 2, 6),      # 130 x 130 matrices: the element budget is the floor
+        (100, 48, 2, 6),     # larger matrices: the 6-row floor binds
+        (5, 48, 2, 24),      # small matrices: one slab per lane
+        (5, 10 ** 4, 1, qbm._SLAB_ELEMS // 12 ** 2),  # the element budget binds
+        (32, 5, 3, 2),       # fewer rows than lanes x 6: every lane gets a slab
+        (1, 1, 2, 1),        # one row: one slab, so one lane runs
+    ])
+    def test_slab_rule(self, m, count, lanes, rows):
+        assert qbm._SLAB_ELEMS == 6 * 130 ** 2
+        assert qbm._slab_rows(m, count, lanes) == rows
 
 
 def force_lanes(monkeypatch, lanes):
@@ -444,8 +462,13 @@ class TestLanes:
 
     def test_lanes_give_identical_bits(self, monkeypatch):
         rng = np.random.default_rng(17)
-        for m in (1, 5, 32, 64):
-            count = 3 * qbm._SLAB_ROWS + 2
+        small = qbm._SLAB_ELEMS // 12 ** 2  # rows the element budget allows at m = 5
+        cases = [(m, 3 * qbm._SLAB_ROWS + 2) for m in (1, 5, 32, 64)]
+        # the 6-row floor binds at m = 64 and 100, the element budget at
+        # m = 5 with more than 3 x `small` rows, and 5 rows are fewer than
+        # lanes x 6 for 2 and 3 lanes
+        cases += [(100, 3 * qbm._SLAB_ROWS + 2), (5, 3 * small + 1), (32, 5)]
+        for m, count in cases:
             idx = np.array([np.sort(rng.choice(128, m, replace=False)) for _ in range(count)],
                            dtype=np.intp)
             got = {}
@@ -476,14 +499,27 @@ class TestLanes:
         bad = GaussianState._unchecked(self.state.means, cov)
         bad._h_system = qbm_system_entropy(self.state)
         rows = [[1, 2, 3]] * (3 * qbm._SLAB_ROWS)
-        # only the second slab, which lane 1 of 2 takes, holds band 7
-        rows[qbm._SLAB_ROWS + 1] = [1, 7, 9]
+        # only the last row holds band 7; 2 lanes split the rows into two
+        # slabs of ceil(count / 2), and lane 1 takes the second
+        rows[-1] = [1, 7, 9]
         idx = np.array(rows, dtype=np.intp)
+        failed = []
+        cholesky = qbm._cholesky
+
+        def recorded(cov):
+            try:
+                return cholesky(cov)
+            except ValueError:
+                failed.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(qbm, "_cholesky", recorded)
         force_lanes(monkeypatch, 2)
         before = set(threading.enumerate())
         with pytest.raises(ValueError, match="positive definite"):
             qbm_mutual_info_many(bad, idx)
         assert set(threading.enumerate()) == before
+        assert len(failed) == 1 and failed[0] != threading.get_ident()
 
 
 def two_cholesky_mutual_info(state, bands):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -192,6 +193,28 @@ class TestInteractingEnv:
         ph = interacting_phase_vector(p)
         assert ph.shape == (2 ** 5,)
         assert ph.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [3, 12, 14])
+    def test_blocked_phases_equal_the_one_shot_formula(self, n):
+        # n = 12 and 14 span one and four blocks of 2^12 basis states
+        p = random_interacting_params(np.random.default_rng(n), n, t=10.0, sigma_m=0.3)
+        idx = np.arange(2 ** (n + 1), dtype=np.int64)
+        z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n, -1, -1)) & 1)
+        zs, ze = z[:, 0], z[:, 1:]
+        energy = zs * (ze @ p.couplings) + 0.5 * np.einsum("bi,ij,bj->b", ze,
+                                                           p.pair_couplings, ze)
+        assert interacting_phase_vector(p).tobytes() == (p.t * energy).tobytes()
+
+    def test_evolve_memory_is_a_few_states(self):
+        # the sigma^z matrix of the whole basis would be 18 doubles per state
+        p = random_interacting_params(np.random.default_rng(2), 17, t=10.0)
+        tracemalloc.start()
+        try:
+            psi = interacting_evolve(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * psi.amps.nbytes
 
     def test_intra_bath_coupling_degrades_records(self):
         # strong random bath self-interaction scrambles small-fragment records
