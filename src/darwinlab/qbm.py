@@ -37,12 +37,13 @@ its threads gain nothing on matrices of a few hundred rows and change the
 rounding. The thread count OpenBLAS had becomes the number of lanes: the
 calling thread is lane 0 and starts one helper thread per further lane;
 lane j takes slabs j, j + lanes, j + 2 lanes, ... and writes only their
-rows of the result. _slab_rows sizes a slab by matrix elements: as many
-(2m + 2)-square matrices as _SLAB_ELEMS holds, at least _SLAB_ROWS and at
-most ceil(count / lanes), so that each lane gets a slab. A second lane
-pays only on stacks of many matrices; with fixed 6-row slabs, two lanes
-lost to one on every size below 2m + 2 = 86 at 128 bands (the table at
-_SLAB_ROWS). A helper lane calls only this module's private
+rows of the result. A size with 2m + 2 <= _ONE_LANE_DIM = 18 runs on one
+lane, with no helper thread. _slab_rows sizes a slab by matrix elements:
+as many (2m + 2)-square matrices as _SLAB_ELEMS holds, at least _SLAB_ROWS
+and at most ceil(count / lanes), so that each lane gets a slab. A second
+lane pays only on stacks of many matrices; with fixed 6-row slabs, two
+lanes lost to one on every size below 2m + 2 = 86 at 128 bands (the table
+at _SLAB_ROWS). A helper lane calls only this module's private
 helpers and numpy, so every public call stays on the caller's thread.
 Every helper is joined before the call returns, and an error raised in
 any lane is re-raised to the caller then. The bytes do not depend on the
@@ -79,12 +80,16 @@ from .qstate import check_rows
 #   fixed 6-row slabs   0.53-0.82  0.63-0.84  0.82-0.89  0.84-0.85  1.18-1.69  1.48-1.81
 #   element-sized       0.84-0.89  0.99-1.62  1.73-1.77  1.40-1.64  1.60-1.77  1.59-1.64
 #
-# At 2m + 2 = 4, a size takes under 1 ms and the helper thread's start
-# outweighs its share. The _SLAB_ROWS floor binds above 2m + 2 = 130: a
-# pure element budget cut m = 96 and 128 at 256 bands to 2 and 1 rows a
-# slab and made them 40-55 % slower on two lanes.
+# Up to 2m + 2 = _ONE_LANE_DIM a size runs on one lane, whatever the lane
+# count: there the helper thread's start outweighs its share (128 bands, 48
+# fragments, best of 7 calls: m = 1 took 0.38-0.39 ms on one lane and
+# 0.85-0.89 ms on two, m = 8 1.85-1.95 ms against 2.45 ms). The _SLAB_ROWS
+# floor binds above 2m + 2 = 130: a pure element budget cut m = 96 and 128
+# at 256 bands to 2 and 1 rows a slab and made them 40-55 % slower on two
+# lanes.
 _SLAB_ROWS = 6
 _SLAB_ELEMS = _SLAB_ROWS * 130 ** 2
+_ONE_LANE_DIM = 18
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
@@ -387,6 +392,8 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
             out[lo:lo + len(r)] = h_s + h_f - h_sf
 
     with _one_blas_thread() as lanes:
+        if 2 * m + 2 <= _ONE_LANE_DIM:
+            lanes = 1
         slab = _slab_rows(m, count, lanes)
         _in_lanes(min(lanes, math.ceil(count / slab)), lane)
     return out

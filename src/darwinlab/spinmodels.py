@@ -309,6 +309,41 @@ def sector_block(a: np.ndarray, m: int, j: float) -> np.ndarray:
     return (det ** k) * sym_power(a, int(round(2 * j)))
 
 
+# largest power taken of a mantissa in [1/2, 1) by _sector_weights: it is
+# at least 2^-1000, still a normal float
+_POW_STEP = 1000
+
+
+def _sector_weights(m: int, c: float) -> np.ndarray:
+    """mult(m, d) c^k for the degrees d = m % 2, m % 2 + 2, ..., m of m
+    qubits, k = (m - d)/2, with mult(m, d) = C(m, k) - C(m, k - 1) exact.
+    A crisp bath (c = 0) keeps only k = 0, weight 1.
+
+    From m = 1035 some multiplicities pass the largest float, and c^k can
+    fall below the smallest while the weight does not, so both factors are
+    carried as a mantissa times a power of two: mult = f 2^b from the exact
+    integer, and c^k = g 2^(k ec) for c = fc 2^ec, 1/2 <= fc < 1, with
+    g = fc^k taken in powers of at most _POW_STEP, which stay normal. A
+    weight is rounded about three times at any m; where float(mult) and
+    c**k are both normal floats, it has the bits of their product.
+    """
+    k = np.arange(m // 2, -1, -1)
+    if c == 0.0:
+        return (k == 0).astype(float)
+    f, bits, prev, comb = [], [], 0, 1
+    for i in range(m // 2 + 1):
+        mult = comb - prev
+        bits.append(mult.bit_length())
+        f.append(mult / (1 << bits[-1]))
+        prev, comb = comb, comb * (m - i) // (i + 1)
+    fc, ec = math.frexp(c)
+    g, e = 1.0, np.array(bits[::-1]) + ec * k
+    for lo in range(0, m // 2, _POW_STEP):
+        g, shift = np.frexp(g * fc ** np.minimum(np.maximum(k - lo, 0), _POW_STEP))
+        e += shift
+    return np.ldexp(np.array(f[::-1]) * g, e)
+
+
 class HazyCentralSpin:
     """Central spin over N bath qubits that start with entropy h each.
 
@@ -321,11 +356,13 @@ class HazyCentralSpin:
     c = q(1 - q); the fragment block of m qubits in the sector of degree
     d = 2j is c^((m - d)/2) (p0 Sym^d x + p1 Sym^d y). Sym^d u0 is diagonal,
     so that sum is (Sym^d rho_mix) o Phi_d, Phi_d[r, s] = p0 e^{2ia(r-s)}
-    + p1 e^{-2ia(r-s)}: one lift step and one eigensolve per degree, all m.
-    Each spectrum is kept as its moments A_d = sum lam ln lam, B_d = sum lam,
-    so H_F(m) = -sum_d mult(m, d) c^k (A_d + k ln c B_d), k = (m - d)/2, is one
-    array expression per size; a crisp bath (c = 0) reads ln c as 0, so only
-    k = 0 survives.
+    + p1 e^{-2ia(r-s)}: one lift step and one spectrum per degree, all m,
+    solved in real arithmetic, as two half-size blocks when p0 = p1
+    (_eigs_of_degree). Each spectrum is kept as its moments
+    A_d = sum lam ln lam, B_d = sum lam, so H_F(m) = -sum_d mult(m, d) c^k
+    (A_d + k ln c B_d), k = (m - d)/2, is one array expression per size, with
+    weights mult(m, d) c^k that stay finite past m = 1035 (_sector_weights);
+    a crisp bath (c = 0) reads ln c as 0, so only k = 0 survives.
     The joint state of system and fragment is a controlled unitary
     applied to P_m (x) rho_mix^(x m), with P_m the system decohered by
     the n - m sites outside the fragment, so H_SF = m H(q) + H(P_m).
@@ -363,27 +400,51 @@ class HazyCentralSpin:
             raise ValueError("fragment size out of range")
 
     def decohered_entropy(self, k: int) -> float:
-        """Entropy of the system once k bath sites have decohered it."""
+        """Entropy of the system once k bath sites have decohered it. Its
+        coherence enters by modulus: a diagonal phase makes the 2x2 state
+        real without moving its spectrum."""
         self._check_size(k)
-        off = self.amps[0] * self.amps[1].conjugate() * self.g ** k
-        rho = np.array([[self.p[0], off], [np.conj(off), self.p[1]]])
+        off = abs(self.amps[0] * self.amps[1].conjugate() * self.g ** k)
+        rho = np.array([[self.p[0], off], [off, self.p[1]]])
         return _entropy_from_eigs(np.linalg.eigvalsh(rho))
 
     def system_entropy(self) -> float:
         return self._h_s
 
     def _eigs_of_degree(self, d: int) -> np.ndarray:
-        """Spectrum of the exactly Hermitian block (Sym^d rho_mix) o Phi_d. The
-        lift climbs one _sym_step per degree; a degree below the lift restarts
-        it at degree 0."""
+        """Spectrum of the degree-d block B = (Sym^d rho_mix) o Phi_d, ascending
+        and clipped at 0, solved in real arithmetic. Sym^d rho_mix is real and
+        invariant under the flip J (J_rs = delta_{r, d-s}), and J Phi_d J is
+        the conjugate of Phi_d, so J B J = conj(B) and C = Re B - (Im B) J,
+        which is U^+ B U for U = (I + iJ)/sqrt(2), is real symmetric with B's
+        spectrum. At p0 = p1, Im B = 0 and C commutes with J: with
+        k = (d + 1) // 2, a = C[:k, :k] and cj[r, s] = C[r, d - s], the
+        J-odd block is a - cj and the J-even block a + cj, bordered for odd
+        d + 1 by sqrt(2) C[:k, k] and C[k, k]; only the top d // 2 + 1 rows
+        of C are formed. The lift climbs one _sym_step per degree; a degree
+        below the lift restarts it at degree 0."""
         if d < len(self._lift) - 1:
             self._lift = np.ones((1, 1))
         while len(self._lift) <= d:
             self._lift = _sym_step(self.rho_mix, self._lift)
+        p0, p1 = self.p
+        rows = d + 1 if p0 != p1 else d // 2 + 1
         r = np.arange(d + 1)
-        phase = np.exp(2j * self.coupling * self.t * np.subtract.outer(r, r))
-        block = self._lift * (self.p[0] * phase + self.p[1] * phase.conj())
-        return np.clip(np.linalg.eigvalsh(block), 0.0, None)
+        theta = 2.0 * self.coupling * self.t * np.subtract.outer(r[:rows], r)
+        c = self._lift[:rows] * ((p0 + p1) * np.cos(theta))
+        if p0 != p1:
+            c -= (self._lift * ((p0 - p1) * np.sin(theta)))[:, ::-1]
+            lam = np.linalg.eigvalsh(c)
+        else:
+            k = (d + 1) // 2
+            cj = c[:k, ::-1][:, :k]
+            even = c[:, :rows].copy()
+            even[:k, :k] += cj
+            even[k:, :k] *= math.sqrt(2.0)
+            even[:k, k:] *= math.sqrt(2.0)
+            lam = np.concatenate((np.linalg.eigvalsh(c[:k, :k] - cj), np.linalg.eigvalsh(even)))
+            lam.sort()
+        return np.maximum(lam, 0.0, out=lam)
 
     def fragment_entropy(self, m: int) -> float:
         """Entropy of m bath qubits (ancillas and system traced out)."""
@@ -394,15 +455,10 @@ class HazyCentralSpin:
             # no absolute floor here: sector multiplicities reach 1e12+,
             # so even 1e-14 eigenvalues can carry real weight
             self._moments[:, deg] = np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0))), np.sum(lam)
-        mult, prev, comb = [], 0, 1  # exact sector multiplicities C(m, i) - C(m, i - 1)
-        for i in range(m // 2 + 1):
-            mult.append(comb - prev)
-            prev, comb = comb, comb * (m - i) // (i + 1)
-        k = (m - d) // 2
         c = self.q * (1.0 - self.q)
         log_c = math.log(c) if c > 0.0 else 0.0  # crisp bath: only k = 0 survives
         a, b = self._moments[:, d]
-        return float(-np.sum(np.array(mult[::-1], dtype=float) * c ** k * (a + k * log_c * b)))
+        return float(-np.sum(_sector_weights(m, c) * (a + (m - d) // 2 * log_c * b)))
 
     def joint_entropy(self, m: int) -> float:
         """Entropy of the system plus m bath qubits."""

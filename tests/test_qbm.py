@@ -453,6 +453,19 @@ def force_lanes(monkeypatch, lanes):
     monkeypatch.setattr(qbm, "_one_blas_thread", forced)
 
 
+def record_thread_starts(monkeypatch):
+    """A list that gains every thread qbm starts from now on."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(qbm.threading, "Thread", Recorded)
+    return started
+
+
 class TestLanes:
     """The slabs of a fragment size split across lanes: the bits do not
     depend on the lane count, and no helper thread outlives the call."""
@@ -462,12 +475,14 @@ class TestLanes:
 
     def test_lanes_give_identical_bits(self, monkeypatch):
         rng = np.random.default_rng(17)
-        small = qbm._SLAB_ELEMS // 12 ** 2  # rows the element budget allows at m = 5
-        cases = [(m, 3 * qbm._SLAB_ROWS + 2) for m in (1, 5, 32, 64)]
-        # the 6-row floor binds at m = 64 and 100, the element budget at
-        # m = 5 with more than 3 x `small` rows, and 5 rows are fewer than
-        # lanes x 6 for 2 and 3 lanes
-        cases += [(100, 3 * qbm._SLAB_ROWS + 2), (5, 3 * small + 1), (32, 5)]
+        budget = qbm._SLAB_ELEMS // 34 ** 2  # rows the element budget allows at m = 16
+        cases = [(m, 3 * qbm._SLAB_ROWS + 2) for m in (9, 16, 32, 64)]
+        # every size is above the one-lane cut; the 6-row floor binds at
+        # m = 64 and 100, the element budget at m = 16 with more than
+        # 3 x `budget` rows, and 5 rows are fewer than lanes x 6 for 2 and 3
+        # lanes
+        cases += [(100, 3 * qbm._SLAB_ROWS + 2), (16, 3 * budget + 1), (32, 5)]
+        started = record_thread_starts(monkeypatch)
         for m, count in cases:
             idx = np.array([np.sort(rng.choice(128, m, replace=False)) for _ in range(count)],
                            dtype=np.intp)
@@ -475,8 +490,11 @@ class TestLanes:
             for lanes in (1, 2, 3):
                 force_lanes(monkeypatch, lanes)
                 before = set(threading.enumerate())
+                started.clear()
                 got[lanes] = qbm_mutual_info_many(self.state, idx).tobytes()
                 assert set(threading.enumerate()) == before
+                # every case has a slab for each lane, so each lane runs
+                assert len(started) == lanes - 1
             assert got[2] == got[1] and got[3] == got[1]
 
     def test_helper_lanes_run_off_the_calling_thread(self, monkeypatch):
@@ -489,19 +507,33 @@ class TestLanes:
 
         monkeypatch.setattr(qbm, "_cholesky", recorded)
         force_lanes(monkeypatch, 2)
-        idx = np.tile(np.arange(4, dtype=np.intp), (2 * qbm._SLAB_ROWS, 1))
+        # m = 9 is the smallest size above the one-lane cut, 2m + 2 = 20
+        idx = np.tile(np.arange(9, dtype=np.intp), (2 * qbm._SLAB_ROWS, 1))
         qbm_mutual_info_many(self.state, idx)
         assert len(threads) == 2 and threading.get_ident() in threads
+
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_small_sizes_start_no_thread(self, monkeypatch, m):
+        """Up to 2m + 2 = 18 a size runs on one lane, with no helper thread,
+        even where two lanes would each get a slab."""
+        started = record_thread_starts(monkeypatch)
+        force_lanes(monkeypatch, 2)
+        idx = np.tile(np.arange(m, dtype=np.intp), (3 * qbm._SLAB_ROWS + 2, 1))
+        got = qbm_mutual_info_many(self.state, idx)
+        assert started == []
+        force_lanes(monkeypatch, 1)
+        assert qbm_mutual_info_many(self.state, idx).tobytes() == got.tobytes()
 
     def test_error_in_a_helper_lane_reaches_the_caller(self, monkeypatch):
         cov = self.state.cov.copy()
         cov[2 * 8, 2 * 8] = -1.0  # band 7 has a negative variance
         bad = GaussianState._unchecked(self.state.means, cov)
         bad._h_system = qbm_system_entropy(self.state)
-        rows = [[1, 2, 3]] * (3 * qbm._SLAB_ROWS)
-        # only the last row holds band 7; 2 lanes split the rows into two
-        # slabs of ceil(count / 2), and lane 1 takes the second
-        rows[-1] = [1, 7, 9]
+        # m = 9, above the one-lane cut; only the last row holds band 7, and
+        # 2 lanes split the rows into two slabs of ceil(count / 2), of which
+        # lane 1 takes the second
+        rows = [list(range(10, 19))] * (3 * qbm._SLAB_ROWS)
+        rows[-1] = list(range(1, 10))
         idx = np.array(rows, dtype=np.intp)
         failed = []
         cholesky = qbm._cholesky

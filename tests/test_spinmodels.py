@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -518,54 +519,97 @@ class TestHazyFastPath:
         assert 64 - 31 in sizes
 
     def test_one_spectrum_per_degree(self, monkeypatch):
-        steps, sizes, decohered = [], [], []
-        step, eigvalsh = spinmodels._sym_step, np.linalg.eigvalsh
-        decohered_entropy = HazyCentralSpin.decohered_entropy
+        steps, solved = [], []
+        step, eigs_of_degree = spinmodels._sym_step, HazyCentralSpin._eigs_of_degree
 
         def counted_step(a, lift):
             steps.append((len(lift), np.array(a)))
             return step(a, lift)
 
-        def counted_eigvalsh(a):
-            sizes.append(len(a))
-            return eigvalsh(a)
-
-        def counted_decohered(model, k):
-            decohered.append(k)
-            return decohered_entropy(model, k)
-
-        def degrees_solved():
-            """Degrees of the sector eigensolves: every eigvalsh call but the
-            one 2x2 solve of each decohered_entropy call."""
-            rest = list(sizes)
-            for _ in decohered:
-                rest.remove(2)
-            return sorted(size - 1 for size in rest)
+        def counted_eigs(model, d):
+            solved.append(d)
+            return eigs_of_degree(model, d)
 
         monkeypatch.setattr(spinmodels, "_sym_step", counted_step)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(HazyCentralSpin, "decohered_entropy", counted_decohered)
+        monkeypatch.setattr(HazyCentralSpin, "_eigs_of_degree", counted_eigs)
         # barely-entangling couplings: nothing crosses, so the scan runs
         # through every sub-half size m = 1 ... 31
         base = CentralSpinParams(np.full(64, 0.01), t=0.1)
         hazy_redundancy(base, HazyParams(0.4 * LN2))
-        # one eigensolve and at most one lift step per degree, always of rho_mix
-        assert degrees_solved() == list(range(32))
+        # one solve and at most one lift step per degree, always of rho_mix
+        assert sorted(solved) == list(range(32))
         assert len(steps) <= 32 and max(d for d, _ in steps) == 31
         rho_mix = HazyCentralSpin(64, 0.01, 0.1, HazyParams(0.4 * LN2)).rho_mix
         assert all(np.array_equal(a, rho_mix) for _, a in steps)
 
         model = HazyCentralSpin(64, 0.3, 0.5, HazyParams(0.4 * LN2))
-        steps.clear(), sizes.clear(), decohered.clear()
+        steps.clear(), solved.clear()
         first = [model.mutual_info(m) for m in (1, 7, 20, 31)]
-        solved = degrees_solved()
         assert len(solved) == len(set(solved))
         assert all(np.array_equal(a, model.rho_mix) for _, a in steps)
-        # repeat calls hit the cache: no step, no sector eigensolve
-        n_steps = len(steps)
+        # repeat calls hit the cache: no step, no new solve
+        n_steps, n_solved = len(steps), len(solved)
         again = [model.mutual_info(m) for m in (31, 20, 7, 1)]
-        assert len(steps) == n_steps and degrees_solved() == solved
+        assert len(steps) == n_steps and len(solved) == n_solved
         assert again == first[::-1]
+
+    @pytest.mark.parametrize("t", [0.5, 6.0])
+    @pytest.mark.parametrize("h", [0.0, 0.5 * LN2, 0.99 * LN2, LN2])
+    @pytest.mark.parametrize("system_init", [(HALF, HALF), (0.6, 0.8)])
+    def test_degree_spectra_match_complex_solve(self, system_init, h, t):
+        """The real (and, at p0 = p1, split) solve against the complex
+        Hermitian solve of B = (Sym^d rho_mix) o Phi_d, every d = 0 ... 129,
+        with Sym^d rho_mix climbed here from parameters of the model."""
+        model = HazyCentralSpin(130, 0.3, t, HazyParams(h), system_init=system_init)
+        plus = np.outer(PLUS, PLUS.conj())
+        rho_mix = (model.q * plus + (1 - model.q) * (np.eye(2) - plus)).real
+        p = np.abs(np.asarray(system_init)) ** 2
+        lift = np.ones((1, 1))
+        for d in range(130):
+            if d:
+                lift = spinmodels._sym_step(rho_mix, lift)
+            r = np.arange(d + 1)
+            phase = np.exp(2j * 0.3 * t * np.subtract.outer(r, r))
+            oracle = np.clip(np.linalg.eigvalsh(lift * (p[0] * phase + p[1] * phase.conj())),
+                             0.0, None)
+            lam = model._eigs_of_degree(d)
+            assert lam.shape == (d + 1,) and np.all(np.diff(lam) >= 0.0)
+            np.testing.assert_allclose(lam, oracle, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("system_init", [(HALF, HALF), (0.6, 0.8)])
+    def test_no_complex_eigensolve_in_a_scan(self, monkeypatch, system_init):
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            dtypes.append(np.asarray(a).dtype)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        base = CentralSpinParams(np.full(64, 0.01), t=0.1, system_init=system_init)
+        hazy_redundancy(base, HazyParams(0.4 * LN2))
+        assert dtypes and all(dt == np.float64 for dt in dtypes)
+
+    def test_equal_branches_split_each_degree_in_half(self, monkeypatch):
+        """At p0 = p1 each degree takes two solves, of sizes ceil((d + 1)/2)
+        and floor((d + 1)/2); otherwise one, of size d + 1."""
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            sizes.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        for system_init in ((HALF, HALF), (0.6, 0.8)):
+            model = HazyCentralSpin(40, 0.3, 0.5, HazyParams(0.3), system_init=system_init)
+            for d in range(41):
+                sizes.clear()
+                model._eigs_of_degree(d)
+                if system_init[0] == system_init[1]:
+                    assert sorted(sizes) == [(d + 1) // 2, (d + 2) // 2]
+                else:
+                    assert sizes == [d + 1]
 
     @pytest.mark.parametrize("t", [0.5, 6.0])
     @pytest.mark.parametrize("system_init", [(HALF, HALF), (0.6, 0.8)])
@@ -600,6 +644,58 @@ class TestHazyFastPath:
         for m in (-3, -1, 9, 12):
             with pytest.raises(ValueError, match="out of range"):
                 of_size(m)
+
+
+def _fraction_weights(m: int, c: float) -> np.ndarray:
+    """mult(m, d) c^k in exact rational arithmetic, rounded once, for
+    d = m % 2, m % 2 + 2, ..., m (k = (m - d)/2)."""
+    ck, out = Fraction(1), []
+    for k in range(m // 2 + 1):
+        mult = math.comb(m, k) - (math.comb(m, k - 1) if k else 0)
+        out.append(float(mult * ck))
+        ck *= Fraction(c)
+    return np.array(out[::-1])
+
+
+class TestSectorWeights:
+    """The weights mult(m, d) c^k of the moment form, with no eigensolve:
+    from m = 1035 the multiplicities alone pass the largest float."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [0.0, 0.09, 0.25])
+    @pytest.mark.parametrize("m", [1, 64, 999, 1034, 1035, 3000])
+    def test_match_fraction_arithmetic(self, m, c):
+        """Within 1e-15 of exact arithmetic, also where the multiplicity or
+        c^k alone is out of the float range."""
+        w = spinmodels._sector_weights(m, c)
+        assert w.shape == (m // 2 + 1,) and np.all(np.isfinite(w))
+        np.testing.assert_allclose(w, _fraction_weights(m, c), rtol=1e-15, atol=1e-300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [0.0, 0.09, 0.25])
+    @pytest.mark.parametrize("m", [1, 64, 1034, 1035, 3000])
+    def test_trace_identity(self, m, c):
+        """sum_d w_d h_d(q, 1 - q) = tr rho^(x m) = 1, with c = q(1 - q) and
+        h_d(q, 1 - q) = sum_j q^(d - j) (1 - q)^j the trace of Sym^d rho."""
+        q = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * c))
+        h = [1.0]
+        for d in range(1, m + 1):
+            h.append(q * h[-1] + (1.0 - q) ** d)
+        w = spinmodels._sector_weights(m, c)
+        assert float(np.sum(w * np.array(h[m % 2::2]))) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("m, c", [(1, 0.09), (64, 0.09), (64, 0.2), (255, 0.09),
+                                      (255, 0.2), (255, 0.25), (999, 0.25)])
+    def test_plain_float_product_where_it_is_finite(self, m, c):
+        """Where float(mult) and c**k are normal floats, the mantissa form
+        gives their product's bits: scaling by powers of two is exact."""
+        k = np.arange(m // 2, -1, -1)
+        mult = [math.comb(m, i) - (math.comb(m, i - 1) if i else 0) for i in k.tolist()]
+        want = np.array(mult, dtype=float) * c ** k
+        assert spinmodels._sector_weights(m, c).tobytes() == want.tobytes()
+
+    def test_crisp_bath_keeps_only_the_top_degree(self):
+        assert spinmodels._sector_weights(7, 0.0).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestHazyRedundancy:
