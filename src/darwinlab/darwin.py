@@ -279,6 +279,13 @@ class InteractingSource(DenseSource):
     decoherence: its branching records are built once, here, and the
     fragment-only counterfactuals (decohered_system_entropy, decompose)
     are read from them; I(S : F) stays on the dense kernel.
+
+    H commutes with flipping every qubit, and the default start |+>^(n+1)
+    is even under that flip, so the evolved amplitudes equal their own
+    reversal, bit for bit; the dense kernel then solves every side as two
+    half-size flip-sector blocks (qstate.system_fragment_entropies). A
+    start that is not even, such as system_init = (0.6, 0.8j), breaks the
+    symmetry and takes the plain solve of the whole side.
     """
 
     def __init__(self, params: InteractingEnvParams,

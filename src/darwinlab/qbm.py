@@ -37,7 +37,7 @@ its threads gain nothing on matrices of a few hundred rows and change the
 rounding. The thread count OpenBLAS had becomes the number of lanes: the
 calling thread is lane 0 and starts one helper thread per further lane;
 lane j takes slabs j, j + lanes, j + 2 lanes, ... and writes only their
-rows of the result. A size with 2m + 2 <= _ONE_LANE_DIM = 18 runs on one
+rows of the result. A size with 2m + 2 <= _ONE_LANE_DIM = 20 runs on one
 lane, with no helper thread. _slab_rows sizes a slab by matrix elements:
 as many (2m + 2)-square matrices as _SLAB_ELEMS holds, at least _SLAB_ROWS
 and at most ceil(count / lanes), so that each lane gets a slab. A second
@@ -83,13 +83,16 @@ from .qstate import check_rows
 # Up to 2m + 2 = _ONE_LANE_DIM a size runs on one lane, whatever the lane
 # count: there the helper thread's start outweighs its share (128 bands, 48
 # fragments, best of 7 calls: m = 1 took 0.38-0.39 ms on one lane and
-# 0.85-0.89 ms on two, m = 8 1.85-1.95 ms against 2.45 ms). The _SLAB_ROWS
-# floor binds above 2m + 2 = 130: a pure element budget cut m = 96 and 128
-# at 256 bands to 2 and 1 rows a slab and made them 40-55 % slower on two
-# lanes.
+# 0.85-0.89 ms on two, m = 8 1.85-1.95 ms against 2.45 ms). The cut is the
+# break-even: in four rounds of 15 interleaved calls (medians), m = 9
+# (2m + 2 = 20) took 2.6-3.2 ms on one lane and 3.8-4.7 ms on two, m = 10
+# 3.3-5.0 ms against 3.2-4.4 ms; over 12 rounds of three measures one lane
+# won m = 9 in all 12 and two lanes won m = 10 in 9. The _SLAB_ROWS floor
+# binds above 2m + 2 = 130: a pure element budget cut m = 96 and 128 at 256
+# bands to 2 and 1 rows a slab and made them 40-55 % slower on two lanes.
 _SLAB_ROWS = 6
 _SLAB_ELEMS = _SLAB_ROWS * 130 ** 2
-_ONE_LANE_DIM = 18
+_ONE_LANE_DIM = 20
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:

@@ -10,6 +10,14 @@ alone reads it as the tensor order of u), checked by the rule check_rows
 applies to a fragment row: integers, no repeats, inside range(n). Anything
 else raises ValueError: a repeat rather than collapsing to one position, a
 non-integer (1.0 included) rather than being truncated.
+
+A qubit state equal to its own reversal (amplitude i equal to amplitude
+2^n - 1 - i) is invariant under flipping every qubit. The interacting bath
+keeps that symmetry from its default start |+>^(n+1), since its
+Hamiltonian commutes with the flip. Every bipartite amplitude matrix A of
+such a state is block diagonal in the flip sectors of its two sides, so
+system_fragment_entropies solves its spectra as two half-side blocks built
+from the top half of A; any other state takes the plain solve.
 """
 from __future__ import annotations
 
@@ -212,6 +220,12 @@ def system_fragment_entropies(state: StateVector,
     transpose copy of the amplitudes per row into one stack, one stacked
     Gram matrix and one stacked eigvalsh.
 
+    A qubit state equal to its reversal (_flip_symmetric, checked once per
+    call) copies only the top half rows of each matrix and solves every
+    side as its two flip-sector blocks (_split_grams): half the side each,
+    about a quarter of the Gram and eigvalsh work. Any other state takes
+    the plain solve (_slab_grams).
+
     When S+F is the smaller side, its Gram matrix gives H_SF, and rho_F is
     the sum of its d_S diagonal d_F blocks. Otherwise H_SF comes from the
     rest-side Gram and H_F from the smaller side of F against S+rest. A
@@ -226,7 +240,15 @@ def system_fragment_entropies(state: StateVector,
     d_f = np.prod(np.array(dims)[idx], axis=1, dtype=np.int64)
     partner = _complement_partners(idx, n, d_f, d_s, total)
     h_f, h_sf = np.empty(len(idx)), np.empty(len(idx))
+    # the split solve writes only the first half of each row's buffer
     work = np.empty((2, min(len(idx), _SLAB_ROWS), total), dtype=complex)
+    split = _flip_symmetric(state)
+
+    def grams(orders, rows):
+        # a one-row side (F the whole bath, H_SF of a pure state) has no halves
+        solve = _split_grams if split and rows > 1 else _slab_grams
+        return solve(grid, orders, rows, work)
+
     # a set, not np.unique, which imports numpy.ma (0.5 MB, 14 ms) on first use
     for df in sorted(set(d_f.tolist())):
         rows = np.flatnonzero(d_f == df)
@@ -235,18 +257,17 @@ def system_fragment_entropies(state: StateVector,
         rests = [[i for i in range(1, n) if i not in f] for f in frags]
         if d_s * df <= rest:
             orders = [[0] + f + r for f, r in zip(frags, rests)]
-            for sl, g in _slab_grams(grid, orders, d_s * df, work):
-                rho_f = g.reshape(-1, d_s, df, d_s, df).trace(axis1=1, axis2=3)
-                h_f[rows[sl]] = _stacked_entropies(rho_f)
+            for sl, g in grams(orders, d_s * df):
+                h_f[rows[sl]] = _stacked_entropies(_traced_system(g, d_s, df))
                 h_sf[rows[sl]] = _stacked_entropies(g)
             continue
         f_first = df <= d_s * rest
         orders = [f + [0] + r if f_first else [0] + r + f for f, r in zip(frags, rests)]
-        for sl, g in _slab_grams(grid, orders, df if f_first else d_s * rest, work):
+        for sl, g in grams(orders, df if f_first else d_s * rest):
             h_f[rows[sl]] = _stacked_entropies(g)
         lone = np.flatnonzero(partner[rows] < 0)
         orders = [rests[i] + [0] + frags[i] for i in lone]
-        for sl, g in _slab_grams(grid, orders, rest, work):
+        for sl, g in grams(orders, rest):
             h_sf[rows[lone[sl]]] = _stacked_entropies(g)
     paired = partner >= 0
     h_sf[paired] = h_f[partner[paired]]
@@ -297,12 +318,64 @@ def _slab_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray):
         yield slice(lo, lo + len(slab)), a @ conj.swapaxes(-1, -2)
 
 
+def _flip_symmetric(state: StateVector) -> bool:
+    """True for a state of qubits equal to its own reversal, the state
+    flipping every qubit leaves unchanged: amplitude i equals amplitude
+    2^n - 1 - i, bit for bit."""
+    return set(state.shape.dims) == {2} and np.array_equal(state.amps, state.amps[::-1])
+
+
+def _split_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray):
+    """_slab_grams for a _flip_symmetric qubit grid: per order, the Gram
+    matrices of its two flip-sector blocks, stacked (count, 2, k, k) with
+    k = rows / 2; their spectra together are the Gram spectrum.
+
+    Flipping every qubit reverses both sides of the matrix A of an order,
+    A = J A J, so A is block diagonal in the bases (|x> +- J|x>) / sqrt(2)
+    of its sides, with the blocks T[:, :h] +- T[:, ::-1][:, :h]: T the top
+    k rows of A (its leading axis at 0), h half its columns. Only T is
+    copied, half the amplitudes, into the first half of work[0]; the blocks
+    go to work[1] and their conjugates over T."""
+    k, half = rows // 2, grid.size // 2
+    tops, blocks = work.reshape(2, -1, half)
+    for lo in range(0, len(orders), _SLAB_ROWS):
+        slab = orders[lo:lo + _SLAB_ROWS]
+        for w, order in zip(tops, slab):
+            w.reshape([grid.shape[i] for i in order[1:]])[...] = grid.transpose(order)[0]
+        t = tops[:len(slab)].reshape(len(slab), k, -1)
+        h = t.shape[-1] // 2
+        b = blocks[:len(slab)].reshape(len(slab), 2, k, h)
+        flip = t[..., ::-1][..., :h]
+        np.add(t[..., :h], flip, out=b[:, 0])
+        np.subtract(t[..., :h], flip, out=b[:, 1])
+        conj = np.conjugate(b, out=tops[:len(slab)].reshape(b.shape))
+        yield slice(lo, lo + len(slab)), b @ conj.swapaxes(-1, -2)
+
+
+def _traced_system(g: np.ndarray, d_s: int, df: int) -> np.ndarray:
+    """rho_F of each S+F Gram matrix of a stack, S leading: the sum of its
+    d_S diagonal blocks. From the flip-sector pairs of _split_grams, G+ and
+    G- in the bases (|0 f> +- |1 ~f>) / sqrt(2), it is (T + J T J) / 2 with
+    T = G+ + G-, returned as its own flip-sector blocks."""
+    if g.ndim == 3:
+        return g.reshape(-1, d_s, df, d_s, df).trace(axis1=1, axis2=3)
+    t = g[:, 0] + g[:, 1]
+    rho = 0.5 * (t + t[:, ::-1, ::-1])
+    k = df // 2
+    a, cj = rho[:, :k, :k], rho[:, :k, ::-1][:, :, :k]
+    return np.stack((a + cj, a - cj), axis=1)
+
+
 def _stacked_entropies(g: np.ndarray) -> np.ndarray:
-    """Entropy of each matrix of a stack of density matrices. eigvalsh sorts
-    each spectrum ascending, so the entries above the floor are a suffix of
-    its row; rows keeping k entries are summed together, bit for bit as
-    _entropy_from_eigs sums one row."""
+    """Entropy of each matrix of a stack of density matrices, or of each
+    (2, k, k) pair of flip-sector blocks, whose spectra join into one.
+    eigvalsh sorts each spectrum ascending (a joined one is sorted again),
+    so the entries above the floor are a suffix of its row; rows keeping k
+    entries are summed together, bit for bit as _entropy_from_eigs sums one
+    row."""
     lam = np.linalg.eigvalsh(g)
+    if lam.ndim == 3:
+        lam = np.sort(lam.reshape(len(lam), -1), axis=-1)
     kept = np.count_nonzero(lam > POLICY.eig_floor, axis=-1)
     out = np.empty(len(lam))
     for k in set(kept.tolist()):

@@ -178,7 +178,9 @@ def two_side_mutual_info(state, sites):
 class TestDenseKernel:
     """The stacked dense kernel: rows grouped by d_F and solved a slab at a
     time, against the two-transpose formula; half-size rows whose complement
-    is in the same matrix take H_SF from their partner's H_F, to the bit."""
+    is in the same matrix take H_SF from their partner's H_F, to the bit. A
+    qubit state equal to its reversal solves each side as two flip-sector
+    blocks of half its size; any other state solves the whole side."""
 
     def assert_matches_oracle(self, src, rows):
         idx = np.array(rows, dtype=np.intp)
@@ -242,6 +244,82 @@ class TestDenseKernel:
         src = DenseSource(random_state_vector(np.random.default_rng(6), (3, 2, 4, 2)))
         for m in (1, 2):
             self.assert_matches_oracle(src, [list(c) for c in itertools.combinations(range(3), m)])
+
+    @pytest.mark.parametrize("t, sigma_m", [(0.5, 0.001), (10.0, 0.0), (10.0, 0.001), (500.0, 0.3)])
+    def test_flip_symmetric_interacting_states(self, t, sigma_m):
+        # every size, so every orientation: at n = 10 S+F is the smaller side
+        # up to m = 4, F against S+rest at m = 5, the rest side above, and the
+        # whole bath leaves a one-row rest side, which is solved whole
+        for n in (1, 2, 5, 8, 10):
+            p = random_interacting_params(np.random.default_rng(n), n, t, 0.3, sigma_m)
+            src = InteractingSource(p)
+            assert qstate._flip_symmetric(src.state)
+            rng = np.random.default_rng(n)
+            for m in range(1, n + 1):
+                rows = {tuple(sorted(rng.choice(n, m, replace=False).tolist())) for _ in range(4)}
+                self.assert_matches_oracle(src, sorted(rows))
+
+    def test_half_rows_of_a_flip_symmetric_state(self):
+        src = InteractingSource(random_interacting_params(np.random.default_rng(3), 10, 10.0,
+                                                          sigma_m=0.01))
+        rows = darwin._paired_half_rows(10, 5, 12, np.random.default_rng(3))
+        for row in rows.tolist():
+            self.assert_matches_oracle(src, [row])   # alone: H_SF from the rest side
+        self.assert_matches_lone_rows(src, rows)
+        self.assert_matches_lone_rows(src, np.concatenate((rows[0::4], rows[1::4], rows[2::4])))
+
+    def test_symmetrized_random_states(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 4, 7, 9):
+            psi = random_state_vector(rng, (2,) * (n + 1)).amps
+            src = DenseSource(qstate.ket(psi + psi[::-1], (2,) * (n + 1)))
+            assert qstate._flip_symmetric(src.state)
+            for m in range(1, n + 1):
+                self.assert_matches_oracle(
+                    src, [sorted(rng.choice(n, m, replace=False).tolist()) for _ in range(3)])
+        # a reversal of other dimensions is no flip of qubits: solved whole
+        psi = random_state_vector(rng, (3, 2, 4, 2)).amps
+        src = DenseSource(qstate.ket(psi + psi[::-1], (3, 2, 4, 2)))
+        for row in ([0], [1], [0, 1], [1, 2], [0, 1, 2]):
+            self.assert_matches_oracle(src, [row])
+
+    def test_flip_symmetric_solves_are_half_size(self, monkeypatch):
+        # one row a call, so no row takes its H_SF from a partner; the whole
+        # side of a size is min(2^m, 2^(n + 1 - m)) for H_F and
+        # min(2^(m + 1), 2^(n - m)) for H_SF
+        n = 9
+        src = InteractingSource(random_interacting_params(np.random.default_rng(14), n, 10.0))
+        sides = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda g: sides.append(g.shape[-1]) or eigvalsh(g))
+        rng = np.random.default_rng(14)
+        for m in range(1, n):
+            sides.clear()
+            row = np.sort(rng.choice(n, m, replace=False))[None, :] + 1
+            qstate.system_fragment_entropies(src.state, row)
+            whole = {min(2 ** m, 2 ** (n + 1 - m)), min(2 ** (m + 1), 2 ** (n - m))}
+            assert set(sides) == {side // 2 for side in whole}
+
+    def test_asymmetric_starts_take_the_whole_solve(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        p = random_interacting_params(rng, 8, t=10.0)
+        kets = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        split = []
+        split_grams = qstate._split_grams
+        monkeypatch.setattr(qstate, "_split_grams",
+                            lambda *args: split.append(args) or split_grams(*args))
+        rows = [sorted(rng.choice(8, m, replace=False).tolist()) for m in range(1, 9)]
+        for start in ({"system_init": (0.6, 0.8j)}, {"env_init": kets}):
+            src = InteractingSource(p, **start)
+            assert not np.array_equal(src.state.amps, src.state.amps[::-1])
+            for row in rows:
+                self.assert_matches_oracle(src, [row])
+        assert split == []
+        for row in rows:
+            self.assert_matches_oracle(InteractingSource(p), [row])
+        assert split
 
 
 class TestCardinalities:

@@ -476,7 +476,7 @@ class TestLanes:
     def test_lanes_give_identical_bits(self, monkeypatch):
         rng = np.random.default_rng(17)
         budget = qbm._SLAB_ELEMS // 34 ** 2  # rows the element budget allows at m = 16
-        cases = [(m, 3 * qbm._SLAB_ROWS + 2) for m in (9, 16, 32, 64)]
+        cases = [(m, 3 * qbm._SLAB_ROWS + 2) for m in (10, 16, 32, 64)]
         # every size is above the one-lane cut; the 6-row floor binds at
         # m = 64 and 100, the element budget at m = 16 with more than
         # 3 x `budget` rows, and 5 rows are fewer than lanes x 6 for 2 and 3
@@ -507,14 +507,14 @@ class TestLanes:
 
         monkeypatch.setattr(qbm, "_cholesky", recorded)
         force_lanes(monkeypatch, 2)
-        # m = 9 is the smallest size above the one-lane cut, 2m + 2 = 20
-        idx = np.tile(np.arange(9, dtype=np.intp), (2 * qbm._SLAB_ROWS, 1))
+        # m = 10 is the smallest size above the one-lane cut, 2m + 2 = 22
+        idx = np.tile(np.arange(10, dtype=np.intp), (2 * qbm._SLAB_ROWS, 1))
         qbm_mutual_info_many(self.state, idx)
         assert len(threads) == 2 and threading.get_ident() in threads
 
-    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("m", [1, 9])
     def test_small_sizes_start_no_thread(self, monkeypatch, m):
-        """Up to 2m + 2 = 18 a size runs on one lane, with no helper thread,
+        """Up to 2m + 2 = 20 a size runs on one lane, with no helper thread,
         even where two lanes would each get a slab."""
         started = record_thread_starts(monkeypatch)
         force_lanes(monkeypatch, 2)
@@ -529,11 +529,11 @@ class TestLanes:
         cov[2 * 8, 2 * 8] = -1.0  # band 7 has a negative variance
         bad = GaussianState._unchecked(self.state.means, cov)
         bad._h_system = qbm_system_entropy(self.state)
-        # m = 9, above the one-lane cut; only the last row holds band 7, and
+        # m = 10, above the one-lane cut; only the last row holds band 7, and
         # 2 lanes split the rows into two slabs of ceil(count / 2), of which
         # lane 1 takes the second
-        rows = [list(range(10, 19))] * (3 * qbm._SLAB_ROWS)
-        rows[-1] = list(range(1, 10))
+        rows = [list(range(11, 21))] * (3 * qbm._SLAB_ROWS)
+        rows[-1] = list(range(1, 11))
         idx = np.array(rows, dtype=np.intp)
         failed = []
         cholesky = qbm._cholesky

@@ -206,6 +206,18 @@ class TestInteractingEnv:
                                                            p.pair_couplings, ze)
         assert interacting_phase_vector(p).tobytes() == (p.t * energy).tobytes()
 
+    @pytest.mark.parametrize("n", [12, 14, 17])
+    def test_default_start_is_flip_symmetric(self, n):
+        # H commutes with flipping every qubit and |+>^(n+1) is even under
+        # it, so amplitude i equals amplitude 2^(n+1) - 1 - i to the bit, on
+        # one side of the 2^12-state phase blocks and across them; the dense
+        # kernel's half-size solve rests on it (qstate._flip_symmetric)
+        for t in (0.5, 10.0, 500.0):
+            for sigma_m in (0.0, 0.001):
+                p = random_interacting_params(np.random.default_rng(n), n, t, sigma_m=sigma_m)
+                amps = interacting_evolve(p).amps
+                assert np.array_equal(amps, amps[::-1])
+
     def test_evolve_memory_is_a_few_states(self):
         # the sigma^z matrix of the whole basis would be 18 doubles per state
         p = random_interacting_params(np.random.default_rng(2), 17, t=10.0)
