@@ -1,12 +1,15 @@
 """Reproducible experiment runner.
 
-One executable, one subcommand per experiment family. A run is fully
-determined by its merged configuration plus the mandatory seed: all
-randomness flows from the single seed through fixed counter keys, and
-file outputs are byte-identical across reruns and BLAS thread counts.
-No environment variable changes a run, with one exception: on a numpy
-without bundled scipy-openblas the Gaussian path cannot pin BLAS to one
-thread, so the last digits of a qbm run may follow OPENBLAS_NUM_THREADS.
+One executable, one subcommand per experiment family. The qbm, photon
+and envariance layers, and configparser for --config, are imported by
+the subcommands that run them, so no other command pays for their
+import. A run is fully determined by its merged configuration plus the
+mandatory seed: all randomness flows from the single seed through fixed
+counter keys, and file outputs are byte-identical across reruns and BLAS
+thread counts. No environment variable changes a run, with one
+exception: on a numpy without bundled scipy-openblas the Gaussian path
+cannot pin BLAS to one thread, so the last digits of a qbm run may
+follow OPENBLAS_NUM_THREADS.
 
 Configuration comes from an INI file (one section per subcommand, keys
 named like the long flags) with command-line flags taking precedence.
@@ -18,7 +21,6 @@ a redundancy at zero system entropy), 2 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import platform
@@ -32,12 +34,7 @@ from .darwin import (BranchingSource, GaussianSource, HazySource,
                      InteractingSource, PhotonSource, build_pip, git_blob_sha,
                      haar_random_source, observable_sweep, pip_manifest,
                      pip_to_csv, redundancy, redundancy_of_decoherence)
-from .envariance import FineGrainSpec, fine_grain_born, reversal_demo
 from .numeric import CapExceeded
-from .photon import (dust_grain_redundancy, dust_grain_sunlight,
-                     decoherence_rate_saturated, measured_photon_redundancy,
-                     photon_redundancy)
-from .qbm import OhmicBathParams, qbm_evolve, qbm_redundancy
 from .spinmodels import (CentralSpinParams, HazyCentralSpin, HazyParams,
                          central_spin_branching, cnot_model,
                          random_interacting_params, uniform_couplings)
@@ -118,14 +115,15 @@ def _build_argparser() -> _Parser:
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """argv with every negative number that follows an option joined to it
-    as --option=value. Every option takes one value, but argparse reads a
-    token such as -1e-3 or -inf as a flag of its own."""
+    """argv with every negative value that follows an option joined to it
+    as --option=value: a negative number, or a list (such as -0.8,0.6 or
+    -1:2) whose first entry is one. Every option takes one value, but
+    argparse reads a token such as -1e-3 or -inf as a flag of its own."""
     out = []
     for tok in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
             try:
-                float(tok)
+                float(tok.split(",")[0].split(":")[0])
             except ValueError:
                 pass
             else:
@@ -142,6 +140,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     table["out"] = (str, ".")
     cfg = {k: d for k, (_, d) in table.items()}
     if args.config is not None:
+        import configparser
+
         ini = configparser.ConfigParser()
         try:
             if not ini.read(args.config, encoding="utf-8"):
@@ -296,6 +296,8 @@ def _cmd_sweep(cfg: dict) -> None:
 
 
 def _cmd_qbm(cfg: dict) -> None:
+    from .qbm import OhmicBathParams, qbm_evolve, qbm_redundancy
+
     bath = OhmicBathParams(damping=cfg["damping"], cutoff=cfg["cutoff"],
                            bands=cfg["bands"])
     state = qbm_evolve(bath, cfg["squeezing"], cfg["direction"], cfg["t"])
@@ -315,6 +317,10 @@ def _cmd_qbm(cfg: dict) -> None:
 
 
 def _cmd_photon(cfg: dict) -> None:
+    from .photon import (decoherence_rate_saturated, dust_grain_redundancy,
+                         dust_grain_sunlight, measured_photon_redundancy,
+                         photon_redundancy)
+
     delta = cfg["delta"]
     if cfg["preset"]:
         if cfg["preset"] != "dust-grain-sunlight":
@@ -350,6 +356,8 @@ def _cmd_photon(cfg: dict) -> None:
 
 
 def _cmd_envariance(cfg: dict) -> None:
+    from .envariance import FineGrainSpec, fine_grain_born
+
     try:
         numerators = tuple(int(x) for x in cfg["finegraining"].split(":"))
     except ValueError as exc:
@@ -367,6 +375,8 @@ def _cmd_envariance(cfg: dict) -> None:
 
 
 def _cmd_reversal(cfg: dict) -> None:
+    from .envariance import reversal_demo
+
     try:
         amps = np.array([float(x) for x in cfg["amplitudes"].split(",")], dtype=complex)
     except ValueError as exc:

@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,12 +30,13 @@ from .branching import (BranchingState, _entropies, decohered_system_entropy,
                         two_branch_entropy)
 from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, brentq
-from .photon import _gamma_of, isotropic_mutual_info, photon_mutual_info
-from .qbm import GaussianState, qbm_mutual_info_many, qbm_system_entropy
 from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
                      reduced_density, subsystem_entropy, system_fragment_entropies)
 from .spinmodels import (HALF, CentralSpinParams, HazyCentralSpin, InteractingEnvParams,
                          central_spin_branching, interacting_evolve)
+
+if TYPE_CHECKING:  # the qbm and photon layers load only when their source is used
+    from .qbm import GaussianState
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +179,13 @@ class GaussianSource(Source):
         return self.state.n_modes - 1
 
     def system_entropy(self) -> float:
+        from .qbm import qbm_system_entropy
+
         return qbm_system_entropy(self.state)
 
     def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        from .qbm import qbm_mutual_info_many
+
         return qbm_mutual_info_many(self.state, idx)
 
 
@@ -197,6 +203,8 @@ class PhotonSource(Source):
 
     def __init__(self, gamma, n_env: int = 512, isotropic: bool = False,
                  tag: str | None = None):
+        from .photon import _gamma_of
+
         g = _gamma_of(gamma)
         if not 0.0 <= g <= 1.0:
             raise ValueError("decoherence factor must lie in [0, 1]")
@@ -212,6 +220,8 @@ class PhotonSource(Source):
         return two_branch_entropy(self.gamma)
 
     def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
+        from .photon import isotropic_mutual_info, photon_mutual_info
+
         f = idx.shape[1] / self.n_env
         mi = isotropic_mutual_info if self.isotropic else photon_mutual_info
         return np.full(len(idx), mi(self.gamma, f))

@@ -222,6 +222,25 @@ class TestCommands:
         for name in ("pip.csv", "pip.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("command, option, value, code, text", [
+        ("reversal", "--amplitudes", "-0.8,0.6", 0, "weights 0.640000, 0.360000"),
+        ("envariance", "--finegraining", "-1:2", 1,
+         "error: numerators must be nonnegative integers"),
+    ], ids=["reversal", "envariance"])
+    def test_negative_list_value_after_a_space(self, tmp_path, capsys, command, option,
+                                               value, code, text):
+        # a list whose first entry is negative joins its option as a number does
+        runs = []
+        for out, form in ((tmp_path / "a", [option, value]), (tmp_path / "b", [f"{option}={value}"])):
+            out.mkdir()
+            rc = main([command, *form, "--seed", "0", "--out", str(out)])
+            std = capsys.readouterr()
+            runs.append((rc, std.out, std.err,
+                         {f.name: f.read_bytes() for f in out.iterdir()}))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        assert text in runs[0][1] + runs[0][2]
+
     def test_negative_value_from_sys_argv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["darwinlab", "pip", "--model", "hazy", "--n", "6",
                                           "--haze", "-inf", "--seed", "1", "--out", str(tmp_path)])
@@ -324,26 +343,26 @@ class TestCommands:
         assert 1.3 < rep["r_delta_mean"] < 3.5
 
 
+def _fresh(code: str) -> list:
+    """Run code in a fresh interpreter on this source tree; its stdout lines."""
+    src = str(Path(darwinlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 class TestNoScipyOnTheRunPath:
     """The CLI imports no scipy; hazy and photon runs load neither
     scipy.optimize nor scipy.special, and qbm and c-not runs load no scipy
     module at all. The hazy redundancy scan loads no numpy.ma, and a hazy
     CLI run no numpy.random."""
 
-    @staticmethod
-    def _fresh(code: str) -> list:
-        """Run code in a fresh interpreter on this source tree; its stdout lines."""
-        src = str(Path(darwinlab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.splitlines()
-
     def test_fresh_interpreter(self, tmp_path):
-        lines = self._fresh(f"""
+        lines = _fresh(f"""
             import sys
             import darwinlab.cli
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -359,7 +378,7 @@ class TestNoScipyOnTheRunPath:
 
     def test_hazy_redundancy_loads_no_numpy_ma(self):
         # np.unique would import numpy.ma (about 0.5 MB, 14 ms) on first use
-        lines = self._fresh("""
+        lines = _fresh("""
             import sys
             import numpy as np
             from darwinlab.spinmodels import CentralSpinParams, HazyParams, hazy_redundancy
@@ -370,7 +389,7 @@ class TestNoScipyOnTheRunPath:
 
     def test_hazy_run_loads_no_numpy_random(self, tmp_path):
         # only the models that draw couplings build the coupling generator
-        lines = self._fresh(f"""
+        lines = _fresh(f"""
             import sys
             import darwinlab.cli
             argv = ["redundancy", "--model", "hazy", "--n", "16", "--seed", "1"]
@@ -381,7 +400,7 @@ class TestNoScipyOnTheRunPath:
         assert (tmp_path / "redundancy.csv").exists()
 
     def test_qbm_run_loads_no_scipy(self, tmp_path):
-        lines = self._fresh(f"""
+        lines = _fresh(f"""
             import sys
             import darwinlab.cli
             argv = ["qbm", "--bands", "16", "--samples", "4", "--seed", "1"]
@@ -392,7 +411,7 @@ class TestNoScipyOnTheRunPath:
         assert (tmp_path / "qbm.csv").exists()
 
     def test_cnot_run_and_manifest_load_no_scipy(self, tmp_path):
-        lines = self._fresh(f"""
+        lines = _fresh(f"""
             import sys
             import darwinlab.cli
             argv = ["redundancy", "--model", "cnot", "--n", "20", "--seed", "1"]
@@ -415,6 +434,73 @@ class TestNoScipyOnTheRunPath:
         run(tmp_path, "pip", "--model", "cnot", "--n", "6", "--seed", "0")
         m = json.loads((tmp_path / "pip.json").read_text())
         assert m["versions"]["scipy"] == scipy.__version__
+
+
+# what a subcommand loads only if it runs it
+_ON_USE = ("darwinlab.envariance", "darwinlab.qbm", "darwinlab.photon", "configparser",
+           "fractions")
+
+
+class TestLayersLoadOnUse:
+    """A cold import of darwinlab.cli loads none of the qbm, photon and
+    envariance layers, configparser or fractions; each run loads only
+    those it uses."""
+
+    @staticmethod
+    def _loaded(tmp_path, *runs) -> list:
+        """Which of _ON_USE a fresh interpreter holds after importing
+        darwinlab.cli, and again after each run in turn."""
+        lines = _fresh(f"""
+            import contextlib, io, json, sys
+            import darwinlab.cli
+            loaded = lambda: print(json.dumps([m for m in {_ON_USE!r} if m in sys.modules]))
+            loaded()
+            for i, argv in enumerate({[list(r) for r in runs]!r}):
+                out = {str(tmp_path)!r} + "/" + str(i)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert darwinlab.cli.main([*argv, "--out", out]) == 0
+                loaded()
+        """)
+        return [json.loads(line) for line in lines]
+
+    def test_model_runs_load_none(self, tmp_path):
+        stages = self._loaded(
+            tmp_path,
+            ("redundancy", "--model", "hazy", "--n", "16", "--seed", "1"),
+            ("redundancy", "--model", "central-spin", "--n", "10", "--seed", "1"),
+            ("baseline", "--n", "6", "--states", "2", "--samples", "4", "--seed", "1"))
+        assert stages == [[]] * 4
+
+    @pytest.mark.parametrize("runs, own", [
+        ([("qbm", "--bands", "16", "--samples", "4", "--seed", "1")], ["darwinlab.qbm"]),
+        ([("photon", "--t-over-tau", "10", "--n", "16", "--seed", "1"),
+          ("photon", "--preset", "dust-grain-sunlight", "--seed", "1"),
+          ("pip", "--model", "photon", "--n", "16", "--seed", "1")], ["darwinlab.photon"]),
+        ([("envariance", "--finegraining", "2:1", "--seed", "0")],
+         ["darwinlab.envariance", "fractions"]),
+        ([("reversal", "--amplitudes", "0.8,0.6", "--seed", "0")],
+         ["darwinlab.envariance", "fractions"]),
+        ([("pip", "--config", "{ini}")], ["configparser"]),
+    ], ids=["qbm", "photon", "envariance", "reversal", "config"])
+    def test_each_run_loads_only_its_own(self, tmp_path, runs, own):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[pip]\nmodel = cnot\nn = 6\nseed = 1\n")
+        runs = [[a.format(ini=ini) for a in argv] for argv in runs]
+        stages = self._loaded(tmp_path, *runs)
+        assert stages[0] == []
+        assert all(stage == own for stage in stages[1:])
+
+    def test_layers_are_package_attributes(self):
+        lines = _fresh("""
+            import sys
+            import darwinlab
+            print(sorted(m for m in sys.modules if m.startswith("darwinlab")))
+            print(darwinlab.qbm.qbm_evolve.__module__, darwinlab.photon.__name__,
+                  darwinlab.envariance.__name__)
+            print(hasattr(darwinlab, "quux"))
+        """)
+        assert lines == ["['darwinlab']",
+                         "darwinlab.qbm darwinlab.photon darwinlab.envariance", "False"]
 
 
 class TestBlasThreads:
