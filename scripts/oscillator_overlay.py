@@ -9,7 +9,7 @@ import argparse
 import math
 
 from darwinlab.darwin import GaussianSource, build_pip, redundancy
-from darwinlab.qbm import OhmicBathParams, qbm_evolve, qbm_redundancy
+from darwinlab.qbm import OhmicBathParams, qbm_evolve, qbm_redundancy, universal_pip
 
 
 def main():
@@ -34,7 +34,7 @@ def main():
     for p in pip.points:
         if not 0.0 < p.f < 1.0:
             continue
-        ref = h_s + 0.5 * math.log(p.f / (1.0 - p.f))
+        ref = universal_pip(h_s, p.f)
         lines.append(f"{p.f!r},{p.mean_i!r},{ref!r}")
         if 0.1 <= p.f <= 0.9:
             worst = max(worst, abs(p.mean_i - ref))

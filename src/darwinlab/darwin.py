@@ -170,9 +170,7 @@ class GaussianSource(Source):
         self.state = state
         self.tag = tag
         # mirror reuse is sound only for a globally pure state
-        nus = state._nus if state._nus is not None else state.symplectic_eigenvalues()
-        tol = POLICY.symplectic_atol * max(1.0, float(np.max(np.abs(state.cov))))
-        self.pure_global = bool(np.max(nus) <= 0.5 + tol)
+        self.pure_global = state.is_pure()
 
     @property
     def n_env(self) -> int:

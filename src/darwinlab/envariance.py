@@ -18,7 +18,8 @@ import numpy as np
 
 from .info import ProbVector
 from .numeric import POLICY, CapExceeded
-from .qstate import HilbertShape, StateVector, apply_unitary, qubits, reduced_density
+from .qstate import (HilbertShape, StateVector, _sorted_positions, apply_unitary, qubits,
+                     reduced_density)
 
 
 def _orthonormal(rows: np.ndarray, atol: float) -> bool:
@@ -202,8 +203,7 @@ def swap_and_counterswap(pair: SchmidtPair, k: int, l: int) -> SwapResult:
     magnitudes are reported as non-envariant and the achieved fidelity,
     (1 - (|a_k| - |a_l|)^2)^2 < 1, is returned rather than raised on.
     """
-    if k == l or not (0 <= k < pair.n_branches and 0 <= l < pair.n_branches):
-        raise ValueError("need two distinct branch indices")
+    _sorted_positions([k, l], pair.n_branches)  # two distinct branches, in range
     d_s, d_e = pair.dims
     a_k, a_l = pair.coefficients[k], pair.coefficients[l]
     envariant = abs(abs(a_k) - abs(a_l)) <= 1e-10
@@ -308,10 +308,8 @@ def coarse_grain_probability(n_branches: int, subset) -> Fraction:
     exactly n_subset / N, additive over disjoint subsets."""
     if n_branches < 1:
         raise ValueError("need at least one branch")
-    idx = set(int(i) for i in subset)
-    if any(i < 0 or i >= n_branches for i in idx):
-        raise ValueError("subset index out of range")
-    return Fraction(len(idx), n_branches)
+    keep, _ = _sorted_positions(subset, n_branches)
+    return Fraction(len(keep), n_branches)
 
 
 # ----------------------------------------------------------- record algebra
@@ -348,11 +346,9 @@ class RecordProjectorSet:
     def from_subsets(cls, dim: int, subsets) -> "RecordProjectorSet":
         mats = []
         for sub in subsets:
+            keep, _ = _sorted_positions(sub, dim)
             p = np.zeros((dim, dim), dtype=complex)
-            for i in set(int(i) for i in sub):
-                if not 0 <= i < dim:
-                    raise ValueError("subset index out of range")
-                p[i, i] = 1.0
+            p[keep, keep] = 1.0
             mats.append(p)
         return cls(tuple(mats))
 

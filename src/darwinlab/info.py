@@ -161,24 +161,23 @@ def shannon_entropy(p) -> float:
 
 def mutual_information(rho: DensityMatrix, part_a) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) over the (part_a, complement) split."""
-    n = rho.shape.n_subsystems
-    part_a = _sorted_positions(part_a, n)
-    if not part_a or len(part_a) == n:
+    part_a, part_b = _sorted_positions(part_a, rho.shape.n_subsystems)
+    if not part_a or not part_b:
         raise ValueError("bipartition must be a proper nonempty subset")
-    part_b = tuple(i for i in range(n) if i not in part_a)
     ha = von_neumann_entropy(partial_trace(rho, part_a))
     hb = von_neumann_entropy(partial_trace(rho, part_b))
     hab = von_neumann_entropy(rho)
     return ha + hb - hab
 
 
-def _apply_projector(rho: DensityMatrix, projector: np.ndarray, on: tuple) -> np.ndarray:
-    """Compute P rho P with P acting on the sorted `on` subsystems only."""
+def _apply_projector(rho: DensityMatrix, projector: np.ndarray, on: tuple,
+                     rest: tuple) -> np.ndarray:
+    """Compute P rho P with P acting on the sorted `on` subsystems only;
+    rest holds the other subsystems, ascending."""
     dims = rho.shape.dims
     n = len(dims)
-    rest = [i for i in range(n) if i not in on]
     d_on = rho.shape.dim_of(on)
-    perm = list(on) + rest
+    perm = list(on) + list(rest)
     t = rho.mat.reshape(dims + dims)
     t = t.transpose(perm + [n + i for i in perm]).reshape(d_on, -1, d_on, rho.shape.dim_of(rest))
     t = np.einsum("ai,ibjc,jd->abdc", projector, t, projector.conj().T, optimize=True)
@@ -196,8 +195,8 @@ def conditional_state(rho: DensityMatrix, projector: np.ndarray, on) -> tuple[De
     A zero-probability branch returns (None, 0.0) rather than raising;
     callers that average over a basis just skip it.
     """
-    on = _sorted_positions(on, rho.shape.n_subsystems)
-    projected = _apply_projector(rho, np.asarray(projector, dtype=complex), on)
+    on, rest = _sorted_positions(on, rho.shape.n_subsystems)
+    projected = _apply_projector(rho, np.asarray(projector, dtype=complex), on, rest)
     p = float(np.trace(projected).real)
     if p <= POLICY.eig_floor:
         return None, 0.0
@@ -208,9 +207,7 @@ def conditional_state(rho: DensityMatrix, projector: np.ndarray, on) -> tuple[De
 
 def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
     """H(rest | basis on `on`) = sum_k p_k H(rho_rest | outcome k)."""
-    n = rho.shape.n_subsystems
-    on = _sorted_positions(on, n)
-    rest = tuple(i for i in range(n) if i not in on)
+    on, rest = _sorted_positions(on, rho.shape.n_subsystems)
     if not rest:
         raise ValueError("measurement must leave a nonempty remainder")
     total = 0.0
@@ -224,9 +221,7 @@ def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on)
 
 def asymmetric_mutual_info(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
     """J = H(rest) - H(rest | outcomes of basis on `on`)."""
-    n = rho.shape.n_subsystems
-    on = _sorted_positions(on, n)
-    rest = tuple(i for i in range(n) if i not in on)
+    on, rest = _sorted_positions(on, rho.shape.n_subsystems)
     h_rest = von_neumann_entropy(partial_trace(rho, rest))
     return h_rest - average_conditional_entropy(rho, basis, on)
 
@@ -250,12 +245,10 @@ def min_discord(rho: DensityMatrix, on, grid: tuple[int, int] = (180, 90)) -> fl
     POVMs are out of scope. Grid resolution trades accuracy for time;
     the default matches the documented policy.
     """
-    n = rho.shape.n_subsystems
-    on = _sorted_positions(on, n)
+    on, rest = _sorted_positions(on, rho.shape.n_subsystems)
     if rho.shape.dim_of(on) != 2:
         raise ValueError("basis search implemented for qubit subsystems only")
     i_sym = mutual_information(rho, on)
-    rest = tuple(i for i in range(n) if i not in on)
     h_rest = von_neumann_entropy(partial_trace(rho, rest))
     n_theta, n_phi = grid
     best = np.inf
@@ -282,7 +275,7 @@ def joint_distribution(rho: DensityMatrix, basis_a: MeasurementBasis, on_a,
                        basis_b: MeasurementBasis, on_b) -> np.ndarray:
     """p(i, j) for commuting projective measurements on disjoint subsystem sets."""
     n = rho.shape.n_subsystems
-    on_a, on_b = _sorted_positions(on_a, n), _sorted_positions(on_b, n)
+    (on_a, _), (on_b, _) = _sorted_positions(on_a, n), _sorted_positions(on_b, n)
     if set(on_a) & set(on_b):
         raise ValueError("measured subsystem sets overlap")
     out = np.zeros((len(basis_a.projectors), len(basis_b.projectors)))

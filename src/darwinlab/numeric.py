@@ -1,9 +1,7 @@
 """Shared numeric policy, the one scalar root finder and the matrix exponential.
 
 Every tolerance used for state validation or derived spectra lives in one
-record so tests and library code cannot drift apart. Mutating POLICY is
-allowed (e.g. to loosen caps in exploratory scripts) but the defaults are
-what the test suite pins down.
+frozen record, POLICY, so tests and library code cannot drift apart.
 
 brentq is a line-for-line port of scipy's C brentq
 (scipy/optimize/Zeros/brentq.c, after R. P. Brent, "Algorithms for
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumericPolicy:
     # state validity: norms, hermiticity, trace
     state_atol: float = 1e-10

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY, CapExceeded, _one_blas_thread, expm
-from .qstate import check_rows
+from .qstate import _sorted_positions, check_rows
 
 # fragment rows per stacked gather, factorization and eigensolve, in each
 # lane (_slab_rows). Every lane holds its own slab, so peak memory follows
@@ -165,24 +165,32 @@ class GaussianState:
             raise ValueError("means/covariance size mismatch or odd dimension")
         if not np.allclose(self.cov, self.cov.T, atol=POLICY.symplectic_atol):
             raise ValueError("covariance must be symmetric")
-        # scale-relative slack: extracting nu = 1/2 from a covariance of norm
-        # ~s^2 costs ~eps * s^2 in float64, far above any fixed 1e-8
-        tol = POLICY.symplectic_atol * max(1.0, float(np.max(np.abs(self.cov))))
         self._nus = self.symplectic_eigenvalues()
         nu_min = float(np.min(self._nus))
-        if nu_min < 0.5 - tol:
+        if nu_min < 0.5 - self._nu_slack():
             raise ValueError(f"uncertainty principle violated: min nu = {nu_min}")
+
+    def _nu_slack(self) -> float:
+        """Slack on nu = 1/2, relative to scale: extracting nu from a
+        covariance of norm ~s^2 costs ~eps * s^2 in float64, far above any
+        fixed 1e-8."""
+        return POLICY.symplectic_atol * max(1.0, float(np.max(np.abs(self.cov))))
+
+    def is_pure(self) -> bool:
+        """True when every nu is 1/2 within the slack validation allows, so
+        the state is globally pure. Reads the spectrum kept from validation,
+        else solves it."""
+        nus = self._nus if self._nus is not None else self.symplectic_eigenvalues()
+        return bool(np.max(nus) <= 0.5 + self._nu_slack())
 
     @property
     def n_modes(self) -> int:
         return len(self.means) // 2
 
     def marginal(self, modes) -> "GaussianState":
-        idx = np.array(sorted(modes), dtype=int)
         # distinct in-range modes keep the block principal, hence valid
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.n_modes
-                         or np.any(idx[1:] == idx[:-1])):
-            raise ValueError("marginal modes must be distinct and in range")
+        keep, _ = _sorted_positions(modes, self.n_modes)
+        idx = np.array(keep, dtype=np.intp)
         rows = np.stack([2 * idx, 2 * idx + 1], axis=1).ravel()
         return GaussianState._unchecked(self.means[rows], self.cov[np.ix_(rows, rows)])
 
@@ -247,15 +255,15 @@ class OhmicBathParams:
     Band n sits at omega_n = (n + 1/2) d_omega with d_omega = cutoff/bands;
     squared couplings C_n^2 = (4 m_S M_n gamma0 / pi) omega_n^2 d_omega
     reproduce I(omega) = 2 m_S gamma0 omega / pi on [0, cutoff]. The
+    masses m_S and M_n drop out once every mode is rescaled to vacuum
+    units (scaled_couplings), so they are not parameters. The
     discretization is only meaningful up to the recurrence time 2 pi/d_omega.
     """
 
-    system_mass: float = 1000.0
     system_freq: float = 4.0
     damping: float = 0.025
     cutoff: float = 16.0
     bands: int = 128
-    band_mass: float = 1.0
 
     def __post_init__(self):
         if self.bands < 1:

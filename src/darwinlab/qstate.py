@@ -78,10 +78,13 @@ def check_rows(idx, n_sites: int) -> np.ndarray:
     return idx
 
 
-def _sorted_positions(positions, n: int) -> tuple[int, ...]:
-    """A sequence of subsystem positions, sorted and checked as one row by
-    check_rows: integers, no repeats, inside range(n); ValueError otherwise."""
-    return tuple(check_rows([sorted(positions)], n)[0].tolist())
+def _sorted_positions(positions, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(keep, rest): a sequence of positions, sorted and checked as one row
+    by check_rows (integers, no repeats, inside range(n); ValueError
+    otherwise), and the positions of range(n) it leaves out, ascending.
+    The one position rule of every index argument in the library."""
+    keep = tuple(check_rows([sorted(positions)], n)[0].tolist())
+    return keep, tuple(sorted(set(range(n)).difference(keep)))
 
 
 @dataclass(frozen=True)
@@ -166,11 +169,10 @@ def pure_density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.shape, np.outer(state.amps, state.amps.conj()))
 
 
-def _moved_matrix(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
+def _moved_matrix(state: StateVector, keep: tuple[int, ...],
+                  rest: tuple[int, ...]) -> np.ndarray:
     """Reshape amplitudes to (dim(keep), dim(rest)) with keep axes leading."""
-    n = state.shape.n_subsystems
-    rest = [i for i in range(n) if i not in keep]
-    grid = state.as_grid().transpose(list(keep) + rest)
+    grid = state.as_grid().transpose(keep + rest)
     return grid.reshape(state.shape.dim_of(keep), -1)
 
 
@@ -180,8 +182,8 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     Never materializes the global density matrix; cost is
     O(dim(keep)^2 * dim(rest)).
     """
-    ks = _sorted_positions(keep, state.shape.n_subsystems)
-    a = _moved_matrix(state, ks)
+    ks, rest = _sorted_positions(keep, state.shape.n_subsystems)
+    a = _moved_matrix(state, ks, rest)
     rho = a @ a.conj().T
     # guard against round-off asymmetry before the constructor checks it
     rho = 0.5 * (rho + rho.conj().T)
@@ -205,8 +207,8 @@ def _schmidt_entropy(a: np.ndarray) -> float:
 
 def subsystem_entropy(state: StateVector, keep) -> float:
     """Entanglement entropy (nats) of a subsystem of a pure state."""
-    ks = _sorted_positions(keep, state.shape.n_subsystems)
-    return _schmidt_entropy(_moved_matrix(state, ks))
+    ks, rest = _sorted_positions(keep, state.shape.n_subsystems)
+    return _schmidt_entropy(_moved_matrix(state, ks, rest))
 
 
 def system_fragment_entropies(state: StateVector,
@@ -387,13 +389,12 @@ def _stacked_entropies(g: np.ndarray) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     dims = rho.shape.dims
     n = len(dims)
-    ks = _sorted_positions(keep, n)
-    rest = [i for i in range(n) if i not in ks]
+    ks, rest = _sorted_positions(keep, n)
     dk = rho.shape.dim_of(ks)
     dr = rho.shape.dim_of(rest)
     t = rho.mat.reshape(dims + dims)
     # row axes i, column axes n+i; contract matching rest axes
-    perm = list(ks) + [n + i for i in ks] + rest + [n + i for i in rest]
+    perm = list(ks) + [n + i for i in ks] + list(rest) + [n + i for i in rest]
     t = t.transpose(perm).reshape(dk, dk, dr, dr)
     out = np.einsum("ijkk->ij", t)
     out = 0.5 * (out + out.conj().T)
@@ -407,25 +408,19 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets) -> StateVector:
     a sorted copy must pass the one position rule (integers, no repeats,
     inside range(n)), else ValueError.
     """
-    n = state.shape.n_subsystems
-    _sorted_positions(targets, n)
-    targets = [int(i) for i in targets]
-    dims = state.shape.dims
-    dt = math.prod(dims[i] for i in targets)
+    _, rest = _sorted_positions(targets, state.shape.n_subsystems)
+    targets = tuple(int(i) for i in targets)
+    dt = state.shape.dim_of(targets)
     u = np.asarray(u, dtype=complex)
     if u.shape != (dt, dt):
         raise ValueError(f"unitary shape {u.shape} does not match target dim {dt}")
     if not np.allclose(u.conj().T @ u, np.eye(dt), atol=POLICY.state_atol, rtol=0.0):
         raise ValueError("matrix is not unitary within tolerance")
-    rest = [i for i in range(n) if i not in targets]
-    grid = state.as_grid().transpose(targets + rest)
-    moved = grid.reshape(dt, -1)
-    moved = u @ moved
+    moved = u @ _moved_matrix(state, targets, rest)
     # undo the transpose
-    inv = np.argsort(targets + rest)
-    grid = moved.reshape([dims[i] for i in targets] + [dims[i] for i in rest])
-    out = grid.transpose(inv).reshape(-1)
-    return StateVector(state.shape, out)
+    order = targets + rest
+    grid = moved.reshape([state.shape.dims[i] for i in order])
+    return StateVector(state.shape, grid.transpose(np.argsort(order)).reshape(-1))
 
 
 def evolve_diagonal(state: StateVector, phases: np.ndarray) -> StateVector:
@@ -448,13 +443,11 @@ def schmidt(state: StateVector, left) -> list[tuple[float, StateVector, StateVec
     tolerance are dropped. Left/right vectors keep the original relative
     subsystem order.
     """
-    n = state.shape.n_subsystems
-    ls = _sorted_positions(left, n)
-    if not ls or len(ls) == n:
+    ls, rs = _sorted_positions(left, state.shape.n_subsystems)
+    if not ls or not rs:
         raise ValueError("bipartition must be a proper nonempty subset")
-    a = _moved_matrix(state, ls)
+    a = _moved_matrix(state, ls, rs)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rs = tuple(i for i in range(n) if i not in ls)
     lshape = HilbertShape(tuple(state.shape.dims[i] for i in ls))
     rshape = HilbertShape(tuple(state.shape.dims[i] for i in rs))
     out = []
@@ -467,9 +460,7 @@ def schmidt(state: StateVector, left) -> list[tuple[float, StateVector, StateVec
 
 def reconstruct_from_schmidt(terms, shape: HilbertShape, left) -> StateVector:
     """Rebuild the global state from schmidt() output (test helper)."""
-    n = shape.n_subsystems
-    ls = _sorted_positions(left, n)
-    rs = tuple(i for i in range(n) if i not in ls)
+    ls, rs = _sorted_positions(left, shape.n_subsystems)
     a = np.zeros((shape.dim_of(ls), shape.dim_of(rs)), dtype=complex)
     for coeff, lv, rv in terms:
         a += coeff * np.outer(lv.amps, rv.amps.conj())

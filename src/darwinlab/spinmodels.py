@@ -232,14 +232,14 @@ def _product_amps(kets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HazyParams:
-    """Per-qubit pre-existing entropy h (nats) out of capacity h_m = ln d."""
+    """Per-qubit pre-existing entropy h (nats) out of the qubit capacity
+    h_m = ln 2."""
 
     h: float
-    h_m: float = LN2
 
     def __post_init__(self):
-        if not 0.0 <= self.h <= self.h_m + 1e-12:
-            raise ValueError(f"need 0 <= h <= {self.h_m}")
+        if not 0.0 <= self.h <= LN2 + 1e-12:
+            raise ValueError(f"need 0 <= h <= {LN2}")
 
 
 def binary_entropy(q: float) -> float:

@@ -22,7 +22,10 @@ from darwinlab.info import (
     to_bits,
     von_neumann_entropy,
 )
+from darwinlab.envariance import (RecordProjectorSet, SchmidtPair, coarse_grain_probability,
+                                  swap_and_counterswap)
 from darwinlab.numeric import POLICY
+from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve
 from darwinlab.qstate import (
     DensityMatrix,
     HilbertShape,
@@ -312,10 +315,14 @@ def test_first_crossing_rejects_bad_threshold(h_s, delta):
         _first_crossing(10, [1, 2], lambda m: 1.0, h_s, delta)
 
 
-# one position rule at every dense entry point: each takes a sequence of
-# subsystem positions of a four-qubit state, a unitary or basis sized to it
+# one position rule at every entry point that takes indices: each takes a
+# sequence of positions in range(4), the subsystems of a four-qubit state (a
+# unitary or basis sized to them), the modes of a four-mode Gaussian state, or
+# four equiprobable branches
 STATE = random_state_vector(np.random.default_rng(21), (2, 2, 2, 2))
 RHO = pure_density(STATE)
+GAUSSIAN = qbm_evolve(OhmicBathParams(bands=3), 10.0, "x", 1.0)
+PAIR = SchmidtPair.from_raw([1.0, 1.0, 1.0, 1.0])
 
 
 def _basis(pos):
@@ -326,6 +333,10 @@ def _flat(result):
     """Any entry point's result as one flat array, to compare bit for bit."""
     if isinstance(result, DensityMatrix):
         return result.mat.ravel()
+    if isinstance(result, GaussianState):
+        return np.concatenate([result.means, result.cov.ravel()])
+    if isinstance(result, RecordProjectorSet):
+        return _flat(result.projectors)
     if isinstance(result, (tuple, list)):
         return np.concatenate([_flat(r) for r in result])
     if hasattr(result, "amps"):
@@ -348,6 +359,12 @@ ENTRY_POINTS = {
     "discord": lambda pos: discord(RHO, _basis(pos), pos),
     "min_discord": lambda pos: min_discord(RHO, pos, grid=(4, 2)),
     "joint_distribution": lambda pos: joint_distribution(RHO, _basis(pos), pos, Z_BASIS, (3,)),
+    "GaussianState.marginal": lambda pos: GAUSSIAN.marginal(pos),
+    "coarse_grain_probability": lambda pos: coarse_grain_probability(4, pos),
+    "RecordProjectorSet.from_subsets": lambda pos: RecordProjectorSet.from_subsets(4, [pos]),
+    # (k, l) is a pair of positions, or one position and branch 0
+    "swap_and_counterswap": lambda pos: swap_and_counterswap(
+        PAIR, *(pos if len(pos) == 2 else (pos[0], 0))),
 }
 
 
@@ -361,9 +378,11 @@ def test_one_position_rule(entry, bad):
         ENTRY_POINTS[entry](bad)
 
 
-@pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"apply_unitary", "min_discord"}))
+@pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"apply_unitary", "min_discord",
+                                                                "swap_and_counterswap"}))
 def test_unsorted_positions_match_sorted(entry):
     # apply_unitary's order is the tensor order of u (its own tests); min_discord
-    # takes a single qubit, so it has no order
+    # takes a single qubit, so it has no order; swap_and_counterswap takes an
+    # ordered pair (k, l)
     assert np.array_equal(_flat(ENTRY_POINTS[entry]([2, 0])),
                           _flat(ENTRY_POINTS[entry]([0, 2])))

@@ -297,13 +297,11 @@ class TestBathParams:
             OhmicBathParams(bands=1024)
 
     def test_coupling_normalization(self):
-        # sum of C_n^2/(2 M omega_n^2) recovers gamma0-weighted measure:
-        # integral of I(omega)/omega over [0, cutoff] = 2 m_S gamma0 cutoff / pi
+        # in vacuum units c_n^2 / omega_n = 4 gamma0 d_omega / (pi omega_S) per
+        # band, so the bands sum to the ohmic measure 4 gamma0 cutoff / (pi omega_S)
         b = OhmicBathParams(bands=128)
-        c2 = (4 * b.system_mass * b.band_mass * b.damping / math.pi) \
-            * b.band_freqs ** 2 * b.d_omega
-        total = np.sum(c2 / (b.band_mass * b.band_freqs ** 2))
-        assert total == pytest.approx(4 * b.system_mass * b.damping * b.cutoff / math.pi)
+        total = np.sum(b.scaled_couplings() ** 2 / b.band_freqs)
+        assert total == pytest.approx(4 * b.damping * b.cutoff / (math.pi * b.system_freq))
 
 
 class TestEvolution:
@@ -319,8 +317,7 @@ class TestEvolution:
             assert block[0, 0] == pytest.approx(expect_xx, rel=1e-9)
 
     def test_generator_matches_ode_integration(self):
-        b = OhmicBathParams(bands=3, system_mass=2.0, system_freq=1.5,
-                            damping=0.1, cutoff=4.0)
+        b = OhmicBathParams(bands=3, system_freq=1.5, damping=0.1, cutoff=4.0)
         start = squeezed_start(b, 5.0, "p")
         k = qbm_generator(b)
         def rhs(_, y):
