@@ -49,7 +49,7 @@ import numpy as np
 
 from .numeric import POLICY, CapExceeded
 from .qstate import HilbertShape, StateVector, _stacked_entropies, check_rows
-from .info import LN2, _entropy_from_eigs
+from .info import LN2, ProbVector, _entropy_from_eigs
 
 # cache per-subsystem overlap (and log) tables only below this entry count
 _OVERLAP_CACHE_LIMIT = 2 ** 24
@@ -62,7 +62,8 @@ class BranchingState:
     """probs/phases over K branches plus an (n, K, d) array of conditional states.
 
     conditionals[l, k] is the normalized state of environment subsystem l in
-    branch k; a list of n equal-shape (K, d) tables is accepted too. Zero-weight
+    branch k; a list of n equal-shape (K, d) tables is accepted too. probs
+    passes the branch cap, then info.ProbVector's check and clip. Zero-weight
     branches are allowed (they must carry zero probability in every derived
     quantity).
     """
@@ -72,14 +73,11 @@ class BranchingState:
     conditionals: np.ndarray
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
         self.phases = np.asarray(self.phases, dtype=float)
         k = len(self.probs)
         if k < 1 or k > POLICY.branch_cap:
             raise CapExceeded(f"branch count {k} outside [1, {POLICY.branch_cap}]")
-        if self.probs.min() < -POLICY.eig_floor or abs(self.probs.sum() - 1.0) > POLICY.spectrum_atol:
-            raise ValueError("branch probabilities must be a probability vector")
-        self.probs = np.clip(self.probs, 0.0, None)
+        self.probs = ProbVector(self.probs).probs
         if self.phases.shape != (k,):
             raise ValueError("phase/prob length mismatch")
         c = np.asarray(self.conditionals, dtype=complex)  # ragged lists raise ValueError

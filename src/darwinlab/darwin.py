@@ -164,11 +164,11 @@ class BranchingSource(Source):
 class GaussianSource(Source):
     """Gaussian system/bath state; environment units are bath bands."""
 
-    def __init__(self, state: GaussianState, tag: str = "qbm"):
+    def __init__(self, state: GaussianState):
         if state.n_modes < 2:
             raise ValueError("need the system mode plus at least one band")
         self.state = state
-        self.tag = tag
+        self.tag = "qbm"
         # mirror reuse is sound only for a globally pure state
         self.pure_global = state.is_pure()
 
@@ -199,8 +199,7 @@ class PhotonSource(Source):
     symmetric = True
     pure_decoherence = True
 
-    def __init__(self, gamma, n_env: int = 512, isotropic: bool = False,
-                 tag: str | None = None):
+    def __init__(self, gamma, n_env: int = 512, isotropic: bool = False):
         from .photon import _gamma_of
 
         g = _gamma_of(gamma)
@@ -212,7 +211,7 @@ class PhotonSource(Source):
         self.n_env = int(n_env)
         self.isotropic = bool(isotropic)
         self.pure_global = not isotropic
-        self.tag = tag or ("photon-iso" if isotropic else "photon")
+        self.tag = "photon-iso" if isotropic else "photon"
 
     def system_entropy(self) -> float:
         return two_branch_entropy(self.gamma)
@@ -254,9 +253,9 @@ class HazySource(Source):
     symmetric = True
     pure_decoherence = True
 
-    def __init__(self, model: HazyCentralSpin, tag: str = "hazy"):
+    def __init__(self, model: HazyCentralSpin):
         self.model = model
-        self.tag = tag
+        self.tag = "hazy"
 
     @property
     def n_env(self) -> int:
@@ -298,8 +297,8 @@ class InteractingSource(DenseSource):
 
     def __init__(self, params: InteractingEnvParams,
                  system_init: tuple[complex, complex] = (HALF, HALF),
-                 env_init: np.ndarray | None = None, tag: str = "interacting"):
-        super().__init__(interacting_evolve(params, system_init, env_init), tag=tag)
+                 env_init: np.ndarray | None = None):
+        super().__init__(interacting_evolve(params, system_init, env_init), tag="interacting")
         self.pure_decoherence = not np.any(params.pair_couplings)
         self._records = None
         if self.pure_decoherence:
@@ -318,7 +317,7 @@ class InteractingSource(DenseSource):
         return self._counterfactual().decompose(idx)
 
 
-def haar_random_source(n_env: int, seed: int, tag: str | None = None) -> DenseSource:
+def haar_random_source(n_env: int, seed: int) -> DenseSource:
     """Haar-random pure state of one system qubit over n_env bath qubits."""
     if n_env < 1:
         raise ValueError("need at least one environment qubit")
@@ -326,7 +325,7 @@ def haar_random_source(n_env: int, seed: int, tag: str | None = None) -> DenseSo
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9A)))
     amps = rng.standard_normal(shape.total_dim) + 1j * rng.standard_normal(shape.total_dim)
     amps /= np.linalg.norm(amps)
-    return DenseSource(StateVector(shape, amps), tag=tag or f"haar-{seed}")
+    return DenseSource(StateVector(shape, amps), tag=f"haar-{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +541,11 @@ def _mean_decohered(source, m: int, count: int, seed: int) -> float:
     return float(np.mean(source.decohered_system_entropy(rows)))
 
 
-def redundancy_of_decoherence(source, delta_d: float = 0.1,
-                              samples_per_fraction: int = 12, seed: int = 0) -> float:
+def redundancy_of_decoherence(source, delta_d: float = 0.1, seed: int = 0) -> float:
     """Redundancy measured on decoherence instead of information.
 
-    Finds the mean fragment size whose records alone push the system
-    entropy to (1 - delta_d) H_S and returns n over that size. Unlike
+    Finds the mean fragment size (12 fragments per size) whose records alone
+    push the system entropy to (1 - delta_d) H_S and returns n over it. Unlike
     the information crossing this one has no purity shortcut, so sizes
     run all the way to n, where the fully decohered system reaches H_S
     and the scan always crosses. A source with a closed-form
@@ -568,7 +566,7 @@ def redundancy_of_decoherence(source, delta_d: float = 0.1,
         raise ValueError("source offers no fragment-only decoherence counterfactual")
     _, r, _ = _first_crossing(
         n, default_cardinalities(n)[1:],
-        lambda m: _mean_decohered(source, m, samples_per_fraction, seed), h_s, delta_d)
+        lambda m: _mean_decohered(source, m, 12, seed), h_s, delta_d)
     return r
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .info import ProbVector
+from .info import ProbVector, _checked_projectors
 from .numeric import POLICY, CapExceeded
 from .qstate import (HilbertShape, StateVector, _sorted_positions, apply_unitary, qubits,
                      reduced_density)
@@ -126,17 +126,18 @@ class OrthogonalityReport:
         return max((p.defect for p in self.pairs), default=0.0)
 
 
-def orthogonality_check(s_states, transfer_unitary, env_init,
-                        atol: float = 1e-9) -> OrthogonalityReport:
+def orthogonality_check(s_states, transfer_unitary, env_init) -> OrthogonalityReport:
     """Repeatability test for a candidate copying unitary.
 
     Each |s_j>|e_0> is pushed through the unitary; if the system factor
-    comes back unperturbed the environment record e_j is extracted and
-    every pair must satisfy <s_j|s_k>(1 - <e_j|e_k>) = 0: distinguishable
+    comes back unperturbed (residual within sqrt(1e-9)) the environment
+    record e_j is extracted and every pair must satisfy
+    <s_j|s_k>(1 - <e_j|e_k>) = 0 within 1e-9: distinguishable
     records require orthogonal states, and failed transfer (identical
     records) puts no constraint. States the unitary perturbs are flagged,
     not fatal.
     """
+    atol = 1e-9
     s_states = [np.asarray(s, dtype=complex).reshape(-1) for s in s_states]
     env0 = np.asarray(env_init, dtype=complex).reshape(-1)
     d_s, d_e = len(s_states[0]), len(env0)
@@ -314,29 +315,23 @@ def coarse_grain_probability(n_branches: int, subset) -> Fraction:
 
 # ----------------------------------------------------------- record algebra
 
+# tolerance of record projectors and of the Boolean-algebra identities over them
+_RECORD_ATOL = 1e-12
+
+
 @dataclass(frozen=True)
 class RecordProjectorSet:
-    """Commuting idempotents over a common record space."""
+    """Commuting idempotents over a common record space, checked as a
+    projector set by info._checked_projectors, within _RECORD_ATOL."""
 
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(np.ascontiguousarray(p, dtype=complex) for p in self.projectors)
-        if not mats:
-            raise ValueError("empty projector set")
-        d = mats[0].shape[0]
-        atol = 1e-12
-        for p in mats:
-            if p.shape != (d, d):
-                raise ValueError("projectors must share one square dimension")
-            if not np.allclose(p, p.conj().T, atol=atol, rtol=0.0):
-                raise ValueError("projector not Hermitian")
-            if not np.allclose(p @ p, p, atol=atol, rtol=0.0):
-                raise ValueError("projector not idempotent")
+        mats = _checked_projectors(self.projectors, _RECORD_ATOL)
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 if not np.allclose(mats[i] @ mats[j], mats[j] @ mats[i],
-                                   atol=atol, rtol=0.0):
+                                   atol=_RECORD_ATOL, rtol=0.0):
                     raise ValueError("projectors do not commute")
         for p in mats:
             p.setflags(write=False)
@@ -367,12 +362,14 @@ class AlgebraReport:
         return max(self.defects.values())
 
 
-def record_algebra_check(pset, atol: float = 1e-12) -> AlgebraReport:
+def record_algebra_check(pset) -> AlgebraReport:
     """Verify the Boolean-algebra identities on a commuting projector set.
 
     Meet is the product, join is P + Q - PQ, complement is 1 - P. Reports
-    the worst elementwise defect per identity; non-commuting input fails
-    RecordProjectorSet validation before any identity is checked.
+    the worst elementwise defect per identity; it passes when every defect
+    is within _RECORD_ATOL, the tolerance RecordProjectorSet checks with.
+    Non-commuting input fails RecordProjectorSet validation before any
+    identity is checked.
     """
     if not isinstance(pset, RecordProjectorSet):
         pset = RecordProjectorSet(tuple(pset))
@@ -414,7 +411,7 @@ def record_algebra_check(pset, atol: float = 1e-12) -> AlgebraReport:
                 defects["distributivity"] = max(
                     defects["distributivity"],
                     dev(meet(p, join(q, r)), join(meet(p, q), meet(p, r))))
-    return AlgebraReport(defects, all(v <= atol for v in defects.values()))
+    return AlgebraReport(defects, all(v <= _RECORD_ATOL for v in defects.values()))
 
 
 # ------------------------------------------------------- branch frequencies
@@ -424,13 +421,12 @@ def branch_frequencies(m_total: int, weights) -> np.ndarray:
 
     p(m) = C(M, m) w0^(M-m) w1^m, computed with log-domain binomials so
     M up to 10^6 stays finite, then normalized (raw log-space roundoff is
-    below 1e-12 but not exactly zero).
+    below 1e-12 but not exactly zero). The weights (w0, w1) are checked as
+    an info.ProbVector, which clips rounding negatives to 0.
     """
     if not 1 <= m_total <= POLICY.env_cap:
         raise CapExceeded(f"M = {m_total} outside [1, {POLICY.env_cap}]")
-    w0, w1 = (float(w) for w in weights)
-    if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > POLICY.state_atol:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    w0, w1 = (float(w) for w in ProbVector(weights).probs)
     from scipy.special import gammaln  # only this helper needs scipy.special
 
     counts = np.arange(m_total + 1)

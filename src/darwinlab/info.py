@@ -45,6 +45,23 @@ class ProbVector:
         return len(self.probs)
 
 
+def _checked_projectors(projectors, atol: float) -> tuple:
+    """The projectors as complex matrices of one square shape, each Hermitian
+    and idempotent within atol (ValueError otherwise); callers add the rest."""
+    ps = tuple(np.ascontiguousarray(p, dtype=complex) for p in projectors)
+    if not ps:
+        raise ValueError("empty projector set")
+    d = ps[0].shape[0]
+    for i, p in enumerate(ps):
+        if p.shape != (d, d):
+            raise ValueError("projectors must share one square dimension")
+        if not np.allclose(p, p.conj().T, atol=atol, rtol=0.0):
+            raise ValueError(f"projector {i} not Hermitian")
+        if not np.allclose(p @ p, p, atol=atol, rtol=0.0):
+            raise ValueError(f"projector {i} not idempotent")
+    return ps
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Orthogonal projectors on a designated subsystem set, summing to 1."""
@@ -52,25 +69,13 @@ class MeasurementBasis:
     projectors: tuple
 
     def __post_init__(self):
-        ps = tuple(np.ascontiguousarray(p, dtype=complex) for p in self.projectors)
-        if not ps:
-            raise ValueError("empty basis")
-        d = ps[0].shape[0]
         tol = POLICY.state_atol * 10
-        acc = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(ps):
-            if p.shape != (d, d):
-                raise ValueError("projector shape mismatch")
-            if not np.allclose(p, p.conj().T, atol=tol, rtol=0.0):
-                raise ValueError(f"projector {i} not Hermitian")
-            if not np.allclose(p @ p, p, atol=tol, rtol=0.0):
-                raise ValueError(f"projector {i} not idempotent")
-            acc += p
+        ps = _checked_projectors(self.projectors, tol)
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 if not np.allclose(ps[i] @ ps[j], 0.0, atol=tol, rtol=0.0):
                     raise ValueError(f"projectors {i},{j} not orthogonal")
-        if not np.allclose(acc, np.eye(d), atol=tol, rtol=0.0):
+        if not np.allclose(sum(ps), np.eye(len(ps[0])), atol=tol, rtol=0.0):
             raise ValueError("projectors do not sum to identity")
         object.__setattr__(self, "projectors", ps)
 

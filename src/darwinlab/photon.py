@@ -93,15 +93,17 @@ def effective_radius(radius: float, permittivity: float, mode: str = "printed") 
     return radius * factor ** (1.0 / 3.0)
 
 
-def decoherence_rate_dipole(p: PhotonHaloParams, mode: str = "printed") -> float:
+def decoherence_rate_dipole(p: PhotonHaloParams) -> float:
     """1/tau_D for separations well under the thermal photon wavelength:
 
         C * (3 + 11 cos^2 theta) * I a~^6 dx^2 k_B^5 T^5 / (c^6 hbar^6)
+
+    with the printed effective radius a~.
     """
     if p.regime != "dipole":
         warnings.warn("separation is not small against the thermal wavelength; "
                       "dipole-regime rate returned anyway", stacklevel=2)
-    a_eff = effective_radius(p.radius, p.permittivity, mode)
+    a_eff = effective_radius(p.radius, p.permittivity)
     angular = 3.0 + 11.0 * math.cos(p.angle) ** 2
     k = CONSTANTS
     return (RATE_PREFACTOR_DIPOLE * angular * p.irradiance * a_eff ** 6
@@ -168,21 +170,20 @@ def photon_mutual_info(gamma, f: float) -> float:
             - two_branch_entropy(g ** (1.0 - f)))
 
 
-def photon_mutual_info_series(gamma, f: float, tol: float = 1e-15,
-                              max_terms: int = 10 ** 4) -> float:
+def photon_mutual_info_series(gamma, f: float) -> float:
     """Literal truncated series; kept as the convergence oracle.
 
-    Terms stop once below tol or at max_terms, so the result carries the
-    truncated tail (~1/(4 max_terms) worst case near f = 0 or 1).
+    Terms stop once below 1e-15 or at 10^4 terms, so the result carries the
+    truncated tail (~2.5e-5 worst case near f = 0 or 1).
     """
     g = _gamma_of(gamma)
     if not 0.0 <= f <= 1.0:
         raise ValueError("fragment fraction must lie in [0, 1]")
     total = LN2
-    for n in range(1, max_terms + 1):
+    for n in range(1, 10 ** 4 + 1):
         term = (g ** ((1.0 - f) * n) - g ** (f * n) - g ** n) / (2 * n * (2 * n - 1))
         total += term
-        if abs(term) < tol:
+        if abs(term) < 1e-15:
             break
     return total
 

@@ -140,9 +140,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
-
 
 def basis_state(shape: HilbertShape, index: int) -> StateVector:
     a = np.zeros(shape.total_dim, dtype=complex)

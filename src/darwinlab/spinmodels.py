@@ -12,6 +12,8 @@ size O(m) instead of 2^m. That is what makes bath sizes of ~10^2 with
 per-qubit ancillas tractable. A sector block lifts a 2x2 site matrix to
 its symmetric power, built one degree at a time by the Clebsch-Gordan
 isometry step (O(d^2) per degree, no eigensolve).
+Every system start (a, b) is checked as a one-qubit StateVector, by
+_system_start; no model checks a normalization by hand.
 """
 from __future__ import annotations
 
@@ -29,6 +31,11 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 HALF = complex(1.0 / np.sqrt(2.0))
 
 
+def _system_start(system_init) -> StateVector:
+    """A system start (a, b) as a one-qubit StateVector: the one start rule."""
+    return StateVector(qubits(1), np.array(system_init, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # c-not chain
 
@@ -39,9 +46,7 @@ def cnot_model(a: complex, b: complex, n: int) -> BranchingState:
     orthogonal computational states, so one qubit already carries a full
     classical record.
     """
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > POLICY.state_atol:
-        raise ValueError("|a|^2 + |b|^2 must be 1")
+    a, b = _system_start((a, b)).amps
     probs = np.array([abs(a) ** 2, abs(b) ** 2])
     phases = np.array([np.angle(a), np.angle(b)])
     conds = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
@@ -98,10 +103,7 @@ def central_spin_branching(p: CentralSpinParams) -> BranchingState:
     by the conjugate, so the conditional overlap is
     <env_i| exp(+2 i d_i t sigma^z) |env_i>, i.e. cos(2 d_i t) from |+>.
     """
-    a, b = p.system_init
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > POLICY.state_atol:
-        raise ValueError("system amplitudes not normalized")
+    a, b = _system_start(p.system_init).amps
     kets = p.env_kets()
     probs = np.array([abs(a) ** 2, abs(b) ** 2])
     phases = np.array([np.angle(a), np.angle(b)])
@@ -132,11 +134,11 @@ def redundancy_estimate(h_s: float, d_env: int, sharp_e: int, delta: float) -> t
     return sharp_f, sharp_e / sharp_f
 
 
-def hazy_redundancy_estimate(r_pure: float, h: float, h_m: float = LN2) -> float:
-    """First-order mixed-environment correction R^h = (1 - h/h_m) R."""
-    if not 0 <= h <= h_m:
-        raise ValueError("need 0 <= h <= h_m")
-    return (1.0 - h / h_m) * r_pure
+def hazy_redundancy_estimate(r_pure: float, h: float) -> float:
+    """First-order mixed-environment correction R^h = (1 - h/h_m) R, h_m = ln 2;
+    h is checked as a HazyParams, and its slack past ln 2 reads as ln 2."""
+    HazyParams(h)
+    return (1.0 - min(h, LN2) / LN2) * r_pure
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ class InteractingEnvParams:
             raise ValueError("pair couplings must be symmetric")
         if np.any(np.diagonal(self.pair_couplings) != 0.0):
             raise ValueError("pair couplings must have zero diagonal")
-        if n + 1 > 20:
+        if 2 ** (n + 1) > POLICY.dim_cap:
             raise CapExceeded(f"{n}+1 qubits exceeds the dense cap")
 
     @property
@@ -214,9 +216,7 @@ def interacting_evolve(p: InteractingEnvParams,
                        env_init: np.ndarray | None = None) -> StateVector:
     """Exact dense state at time t; system is subsystem 0."""
     kets = CentralSpinParams(p.couplings, p.t, system_init, env_init).env_kets()
-    state = tensor(StateVector(qubits(1), np.asarray(system_init, dtype=complex)),
-                   StateVector(qubits(p.n_env),
-                               _product_amps(kets)))
+    state = tensor(_system_start(system_init), StateVector(qubits(p.n_env), _product_amps(kets)))
     return evolve_diagonal(state, interacting_phase_vector(p))
 
 
@@ -377,10 +377,7 @@ class HazyCentralSpin:
         self.coupling = float(coupling)
         self.t = float(t)
         self.haze = haze
-        a, b = system_init
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > POLICY.state_atol:
-            raise ValueError("system amplitudes not normalized")
-        self.amps = np.array([a, b], dtype=complex)
+        self.amps = _system_start(system_init).amps
         self.p = np.abs(self.amps) ** 2
         self.q = haze_weight(haze.h)
         phase = np.exp(-1j * self.coupling * self.t * np.array([1.0, -1.0]))
@@ -496,7 +493,8 @@ class HazyCentralSpin:
 def hazy_redundancy(base: CentralSpinParams, hp: HazyParams, delta: float = 0.1) -> float:
     """Redundancy at deficit delta for the hazy central-spin model.
 
-    Site couplings must be equal (the permutation-symmetric fast path).
+    Site couplings must be equal (the permutation-symmetric fast path), and
+    the bath starts at the model's |+> haze, so a set base.env_init raises.
     The crossing of (1 - delta) H_S is interpolated linearly between the
     integer sizes info._counted_sizes counts for a mixed plot (observers
     hold no purifying ancillas); with no crossing the value is the achieved
@@ -506,6 +504,8 @@ def hazy_redundancy(base: CentralSpinParams, hp: HazyParams, delta: float = 0.1)
     d = base.couplings
     if np.any(d != d[0]):
         raise ValueError("fast path requires equal couplings")
+    if base.env_init is not None:
+        raise ValueError("the hazy bath starts at its own haze; env_init must be None")
     model = HazyCentralSpin(base.n_env, float(d[0]), base.t, hp, base.system_init)
     _, r, _ = _first_crossing(model.n, _counted_sizes(model.n, False, range(1, model.n + 1)),
                               model.mutual_info, model.system_entropy(), delta)

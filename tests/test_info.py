@@ -22,10 +22,15 @@ from darwinlab.info import (
     to_bits,
     von_neumann_entropy,
 )
-from darwinlab.envariance import (RecordProjectorSet, SchmidtPair, coarse_grain_probability,
-                                  swap_and_counterswap)
+from darwinlab.branching import BranchingState
+from darwinlab.darwin import InteractingSource
+from darwinlab.envariance import (RecordProjectorSet, SchmidtPair, branch_frequencies,
+                                  coarse_grain_probability, swap_and_counterswap)
 from darwinlab.numeric import POLICY
 from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve
+from darwinlab.spinmodels import (CentralSpinParams, HazyCentralSpin, HazyParams,
+                                  InteractingEnvParams, central_spin_branching, cnot_model,
+                                  interacting_evolve)
 from darwinlab.qstate import (
     DensityMatrix,
     HilbertShape,
@@ -386,3 +391,99 @@ def test_unsorted_positions_match_sorted(entry):
     # ordered pair (k, l)
     assert np.array_equal(_flat(ENTRY_POINTS[entry]([2, 0])),
                           _flat(ENTRY_POINTS[entry]([0, 2])))
+
+
+# one rule per branch input: a system start (a, b) passes as a one-qubit
+# StateVector (norm within POLICY.state_atol), a weight vector as a ProbVector
+# (entries above -POLICY.eig_floor, sum within POLICY.spectrum_atol)
+def _interacting(pair):
+    return InteractingEnvParams([0.3, 0.5], [[0.0, pair], [pair, 0.0]], 1.0)
+
+
+START_ENTRY_POINTS = {
+    "cnot_model": lambda start: cnot_model(*start, 3),
+    "central_spin_branching": lambda start: central_spin_branching(
+        CentralSpinParams([0.3, 0.5], 1.0, start)),
+    "HazyCentralSpin": lambda start: HazyCentralSpin(3, 0.3, 1.0, HazyParams(0.2), start),
+    "interacting_evolve": lambda start: interacting_evolve(_interacting(0.1), start),
+    "InteractingSource, no pair couplings": lambda start: InteractingSource(
+        _interacting(0.0), start),
+    "InteractingSource, pair couplings": lambda start: InteractingSource(
+        _interacting(0.1), start),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(START_ENTRY_POINTS))
+def test_one_start_rule(entry):
+    # norm 1 + 7e-11 passes, though |a|^2 + |b|^2 = 1 + 1.4e-10, and the
+    # caller's array is copied, not frozen; norm 1 + 1.5e-10 fails with
+    # StateVector's own message
+    start = np.full(2, (1 + 7e-11) / np.sqrt(2), dtype=complex)
+    START_ENTRY_POINTS[entry](start)
+    assert start.flags.writeable
+    with pytest.raises(ValueError, match="state norm .* not 1"):
+        START_ENTRY_POINTS[entry](((1 + 3e-10) / np.sqrt(2), 1 / np.sqrt(2)))
+
+
+WEIGHT_ENTRY_POINTS = {
+    "ProbVector": ProbVector,
+    "BranchingState": lambda w: BranchingState(w, np.zeros(2), np.tile(np.eye(2), (3, 1, 1))),
+    "branch_frequencies": lambda w: branch_frequencies(4, w),
+}
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5 + 5e-10), (1 + 1e-13, -1e-13)],
+                         ids=["sum inside", "rounding negative"])
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_one_weight_rule_accepts(entry, weights):
+    WEIGHT_ENTRY_POINTS[entry](weights)
+
+
+@pytest.mark.parametrize("weights, message",
+                         [((0.5, 0.5 + 5e-9), "probabilities sum to"),
+                          ((1.1, -0.1), "negative probability")],
+                         ids=["sum outside", "negative"])
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_one_weight_rule_rejects(entry, weights, message):
+    with pytest.raises(ValueError, match=message):
+        WEIGHT_ENTRY_POINTS[entry](weights)
+
+
+def test_rounding_negative_weight_reads_as_zero():
+    # ProbVector's clip reaches every weight vector
+    b = BranchingState((1 + 1e-13, -1e-13), np.zeros(2), np.tile(np.eye(2), (3, 1, 1)))
+    assert b.probs[1] == 0.0
+    assert branch_frequencies(4, (1 + 1e-13, -1e-13)).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+# one projector-set check (info._checked_projectors) under both projector
+# classes, each with its own tolerance and its own extra condition
+PROJECTOR_SETS = {"MeasurementBasis": MeasurementBasis, "RecordProjectorSet": RecordProjectorSet}
+
+
+@pytest.mark.parametrize("projectors, message", [
+    ((), "empty projector set"),
+    ((np.diag([1.0, 0.0]), np.eye(3)), "share one square dimension"),
+    ((np.array([[1.0, 1.0], [0.0, 0.0]]),), "projector 0 not Hermitian"),
+    ((np.eye(2), np.diag([0.5, 1.0])), "projector 1 not idempotent"),
+], ids=["empty", "shapes", "not Hermitian", "not idempotent"])
+@pytest.mark.parametrize("cls", sorted(PROJECTOR_SETS))
+def test_one_projector_check(cls, projectors, message):
+    with pytest.raises(ValueError, match=message):
+        PROJECTOR_SETS[cls](projectors)
+
+
+def test_projector_sets_keep_their_own_conditions():
+    # a basis must be complete, a record set commuting
+    with pytest.raises(ValueError, match="sum to identity"):
+        MeasurementBasis((np.diag([1.0, 0.0]),))
+    plus = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="do not commute"):
+        RecordProjectorSet((np.diag([1.0, 0.0]), plus))
+    # an orthogonal, complete, idempotent pair 1e-10 from Hermitian: within
+    # the basis tolerance 1e-9, outside the record tolerance 1e-12
+    p0 = np.array([[1.0, 1e-10], [0.0, 0.0]])
+    pair = (p0, np.eye(2) - p0)
+    MeasurementBasis(pair)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        RecordProjectorSet(pair)

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from darwinlab import spinmodels
 from darwinlab.branching import mutual_info_many, system_entropy, to_state_vector
 from darwinlab.info import LN2, von_neumann_entropy
+from darwinlab.numeric import CapExceeded
 from darwinlab.qstate import (
     HilbertShape,
     StateVector,
@@ -158,11 +159,20 @@ class TestAnalyticFormulas:
     def test_hazy_correction_endpoints(self):
         assert hazy_redundancy_estimate(10.0, 0.0) == pytest.approx(10.0)
         assert hazy_redundancy_estimate(10.0, LN2) == pytest.approx(0.0)
-        with pytest.raises(ValueError):
-            hazy_redundancy_estimate(10.0, 2 * LN2)
+        # the HazyParams rule: its slack past ln 2 reads as ln 2
+        assert hazy_redundancy_estimate(10.0, LN2 + 5e-13) == 0.0
+        for h in (2 * LN2, LN2 + 2e-12, -1e-300):
+            with pytest.raises(ValueError):
+                hazy_redundancy_estimate(10.0, h)
 
 
 class TestInteractingEnv:
+    def test_size_cap_is_the_dense_cap(self):
+        # n + 1 qubits must fit POLICY.dim_cap = 2^20
+        InteractingEnvParams(np.zeros(19), np.zeros((19, 19)), 1.0)
+        with pytest.raises(CapExceeded, match="20\\+1 qubits exceeds the dense cap"):
+            InteractingEnvParams(np.zeros(20), np.zeros((20, 20)), 1.0)
+
     def test_zero_pair_couplings_reduce_to_central_spin(self):
         rng = np.random.default_rng(3)
         d = rng.normal(0, 0.1, size=5)
@@ -768,6 +778,14 @@ class TestHazyRedundancy:
             base = CentralSpinParams(np.array(couplings), t=1.0)
             with pytest.raises(ValueError, match="equal couplings"):
                 hazy_redundancy(base, HazyParams(0.0))
+
+    @pytest.mark.parametrize("env_init", [[1.0, 0.0], [0.6, 0.8], PLUS])
+    def test_rejects_a_bath_start(self, env_init):
+        # the hazy bath starts at its own haze over |+>; a given bath start,
+        # even |+>, would be read as that haze and dropped
+        base = CentralSpinParams(np.full(16, 0.5), t=0.5, env_init=np.asarray(env_init))
+        with pytest.raises(ValueError, match="env_init"):
+            hazy_redundancy(base, HazyParams(0.3))
 
     def test_equal_couplings_pass_one_float(self, monkeypatch):
         seen = []
