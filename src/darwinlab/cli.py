@@ -9,7 +9,11 @@ counter keys, and file outputs are byte-identical across reruns and BLAS
 thread counts. No environment variable changes a run, with one
 exception: on a numpy without bundled scipy-openblas the Gaussian path
 cannot pin BLAS to one thread, so the last digits of a qbm run may
-follow OPENBLAS_NUM_THREADS.
+follow OPENBLAS_NUM_THREADS. That thread count also sets how many
+processes a baseline run uses, never its bytes: one lane per thread, all
+but the first forked, each with BLAS on one thread (darwin.haar_baseline).
+It runs on one lane when BLAS has one thread or is not the bundled
+scipy-openblas, without os.fork, or for a single state.
 
 Configuration comes from an INI file (one section per subcommand, keys
 named like the long flags) with command-line flags taking precedence.
@@ -23,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import platform
 import sys
 from pathlib import Path
 
@@ -32,7 +35,7 @@ import numpy as np
 from . import __version__
 from .darwin import (BranchingSource, GaussianSource, HazySource,
                      InteractingSource, PhotonSource, build_pip, git_blob_sha,
-                     haar_random_source, observable_sweep, pip_manifest,
+                     haar_baseline, haar_random_source, observable_sweep, pip_manifest,
                      pip_to_csv, redundancy, redundancy_of_decoherence)
 from .numeric import CapExceeded
 from .spinmodels import (CentralSpinParams, HazyCentralSpin, HazyParams,
@@ -100,15 +103,18 @@ _OPTIONS = {
 _MODELS = ("cnot", "central-spin", "interacting", "haar", "photon", "hazy")
 
 
-def _build_argparser() -> _Parser:
+def _build_argparser(argv: list[str]) -> _Parser:
+    """The parser for argv. Only a subcommand named as argv's first token
+    is built; with none named (no argv, --help, an unknown command) every
+    subcommand is, so help and error text list them all."""
     top = _Parser(prog="darwinlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-    for name, opts in _OPTIONS.items():
+    for name in argv[:1] if argv[:1] and argv[0] in _OPTIONS else _OPTIONS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        for key, (typ, _) in opts.items():
+        for key, (typ, _) in _OPTIONS[name].items():
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            type=typ, default=None)
     return top
@@ -213,7 +219,8 @@ def _scipy_version() -> str:
 
 def _versions() -> dict:
     return {
-        "python": platform.python_version(),
+        # the first word of sys.version is what platform.python_version() returns
+        "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": _scipy_version(),
         "darwinlab": __version__,
@@ -394,11 +401,7 @@ def _cmd_reversal(cfg: dict) -> None:
 
 
 def _cmd_baseline(cfg: dict) -> None:
-    rs = []
-    for i in range(cfg["states"]):
-        src = haar_random_source(cfg["n"], cfg["seed"] + i)
-        pip = build_pip(src, samples_per_fraction=cfg["samples"], seed=cfg["seed"] + i)
-        rs.append(redundancy(pip, cfg["delta"]).r_delta)
+    rs = haar_baseline(cfg["n"], cfg["states"], cfg["samples"], cfg["delta"], cfg["seed"])
     mean = float(np.mean(rs))
     report = {"states": cfg["states"], "n": cfg["n"],
               "r_delta_mean": mean, "r_delta_min": min(rs), "r_delta_max": max(rs)}
@@ -421,8 +424,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_argparser().parse_args(
-            _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+        args = _build_argparser(argv).parse_args(argv)
         cfg = _merge_config(args.command, args)
         _COMMANDS[args.command](cfg)
         return 0

@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,7 +31,7 @@ from .branching import (BranchingState, _entropies, decohered_system_entropy,
                         mutual_info_many, system_entropy, to_state_vector,
                         two_branch_entropy)
 from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
-from .numeric import POLICY, brentq
+from .numeric import POLICY, _one_blas_thread, brentq
 from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
                      reduced_density, subsystem_entropy, system_fragment_entropies)
 from .spinmodels import (HALF, CentralSpinParams, HazyCentralSpin, InteractingEnvParams,
@@ -317,11 +319,17 @@ class InteractingSource(DenseSource):
         return self._counterfactual().decompose(idx)
 
 
-def haar_random_source(n_env: int, seed: int) -> DenseSource:
-    """Haar-random pure state of one system qubit over n_env bath qubits."""
+def _haar_shape(n_env: int) -> HilbertShape:
+    """The qubits of a Haar state over n_env bath qubits; ValueError below
+    one bath qubit, CapExceeded past the dense cap."""
     if n_env < 1:
         raise ValueError("need at least one environment qubit")
-    shape = qubits(n_env + 1)
+    return qubits(n_env + 1)
+
+
+def haar_random_source(n_env: int, seed: int) -> DenseSource:
+    """Haar-random pure state of one system qubit over n_env bath qubits."""
+    shape = _haar_shape(n_env)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9A)))
     amps = rng.standard_normal(shape.total_dim) + 1j * rng.standard_normal(shape.total_dim)
     amps /= np.linalg.norm(amps)
@@ -528,6 +536,112 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1,
     plateau = any(means[m] >= threshold for m in _counted_sizes(n, False, means))
     f_delta = None if sharp is None else sharp / n
     return RedundancyReport(delta, f_delta, r, plateau, interpolated, r_delta_d)
+
+
+# ---------------------------------------------------------------------------
+# Haar baseline
+
+def haar_baseline(n_env: int, states: int, samples: int, delta: float,
+                  seed: int) -> list[float]:
+    """R_delta of `states` Haar-random states over n_env bath qubits, in
+    state order: state i is haar_random_source(n_env, seed + i), sampled
+    by build_pip with samples per size and seed + i.
+
+    The states are independent, so inside numeric._one_blas_thread they
+    are dealt round-robin over the lanes that scope yields (OpenBLAS's
+    thread count): lane j takes states j, j + lanes, ... Lane 0 runs in
+    this process and every other lane in an os.fork child (_forked_lanes).
+    Each state runs with BLAS on one thread in every lane, so the values
+    do not depend on the lane count. One lane, and no fork, when BLAS has
+    one thread or is not the bundled scipy-openblas, when os.fork is
+    missing, or for a single state. The dense cap is checked before any
+    fork.
+    """
+    _haar_shape(n_env)
+
+    def lane(first: int, lanes: int) -> list[float]:
+        rs = []
+        for i in range(first, states, lanes):
+            pip = build_pip(haar_random_source(n_env, seed + i),
+                            samples_per_fraction=samples, seed=seed + i)
+            rs.append(redundancy(pip, delta).r_delta)
+        return rs
+
+    with _one_blas_thread() as lanes:
+        lanes = min(lanes, states) if hasattr(os, "fork") else 1
+        if lanes <= 1:
+            return lane(0, 1)
+        dealt = _forked_lanes(lanes, lane)
+    return [dealt[i % lanes][i // lanes] for i in range(states)]
+
+
+def _forked_lanes(lanes: int, work) -> list:
+    """[work(j, lanes) for j in range(lanes)]: lane 0 in this process, each
+    other lane in an os.fork child that sends its result, or the exception
+    it raised, pickled through a pipe and leaves by os._exit. The error of
+    the lowest failed lane is raised here with its type; the children
+    still running are then killed. Every child is reaped before this
+    returns or raises.
+
+    Fork, not spawn: a spawned lane would import numpy and darwinlab
+    afresh, about half of what a baseline run saves. Fork is safe here
+    because the only other threads are OpenBLAS's, which its own fork
+    handler stops and restarts, and darwinlab keeps no Python thread past
+    a call (qbm joins its lane threads)."""
+    children = []  # (pid, read end of its pipe) of the lanes not yet reaped
+    try:
+        for j in range(1, lanes):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child leaves inside _child_lane
+                    _child_lane(r, w, work, j, lanes)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, r))
+        results = [work(0, lanes)]
+        while children:
+            pid, r = children.pop(0)
+            with os.fdopen(r, "rb") as pipe:
+                try:
+                    data = pipe.read()
+                finally:
+                    _, status = os.waitpid(pid, 0)
+            if not data:
+                raise ChildProcessError(f"lane {len(results)} ended with exit code "
+                                        f"{os.waitstatus_to_exitcode(status)} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.kill(pid, 9)  # SIGKILL: a lower lane failed, so this one is moot
+            os.waitpid(pid, 0)
+
+
+def _child_lane(r: int, w: int, work, lane: int, lanes: int):
+    """Body of a forked lane: work(lane, lanes), or the exception it raised,
+    pickled into w. Leaves by os._exit, so none of the parent's cleanup,
+    atexit hooks or stdio buffers run twice."""
+    try:
+        os.close(r)
+        try:
+            payload = pickle.dumps((True, work(lane, lanes)))
+        except BaseException as exc:  # raised again in the parent
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"lane {lane}: {exc!r}")))
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
 
 def _mean_decohered(source, m: int, count: int, seed: int) -> float:

@@ -32,7 +32,7 @@ class SchmidtPair:
     """Bipartite pure state in explicit Schmidt form.
 
     coefficients holds the complex a_k (phases included); system_basis and
-    env_basis are row-stacked orthonormal vectors. scale records the norm
+    env_basis are row-stacked orthonormal vectors, each a read-only copy. scale records the norm
     of the raw input when built through from_raw.
     """
 
@@ -42,9 +42,9 @@ class SchmidtPair:
     scale: float = 1.0
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.coefficients, dtype=complex)
-        sb = np.ascontiguousarray(self.system_basis, dtype=complex)
-        eb = np.ascontiguousarray(self.env_basis, dtype=complex)
+        a = np.array(self.coefficients, dtype=complex, order="C")
+        sb = np.array(self.system_basis, dtype=complex, order="C")
+        eb = np.array(self.env_basis, dtype=complex, order="C")
         if a.ndim != 1 or sb.ndim != 2 or eb.ndim != 2:
             raise ValueError("coefficients 1-d, bases 2-d (rows are vectors)")
         k = len(a)
@@ -322,7 +322,8 @@ _RECORD_ATOL = 1e-12
 @dataclass(frozen=True)
 class RecordProjectorSet:
     """Commuting idempotents over a common record space, checked as a
-    projector set by info._checked_projectors, within _RECORD_ATOL."""
+    projector set by info._checked_projectors, within _RECORD_ATOL, and
+    kept as read-only copies."""
 
     projectors: tuple[np.ndarray, ...]
 

@@ -46,9 +46,9 @@ class ProbVector:
 
 
 def _checked_projectors(projectors, atol: float) -> tuple:
-    """The projectors as complex matrices of one square shape, each Hermitian
+    """The projectors as complex copies of one square shape, each Hermitian
     and idempotent within atol (ValueError otherwise); callers add the rest."""
-    ps = tuple(np.ascontiguousarray(p, dtype=complex) for p in projectors)
+    ps = tuple(np.array(p, dtype=complex, order="C") for p in projectors)
     if not ps:
         raise ValueError("empty projector set")
     d = ps[0].shape[0]

@@ -2,7 +2,8 @@
 
 Subsystem index 0 is the leftmost tensor factor, i.e. the most significant
 axis of the flattened amplitude vector (C order). Everything here is dense
-and immutable; the dimension cap in the numeric policy keeps all of it at
+and immutable: a state holds a read-only copy of the caller's array, which
+stays writable. The dimension cap in the numeric policy keeps all of it at
 desk scale.
 
 Subsystem positions are a plain sequence, in any order (apply_unitary
@@ -93,7 +94,7 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.amps, dtype=complex)
+        a = np.array(self.amps, dtype=complex, order="C")
         if a.shape != (self.shape.total_dim,):
             raise ValueError(f"amplitude length {a.shape} != total dim {self.shape.total_dim}")
         nrm = np.linalg.norm(a)
@@ -125,7 +126,7 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex, order="C")
         d = self.shape.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")

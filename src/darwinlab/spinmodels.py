@@ -13,7 +13,8 @@ per-qubit ancillas tractable. A sector block lifts a 2x2 site matrix to
 its symmetric power, built one degree at a time by the Clebsch-Gordan
 isometry step (O(d^2) per degree, no eigensolve).
 Every system start (a, b) is checked as a one-qubit StateVector, by
-_system_start; no model checks a normalization by hand.
+_system_start, and weighted |a|^2, |b|^2 by _start_weights; no model
+checks a normalization or squares an amplitude by hand.
 """
 from __future__ import annotations
 
@@ -33,7 +34,14 @@ HALF = complex(1.0 / np.sqrt(2.0))
 
 def _system_start(system_init) -> StateVector:
     """A system start (a, b) as a one-qubit StateVector: the one start rule."""
-    return StateVector(qubits(1), np.array(system_init, dtype=complex))
+    return StateVector(qubits(1), system_init)
+
+
+def _start_weights(amps) -> np.ndarray:
+    """The branch weights |a|^2, |b|^2 of a start's amplitudes, by scalar
+    abs: the one weight rule of every model (numpy's vectorised abs rounds
+    differently in the last bit)."""
+    return np.array([abs(a) ** 2 for a in amps])
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +55,7 @@ def cnot_model(a: complex, b: complex, n: int) -> BranchingState:
     classical record.
     """
     a, b = _system_start((a, b)).amps
-    probs = np.array([abs(a) ** 2, abs(b) ** 2])
+    probs = _start_weights((a, b))
     phases = np.array([np.angle(a), np.angle(b)])
     conds = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
     return BranchingState(probs, phases, conds)
@@ -105,7 +113,7 @@ def central_spin_branching(p: CentralSpinParams) -> BranchingState:
     """
     a, b = _system_start(p.system_init).amps
     kets = p.env_kets()
-    probs = np.array([abs(a) ** 2, abs(b) ** 2])
+    probs = _start_weights((a, b))
     phases = np.array([np.angle(a), np.angle(b)])
     ph = np.exp(-1j * p.couplings[:, None] * p.t * np.array([1.0, -1.0]))
     conds = np.stack([ph * kets, ph.conj() * kets], axis=1)
@@ -378,7 +386,7 @@ class HazyCentralSpin:
         self.t = float(t)
         self.haze = haze
         self.amps = _system_start(system_init).amps
-        self.p = np.abs(self.amps) ** 2
+        self.p = _start_weights(self.amps)
         self.q = haze_weight(haze.h)
         phase = np.exp(-1j * self.coupling * self.t * np.array([1.0, -1.0]))
         u0 = np.diag(phase)

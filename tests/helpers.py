@@ -1,6 +1,12 @@
-"""Shared constructors for randomized test states."""
-import numpy as np
+"""Shared constructors for randomized test states, and the lane and fork
+probes of the tests of lane-split code."""
+import contextlib
+import os
 
+import numpy as np
+import pytest
+
+from darwinlab import darwin, numeric
 from darwinlab.branching import BranchingState
 from darwinlab.qstate import HilbertShape, StateVector
 
@@ -29,3 +35,47 @@ def random_branching_state(rng, n_env, k, d=2, allow_zero=False) -> BranchingSta
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
     conds = [np.stack([random_ket(rng, d) for _ in range(k)]) for _ in range(n_env)]
     return BranchingState(probs, phases, conds)
+
+
+def force_lanes(monkeypatch, module, lanes):
+    """Keep the one-thread BLAS scope of `module` but make it yield `lanes`."""
+
+    @contextlib.contextmanager
+    def forced():
+        with numeric._one_blas_thread():
+            yield lanes
+
+    monkeypatch.setattr(module, "_one_blas_thread", forced)
+
+
+def count_forks(monkeypatch):
+    """A list that gains the pid of every child os.fork makes from now on."""
+    forks = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_at(monkeypatch, seed):
+    """Make darwin.haar_random_source raise ValueError for one seed, in
+    every lane."""
+    real = darwin.haar_random_source
+
+    def failing(n_env, s):
+        if s == seed:
+            raise ValueError(f"no state at seed {s}")
+        return real(n_env, s)
+
+    monkeypatch.setattr(darwin, "haar_random_source", failing)

@@ -18,7 +18,8 @@ from scipy.special import zeta
 from darwinlab.branching import to_state_vector
 from darwinlab.darwin import (BranchingSource, DenseSource, GaussianSource,
                               InteractingSource, PhotonSource, build_pip,
-                              haar_random_source, observable_sweep, redundancy)
+                              haar_baseline, haar_random_source, observable_sweep,
+                              redundancy)
 from darwinlab.envariance import (FineGrainSpec, SchmidtPair,
                                   branch_frequencies, fine_grain_born,
                                   reversal_demo, swap_and_counterswap)
@@ -238,11 +239,7 @@ def test_11_records_block_reversal():
 
 
 def test_12_haar_baseline_redundancy():
-    rs = []
-    for i in range(20):
-        src = haar_random_source(12, seed=1000 + i)
-        pip = build_pip(src, samples_per_fraction=12, seed=1000 + i)
-        rs.append(redundancy(pip, 0.1).r_delta)
+    rs = haar_baseline(12, 20, samples=12, delta=0.1, seed=1000)
     assert 1.5 <= float(np.mean(rs)) <= 3.0
 
 

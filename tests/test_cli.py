@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -9,17 +10,50 @@ from pathlib import Path
 import pytest
 
 import darwinlab
-from darwinlab import cli, numeric
+from darwinlab import cli, darwin, numeric
 from darwinlab.cli import main
 from darwinlab.darwin import BranchingSource, git_blob_sha
 from darwinlab.photon import CONSTANTS
 from darwinlab.spinmodels import cnot_model
+from helpers import assert_no_children, count_forks, fail_at, force_lanes
 
 LN2 = math.log(2.0)
 
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+class TestParser:
+    """Only the named subcommand is built; help and usage are unchanged."""
+
+    @staticmethod
+    def _help(capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as done:
+            main(list(argv))
+        assert done.value.code == 0
+        return capsys.readouterr().out
+
+    def test_top_help_lists_every_subcommand(self, capsys):
+        out = self._help(capsys, "--help")
+        assert "{" + ",".join(cli._OPTIONS) + "}" in out
+        assert len(cli._OPTIONS) == 8
+
+    def test_subcommand_help_lists_its_options(self, capsys):
+        out = self._help(capsys, "pip", "--help")
+        assert out.startswith("usage: darwinlab pip ")
+        for key in ["config", "seed", "out", *cli._OPTIONS["pip"]]:
+            assert "--" + key.replace("_", "-") in out
+        assert "--delta" not in out
+
+    def test_only_the_named_subcommand_is_built(self):
+        usage = lambda argv: cli._build_argparser(argv).format_usage()
+        assert "{baseline}" in usage(["baseline", "--seed", "1"])
+        for argv in ([], ["--help"], ["bogus"], ["--seed", "1", "pip"]):
+            assert "{" + ",".join(cli._OPTIONS) + "}" in usage(argv)
+
+    def test_python_version_as_platform_gives_it(self):
+        assert cli._versions()["python"] == platform.python_version()
 
 
 class TestExitCodes:
@@ -342,6 +376,22 @@ class TestCommands:
         assert rep["r_delta_min"] <= rep["r_delta_mean"] <= rep["r_delta_max"]
         assert 1.3 < rep["r_delta_mean"] < 3.5
 
+    def test_baseline_lane_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # state 1 runs in forked lane 1, which sends its ValueError back
+        force_lanes(monkeypatch, darwin, 2)
+        fail_at(monkeypatch, 2)
+        assert run(tmp_path, "baseline", "--n", "6", "--states", "3",
+                   "--samples", "4", "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert err == "error: no state at seed 2\n"
+        assert_no_children()
+
+    def test_baseline_cap_exits_2_before_any_fork(self, tmp_path, monkeypatch):
+        force_lanes(monkeypatch, darwin, 2)
+        forks = count_forks(monkeypatch)
+        assert run(tmp_path, "baseline", "--n", "24", "--states", "4", "--seed", "1") == 2
+        assert forks == []
+
 
 def _fresh(code: str) -> list:
     """Run code in a fresh interpreter on this source tree; its stdout lines."""
@@ -504,21 +554,34 @@ class TestLayersLoadOnUse:
 
 
 class TestBlasThreads:
-    """The Gaussian path pins BLAS to one thread, so its bytes do not follow
+    """The Gaussian path pins BLAS to one thread, and the baseline runs one
+    lane per thread, each pinned, so neither's bytes follow
     OPENBLAS_NUM_THREADS."""
 
-    def test_qbm_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+    @staticmethod
+    def _outputs(tmp_path, argv, names, thread_counts) -> list:
         if numeric._openblas_threads() is None:
             pytest.skip("numpy ships no scipy-openblas")
         src = str(Path(darwinlab.__file__).resolve().parents[1])
         outputs = []
-        for threads in ("1", "2"):
+        for threads in thread_counts:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
             out = tmp_path / threads
-            argv = ["qbm", "--bands", "64", "--samples", "4", "--seed", "3", "--out", str(out)]
-            done = subprocess.run([sys.executable, "-m", "darwinlab.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
+            done = subprocess.run([sys.executable, "-m", "darwinlab.cli", *argv, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
-            outputs.append([(out / name).read_bytes() for name in ("qbm.csv", "qbm.json")])
+            outputs.append([(out / name).read_bytes() for name in names])
+        return outputs
+
+    def test_qbm_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        outputs = self._outputs(tmp_path, ["qbm", "--bands", "64", "--samples", "4", "--seed", "3"],
+                                ("qbm.csv", "qbm.json"), ("1", "2"))
         assert outputs[0] == outputs[1]
+
+    def test_baseline_bytes_do_not_depend_on_lanes(self, tmp_path):
+        # one, two and three lanes; three split the four states 2, 1, 1
+        outputs = self._outputs(tmp_path, ["baseline", "--n", "8", "--states", "4",
+                                           "--samples", "6", "--seed", "1"],
+                                ("baseline.json",), ("1", "2", "3"))
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -1,6 +1,7 @@
 """Experiment layer: sources, PIP sampling, redundancy, sweeps, export."""
 import itertools
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,7 @@ from darwinlab.darwin import (
     decompose_mutual_info,
     default_cardinalities,
     git_blob_sha,
+    haar_baseline,
     haar_random_source,
     observable_sweep,
     pip_manifest,
@@ -31,7 +33,7 @@ from darwinlab.darwin import (
     redundancy,
     redundancy_of_decoherence,
 )
-from darwinlab.numeric import POLICY
+from darwinlab.numeric import POLICY, CapExceeded
 from darwinlab.photon import DecoherenceFactor, measured_photon_redundancy
 from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve, qbm_mutual_info_many
 from darwinlab.qstate import HilbertShape, StateVector, subsystem_entropy
@@ -47,7 +49,8 @@ from darwinlab.spinmodels import (
     random_interacting_params,
     uniform_couplings,
 )
-from helpers import random_branching_state, random_state_vector
+from helpers import (assert_no_children, count_forks, fail_at, force_lanes,
+                     random_branching_state, random_state_vector)
 
 LN2 = math.log(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -554,6 +557,97 @@ class TestFragmentRows:
                 for method in (src.decohered_system_entropy, src.decompose):
                     with pytest.raises(ValueError):
                         method(np.array(bad, dtype=np.intp))
+
+
+class TestHaarBaseline:
+    """haar_baseline deals its states over forked lanes; the R list is the
+    serial loop's, bit for bit, and no child outlives a call."""
+
+    N, SAMPLES, DELTA, SEED = 6, 4, 0.1, 11
+
+    def serial(self, states):
+        rs = []
+        for i in range(states):
+            src = haar_random_source(self.N, self.SEED + i)
+            pip = build_pip(src, samples_per_fraction=self.SAMPLES, seed=self.SEED + i)
+            rs.append(redundancy(pip, self.DELTA).r_delta)
+        return np.array(rs).tobytes()
+
+    def baseline(self, states):
+        return haar_baseline(self.N, states, self.SAMPLES, self.DELTA, self.SEED)
+
+    @pytest.mark.parametrize("lanes, states", [
+        (1, 4), (2, 4), (3, 4),
+        (2, 1), (3, 2),          # fewer states than lanes
+        (3, 5),                  # uneven: lanes take 2, 2 and 1 states
+    ])
+    def test_lanes_give_the_serial_bits(self, monkeypatch, lanes, states):
+        force_lanes(monkeypatch, darwin, lanes)
+        forks = count_forks(monkeypatch)
+        got = self.baseline(states)
+        assert np.array(got).tobytes() == self.serial(states)
+        assert len(forks) == min(lanes, states) - 1
+        assert_no_children()
+
+    def test_one_lane_without_fork(self, monkeypatch):
+        force_lanes(monkeypatch, darwin, 2)
+        monkeypatch.delattr(os, "fork")
+        assert np.array(self.baseline(3)).tobytes() == self.serial(3)
+
+    @pytest.mark.parametrize("failing", [0, 1, 4])
+    def test_a_lane_error_is_raised_with_its_type(self, monkeypatch, failing):
+        # state 0 fails in this process, states 1 and 4 in child lane 1
+        force_lanes(monkeypatch, darwin, 3)
+        fail_at(monkeypatch, self.SEED + failing)
+        with pytest.raises(ValueError, match=f"no state at seed {self.SEED + failing}$"):
+            self.baseline(5)
+        assert_no_children()
+
+    def test_lowest_failed_lane_wins(self, monkeypatch):
+        force_lanes(monkeypatch, darwin, 3)
+        real = darwin.haar_random_source
+
+        def failing(n_env, s):
+            if s - self.SEED in (1, 2):
+                raise (KeyError if s - self.SEED == 1 else ArithmeticError)(s)
+            return real(n_env, s)
+
+        monkeypatch.setattr(darwin, "haar_random_source", failing)
+        with pytest.raises(KeyError):
+            self.baseline(3)
+        assert_no_children()
+
+    def test_dense_cap_before_any_fork(self, monkeypatch):
+        force_lanes(monkeypatch, darwin, 2)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(CapExceeded):
+            haar_baseline(24, 4, self.SAMPLES, self.DELTA, self.SEED)
+        with pytest.raises(ValueError, match="at least one environment qubit"):
+            haar_baseline(0, 4, self.SAMPLES, self.DELTA, self.SEED)
+        assert forks == []
+
+    def test_lane_without_result(self):
+        def work(lane, lanes):
+            if lane == 1:
+                os._exit(3)
+            return lane
+
+        with pytest.raises(ChildProcessError, match="lane 1 ended with exit code 3"):
+            darwin._forked_lanes(3, work)
+        assert_no_children()
+
+    def test_unpicklable_error(self):
+        class Local(Exception):
+            pass
+
+        def work(lane, lanes):
+            if lane == 2:
+                raise Local("lost")
+            return lane
+
+        with pytest.raises(RuntimeError, match="lane 2: Local\\('lost'\\)"):
+            darwin._forked_lanes(3, work)
+        assert_no_children()
 
 
 class TestRedundancy:

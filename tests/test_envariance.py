@@ -424,3 +424,20 @@ def test_reversal_validation():
         reversal_demo([1.0])
     with pytest.raises(ValueError):
         reversal_demo([0.0, 0.0])
+
+
+def test_schmidt_pair_keeps_read_only_copies():
+    coefficients, system_basis, env_basis = np.array([0.6, 0.8j]), np.eye(2, dtype=complex), np.eye(2)
+    pair = SchmidtPair(coefficients, system_basis, env_basis)
+    coefficients[0] = system_basis[0, 0] = env_basis[0, 0] = 0.0  # still writable
+    for arr in (pair.coefficients, pair.system_basis, pair.env_basis):
+        assert not arr.flags.writeable
+    assert pair.coefficients[0] == 0.6 and pair.system_basis[0, 0] == pair.env_basis[0, 0] == 1.0
+
+
+def test_record_projector_set_keeps_read_only_copies():
+    p = np.diag([1.0, 0.0]).astype(complex)
+    rset = RecordProjectorSet((p,))
+    p[1, 1] = 1.0  # the caller's array stays writable
+    assert not rset.projectors[0].flags.writeable
+    assert rset.projectors[0][1, 1] == 0.0

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import threading
 
@@ -7,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from darwinlab import numeric, qbm
+from darwinlab import qbm
 from darwinlab.darwin import GaussianSource
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
@@ -25,6 +24,7 @@ from darwinlab.qbm import (
     symplectic_area,
     universal_pip,
 )
+from helpers import force_lanes
 
 # small bath for unit tests; acceptance uses the full figure-scale setup
 BATH = OhmicBathParams(bands=64)
@@ -439,17 +439,6 @@ class TestMutualInfo:
         assert qbm._slab_rows(m, count, lanes) == rows
 
 
-def force_lanes(monkeypatch, lanes):
-    """Keep the one-thread BLAS scope of qbm but make it yield `lanes`."""
-
-    @contextlib.contextmanager
-    def forced():
-        with numeric._one_blas_thread():
-            yield lanes
-
-    monkeypatch.setattr(qbm, "_one_blas_thread", forced)
-
-
 def record_thread_starts(monkeypatch):
     """A list that gains every thread qbm starts from now on."""
     started = []
@@ -485,7 +474,7 @@ class TestLanes:
                            dtype=np.intp)
             got = {}
             for lanes in (1, 2, 3):
-                force_lanes(monkeypatch, lanes)
+                force_lanes(monkeypatch, qbm, lanes)
                 before = set(threading.enumerate())
                 started.clear()
                 got[lanes] = qbm_mutual_info_many(self.state, idx).tobytes()
@@ -503,7 +492,7 @@ class TestLanes:
             return cholesky(cov)
 
         monkeypatch.setattr(qbm, "_cholesky", recorded)
-        force_lanes(monkeypatch, 2)
+        force_lanes(monkeypatch, qbm, 2)
         # m = 10 is the smallest size above the one-lane cut, 2m + 2 = 22
         idx = np.tile(np.arange(10, dtype=np.intp), (2 * qbm._SLAB_ROWS, 1))
         qbm_mutual_info_many(self.state, idx)
@@ -514,11 +503,11 @@ class TestLanes:
         """Up to 2m + 2 = 20 a size runs on one lane, with no helper thread,
         even where two lanes would each get a slab."""
         started = record_thread_starts(monkeypatch)
-        force_lanes(monkeypatch, 2)
+        force_lanes(monkeypatch, qbm, 2)
         idx = np.tile(np.arange(m, dtype=np.intp), (3 * qbm._SLAB_ROWS + 2, 1))
         got = qbm_mutual_info_many(self.state, idx)
         assert started == []
-        force_lanes(monkeypatch, 1)
+        force_lanes(monkeypatch, qbm, 1)
         assert qbm_mutual_info_many(self.state, idx).tobytes() == got.tobytes()
 
     def test_error_in_a_helper_lane_reaches_the_caller(self, monkeypatch):
@@ -543,7 +532,7 @@ class TestLanes:
                 raise
 
         monkeypatch.setattr(qbm, "_cholesky", recorded)
-        force_lanes(monkeypatch, 2)
+        force_lanes(monkeypatch, qbm, 2)
         before = set(threading.enumerate())
         with pytest.raises(ValueError, match="positive definite"):
             qbm_mutual_info_many(bad, idx)

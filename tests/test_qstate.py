@@ -47,6 +47,22 @@ def test_state_norm_enforced():
         StateVector(qubits(1), np.array([1.0, 1.0]))
 
 
+def test_state_vector_keeps_a_read_only_copy():
+    amps = np.array([0.6, 0.8j])
+    state = StateVector(qubits(1), amps)
+    amps[0] = 0.0  # the caller's array stays writable
+    assert not state.amps.flags.writeable
+    assert state.amps[0] == 0.6
+
+
+def test_density_matrix_keeps_a_read_only_copy():
+    mat = np.eye(2, dtype=complex) / 2
+    rho = DensityMatrix(qubits(1), mat)
+    mat[0, 0] = 1.0
+    assert not rho.mat.flags.writeable
+    assert rho.mat[0, 0] == 0.5
+
+
 def test_tensor_basis_states():
     s = tensor(basis_state(qubits(1), 0), basis_state(qubits(1), 1))
     assert s.shape.dims == (2, 2)
