@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import os
-import pickle
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,7 +30,7 @@ from .branching import (BranchingState, _entropies, decohered_system_entropy,
                         mutual_info_many, system_entropy, to_state_vector,
                         two_branch_entropy)
 from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
-from .numeric import POLICY, _one_blas_thread, brentq
+from .numeric import POLICY, _forked_lanes, brentq
 from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
                      reduced_density, subsystem_entropy, system_fragment_entropies)
 from .spinmodels import (HALF, CentralSpinParams, HazyCentralSpin, InteractingEnvParams,
@@ -445,6 +444,18 @@ def _fragment_rows(source, m: int, count: int, seed: int) -> np.ndarray:
     return _distinct_rows(n, m, count, rng)
 
 
+# build_pip deals the sizes left over forked lanes once the plot has run
+# this long (seconds, from its first line); a fork, the child's copy-on-write
+# faults and its exit cost 4-7 ms. Warm in-process medians of 11 calls
+# (2-vCPU x86 box, 2 BLAS threads), forked from the first size: plots of
+# 6-24 ms lost 3-5 ms (c-not n = 20, central spin n = 50, Haar n = 10) and
+# larger ones gained (central spin n = 2000 98 -> 72 ms, interacting n = 14
+# 119 -> 69 ms). At this cut the small plots stay serial, those two went
+# 76 -> 70 and 136 -> 101 ms in another round, and the interacting bath at
+# n = 12, which passes the cut near its end, went from 30 to 37 ms.
+_LANES_AFTER_S = 0.025
+
+
 def _sample_size(source, m: int, count: int, seed: int) -> tuple[float, float, int]:
     vals = source.fragment_mutual_info_many(_fragment_rows(source, m, count, seed))
     sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
@@ -460,7 +471,15 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     integer-then-geometric grid. Draws are uniform without replacement
     within each size and deterministic in `seed`; each size gets its own
     counter-keyed stream.
+
+    The sizes run largest first. Once the plot has run _LANES_AFTER_S,
+    the sizes left are dealt over numeric._forked_lanes, which gives the
+    same values as the serial loop. A symmetric source stays serial and
+    ascending: it has one row per size, and the hazy model's lift cache
+    climbs degree by degree, which a forked lane would do for itself alone
+    and a descending scan would restart once.
     """
+    clock = time.perf_counter()
     if samples_per_fraction < 1:
         raise ValueError("need at least one sample per fraction")
     if seed < 0:
@@ -477,8 +496,15 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
         cards = tuple(sorted(ms | {0, n}))
     h_s = source.system_entropy()
     pure = source.pure_global
-    keys = sorted({min(m, n - m) if pure else m for m in cards})
-    stats = {m: _sample_size(source, m, samples_per_fraction, seed) for m in keys}
+    keys = sorted({min(m, n - m) if pure else m for m in cards}, reverse=not source.symmetric)
+    stats = {}
+    for i, m in enumerate(keys):
+        if not source.symmetric and time.perf_counter() - clock > _LANES_AFTER_S:
+            rest = keys[i:]
+            stats.update(zip(rest, _forked_lanes(
+                lambda k: _sample_size(source, k, samples_per_fraction, seed), rest)))
+            break
+        stats[m] = _sample_size(source, m, samples_per_fraction, seed)
     points = []
     for m in cards:
         key = min(m, n - m) if pure else m
@@ -547,101 +573,19 @@ def haar_baseline(n_env: int, states: int, samples: int, delta: float,
     state order: state i is haar_random_source(n_env, seed + i), sampled
     by build_pip with samples per size and seed + i.
 
-    The states are independent, so inside numeric._one_blas_thread they
-    are dealt round-robin over the lanes that scope yields (OpenBLAS's
-    thread count): lane j takes states j, j + lanes, ... Lane 0 runs in
-    this process and every other lane in an os.fork child (_forked_lanes).
-    Each state runs with BLAS on one thread in every lane, so the values
-    do not depend on the lane count. One lane, and no fork, when BLAS has
-    one thread or is not the bundled scipy-openblas, when os.fork is
-    missing, or for a single state. The dense cap is checked before any
-    fork.
+    The states are independent, so numeric._forked_lanes deals them over
+    its lanes, each with BLAS on one thread; the values do not depend on
+    the lane count. Inside a lane build_pip finds one lane and runs its
+    sizes in line. The dense cap is checked before any fork.
     """
     _haar_shape(n_env)
 
-    def lane(first: int, lanes: int) -> list[float]:
-        rs = []
-        for i in range(first, states, lanes):
-            pip = build_pip(haar_random_source(n_env, seed + i),
-                            samples_per_fraction=samples, seed=seed + i)
-            rs.append(redundancy(pip, delta).r_delta)
-        return rs
+    def one(i: int) -> float:
+        pip = build_pip(haar_random_source(n_env, seed + i),
+                        samples_per_fraction=samples, seed=seed + i)
+        return redundancy(pip, delta).r_delta
 
-    with _one_blas_thread() as lanes:
-        lanes = min(lanes, states) if hasattr(os, "fork") else 1
-        if lanes <= 1:
-            return lane(0, 1)
-        dealt = _forked_lanes(lanes, lane)
-    return [dealt[i % lanes][i // lanes] for i in range(states)]
-
-
-def _forked_lanes(lanes: int, work) -> list:
-    """[work(j, lanes) for j in range(lanes)]: lane 0 in this process, each
-    other lane in an os.fork child that sends its result, or the exception
-    it raised, pickled through a pipe and leaves by os._exit. The error of
-    the lowest failed lane is raised here with its type; the children
-    still running are then killed. Every child is reaped before this
-    returns or raises.
-
-    Fork, not spawn: a spawned lane would import numpy and darwinlab
-    afresh, about half of what a baseline run saves. Fork is safe here
-    because the only other threads are OpenBLAS's, which its own fork
-    handler stops and restarts, and darwinlab keeps no Python thread past
-    a call (qbm joins its lane threads)."""
-    children = []  # (pid, read end of its pipe) of the lanes not yet reaped
-    try:
-        for j in range(1, lanes):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:  # the child leaves inside _child_lane
-                    _child_lane(r, w, work, j, lanes)
-            except BaseException:
-                os.close(r)
-                raise
-            finally:
-                os.close(w)
-            children.append((pid, r))
-        results = [work(0, lanes)]
-        while children:
-            pid, r = children.pop(0)
-            with os.fdopen(r, "rb") as pipe:
-                try:
-                    data = pipe.read()
-                finally:
-                    _, status = os.waitpid(pid, 0)
-            if not data:
-                raise ChildProcessError(f"lane {len(results)} ended with exit code "
-                                        f"{os.waitstatus_to_exitcode(status)} and no result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, r in children:
-            os.close(r)
-            os.kill(pid, 9)  # SIGKILL: a lower lane failed, so this one is moot
-            os.waitpid(pid, 0)
-
-
-def _child_lane(r: int, w: int, work, lane: int, lanes: int):
-    """Body of a forked lane: work(lane, lanes), or the exception it raised,
-    pickled into w. Leaves by os._exit, so none of the parent's cleanup,
-    atexit hooks or stdio buffers run twice."""
-    try:
-        os.close(r)
-        try:
-            payload = pickle.dumps((True, work(lane, lanes)))
-        except BaseException as exc:  # raised again in the parent
-            try:
-                payload = pickle.dumps((False, exc))
-            except Exception:
-                payload = pickle.dumps((False, RuntimeError(f"lane {lane}: {exc!r}")))
-        with os.fdopen(w, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
+    return _forked_lanes(one, range(states))
 
 
 def _mean_decohered(source, m: int, count: int, seed: int) -> float:

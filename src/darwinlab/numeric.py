@@ -23,12 +23,17 @@ _one_blas_thread pins numpy's bundled scipy-openblas to one thread for a
 scope and hands the thread count it had to the caller as a lane count.
 OpenBLAS rounds a product or factorization differently at different
 thread counts, so the Gaussian path, which runs inside this scope, gives
-the same bytes whatever OPENBLAS_NUM_THREADS says.
+the same bytes whatever OPENBLAS_NUM_THREADS says. _forked_lanes is
+darwinlab's one lane mechanism: inside that scope it deals independent
+items (the fragment sizes of a plot, the states of the Haar baseline)
+over one lane per thread OpenBLAS had, every lane but the first a forked
+process.
 """
 import contextlib
 import functools
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 
@@ -244,3 +249,116 @@ def _one_blas_thread():
         yield max(1, threads)
     finally:
         put(threads)
+
+
+def _forked_lanes(work, items) -> list:
+    """[work(x) for x in items], the items dealt over forked lanes.
+
+    Inside _one_blas_thread the lane count is the thread count OpenBLAS
+    had, at most one lane per item. Lane 0 runs in this process and every
+    other lane in an os.fork child. The item positions wait as 4-byte
+    tickets in one pipe that every lane reads, so a lane takes the next
+    item when it has finished one. The tickets fit in PIPE_BUF bytes,
+    which a pipe holds whole; past that, a ticket carries every k-th
+    position. A child sends its (position, result) pairs pickled through
+    its own pipe; the results come back in item order. Inside a lane BLAS
+    reports one thread, so a nested call runs its items in line and
+    nothing forks twice. The items also run in line, inside the scope,
+    when BLAS has one thread or is not the bundled scipy-openblas, without
+    os.fork, or for a single item.
+
+    An item that raises ends its lane and empties the ticket pipe, so the
+    other lanes stop after their current item. The error of the lowest
+    position that failed is raised here with its type (as RuntimeError if
+    a child cannot pickle it). Every child is reaped before this returns
+    or raises.
+
+    Fork, not spawn: a spawned lane would import numpy and darwinlab
+    afresh, about half of what a baseline run saves. Fork is safe here
+    because the only other threads are OpenBLAS's, which its own fork
+    handler stops and restarts; darwinlab starts no Python thread at all.
+    """
+    items = list(items)
+    with _one_blas_thread() as lanes:
+        lanes = min(lanes, len(items)) if hasattr(os, "fork") else 1
+        if lanes <= 1:
+            return [work(x) for x in items]
+        tickets, w = os.pipe()
+        stride = min(len(items), os.fpathconf(w, "PC_PIPE_BUF") // 4)
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(b"".join(t.to_bytes(4, "little") for t in range(stride)))
+        children = []  # (lane, pid, read end of its pipe) of the lanes not yet reaped
+        try:
+            for lane in range(1, lanes):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:  # the child leaves inside _child_lane
+                        _child_lane(r, w, work, items, tickets, stride)
+                except BaseException:
+                    os.close(r)
+                    raise
+                finally:
+                    os.close(w)
+                children.append((lane, pid, r))
+            done, failed = _lane(work, items, tickets, stride)
+            failures = [failed] if failed else []
+            while children:
+                lane, pid, r = children.pop(0)
+                with os.fdopen(r, "rb") as pipe:
+                    try:
+                        data = pipe.read()
+                    finally:
+                        _, status = os.waitpid(pid, 0)
+                if not data:
+                    raise ChildProcessError(f"lane {lane} ended with exit code "
+                                            f"{os.waitstatus_to_exitcode(status)} and no result")
+                made, failed = pickle.loads(data)
+                done += made
+                failures += [failed] if failed else []
+        finally:
+            os.close(tickets)
+            for _, pid, r in children:
+                os.close(r)
+                os.kill(pid, 9)  # SIGKILL: its result is moot
+                os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    results = [None] * len(items)
+    for pos, value in done:
+        results[pos] = value
+    return results
+
+
+def _lane(work, items, tickets: int, stride: int):
+    """One lane's share: the (position, work(item)) pairs of the tickets
+    it reads until the pipe is empty, and (position, error) of the item
+    that raised, which ends the lane, or None."""
+    done = []
+    while ticket := os.read(tickets, 4):
+        for pos in range(int.from_bytes(ticket, "little"), len(items), stride):
+            try:
+                done.append((pos, work(items[pos])))
+            except Exception as exc:  # raised again by _forked_lanes
+                while os.read(tickets, 4096):  # no ticket is left for the others
+                    pass
+                return done, (pos, exc)
+    return done, None
+
+
+def _child_lane(r: int, w: int, work, items, tickets: int, stride: int):
+    """Body of a forked lane: its _lane result pickled into w. Leaves by
+    os._exit, so none of the parent's cleanup, atexit hooks or stdio
+    buffers run twice."""
+    try:
+        os.close(r)
+        done, failed = _lane(work, items, tickets, stride)
+        if failed:
+            try:
+                pickle.dumps(failed[1])
+            except Exception:
+                failed = failed[0], RuntimeError(f"item {failed[0]}: {failed[1]!r}")
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps((done, failed)))
+    finally:
+        os._exit(0)

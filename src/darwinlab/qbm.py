@@ -31,31 +31,22 @@ factor of Delta_F is the leading block of L, moves values ten times
 further from a separate factorization of Delta_F.) Rows are gathered,
 factorized and solved as stacks, in slabs that bound the working set.
 
-Lanes and BLAS. qbm_evolve and qbm_mutual_info_many run with numpy's
-bundled OpenBLAS pinned to one thread (numeric._one_blas_thread), because
-its threads gain nothing on matrices of a few hundred rows and change the
-rounding. The thread count OpenBLAS had becomes the number of lanes: the
-calling thread is lane 0 and starts one helper thread per further lane;
-lane j takes slabs j, j + lanes, j + 2 lanes, ... and writes only their
-rows of the result. A size with 2m + 2 <= _ONE_LANE_DIM = 20 runs on one
-lane, with no helper thread. _slab_rows sizes a slab by matrix elements:
-as many (2m + 2)-square matrices as _SLAB_ELEMS holds, at least _SLAB_ROWS
-and at most ceil(count / lanes), so that each lane gets a slab. A second
-lane pays only on stacks of many matrices; with fixed 6-row slabs, two
-lanes lost to one on every size below 2m + 2 = 86 at 128 bands (the table
-at _SLAB_ROWS). A helper lane calls only this module's private
-helpers and numpy, so every public call stays on the caller's thread.
-Every helper is joined before the call returns, and an error raised in
-any lane is re-raised to the caller then. The bytes do not depend on the
-lane count, nor on OPENBLAS_NUM_THREADS. On a numpy without bundled
-scipy-openblas the path runs one lane with BLAS as shipped.
+BLAS. qbm_evolve and qbm_mutual_info_many run with numpy's bundled
+OpenBLAS pinned to one thread (numeric._one_blas_thread), because its
+threads gain nothing on matrices of a few hundred rows and change the
+rounding, so the bytes do not depend on OPENBLAS_NUM_THREADS. The thread
+budget goes to whole fragment sizes instead: build_pip deals a plot's
+sizes over forked lanes (numeric._forked_lanes), darwinlab's one lane
+mechanism. _slab_rows sizes a slab by matrix elements: as many
+(2m + 2)-square matrices as _SLAB_ELEMS holds, and at least _SLAB_ROWS.
+On a numpy without bundled scipy-openblas the path runs with BLAS as
+shipped.
 
 hbar = 1 throughout.
 """
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,35 +55,13 @@ import numpy as np
 from .numeric import POLICY, CapExceeded, _one_blas_thread, expm
 from .qstate import _sorted_positions, check_rows
 
-# fragment rows per stacked gather, factorization and eigensolve, in each
-# lane (_slab_rows). Every lane holds its own slab, so peak memory follows
-# the matrix elements in flight: on the oscillator-bands workload, two lanes
-# of fixed 8-row slabs peaked at 51.9 MB and two of 6 rows at 49.1-50.0 MB.
+# fragment rows per stacked gather, factorization and eigensolve
+# (_slab_rows). Peak memory follows the matrix elements in flight, so
 # _SLAB_ELEMS caps a slab at six 130 x 130 matrices, the largest slab of a
-# 128-band plot (m = 64, the half size of a pure state). Smaller matrices
-# come in taller stacks, which is what a second lane needs: two threads
-# sharing 384 stacked eigvalsh ran 1.25-1.86x faster than one on 48-matrix
-# stacks at 2m + 2 = 34-130, but 0.81-0.82x on 6-matrix stacks at 34 and 66.
-# Two lanes against one, per fragment size at 128 bands, 48 fragments a
-# size (best of 5 calls, two rounds; 2-vCPU x86 box):
-#
-#   2m + 2              18         34         50         66         86         98
-#   fixed 6-row slabs   0.53-0.82  0.63-0.84  0.82-0.89  0.84-0.85  1.18-1.69  1.48-1.81
-#   element-sized       0.84-0.89  0.99-1.62  1.73-1.77  1.40-1.64  1.60-1.77  1.59-1.64
-#
-# Up to 2m + 2 = _ONE_LANE_DIM a size runs on one lane, whatever the lane
-# count: there the helper thread's start outweighs its share (128 bands, 48
-# fragments, best of 7 calls: m = 1 took 0.38-0.39 ms on one lane and
-# 0.85-0.89 ms on two, m = 8 1.85-1.95 ms against 2.45 ms). The cut is the
-# break-even: in four rounds of 15 interleaved calls (medians), m = 9
-# (2m + 2 = 20) took 2.6-3.2 ms on one lane and 3.8-4.7 ms on two, m = 10
-# 3.3-5.0 ms against 3.2-4.4 ms; over 12 rounds of three measures one lane
-# won m = 9 in all 12 and two lanes won m = 10 in 9. The _SLAB_ROWS floor
-# binds above 2m + 2 = 130: a pure element budget cut m = 96 and 128 at 256
-# bands to 2 and 1 rows a slab and made them 40-55 % slower on two lanes.
+# 128-band plot (m = 64, the half size of a pure state); smaller matrices
+# come in taller stacks. The _SLAB_ROWS floor binds above 2m + 2 = 130.
 _SLAB_ROWS = 6
 _SLAB_ELEMS = _SLAB_ROWS * 130 ** 2
-_ONE_LANE_DIM = 20
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
@@ -381,8 +350,8 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     The rows are checked once per call. Each slab of rows gathers its SF
     covariances, mode 0 first, as one stack and takes one stacked Cholesky;
     the F rows of each factor are a factor of Delta_F (module docstring).
-    H_S comes from qbm_system_entropy. The slabs are split across lanes,
-    with BLAS on one thread (module docstring).
+    H_S comes from qbm_system_entropy. BLAS runs on one thread (module
+    docstring).
     """
     idx = check_rows(idx, state.n_modes - 1)
     count, m = idx.shape
@@ -393,57 +362,21 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     modes = np.concatenate((np.zeros((count, 1), dtype=np.intp), idx + 1), axis=1)
     rows = np.stack((2 * modes, 2 * modes + 1), axis=2).reshape(count, 2 * m + 2)
     cov = state.cov
-
-    def lane(first: int, lanes: int) -> None:
-        for lo in range(first * slab, count, lanes * slab):
+    with _one_blas_thread():
+        slab = _slab_rows(m)
+        for lo in range(0, count, slab):
             r = rows[lo:lo + slab]
             l = _cholesky(cov[r[:, :, None], r[:, None, :]])
             h_f = _spectrum_entropy(_symplectic_spectrum(l[:, 2:]))
             h_sf = _spectrum_entropy(_symplectic_spectrum(l))
             out[lo:lo + len(r)] = h_s + h_f - h_sf
-
-    with _one_blas_thread() as lanes:
-        if 2 * m + 2 <= _ONE_LANE_DIM:
-            lanes = 1
-        slab = _slab_rows(m, count, lanes)
-        _in_lanes(min(lanes, math.ceil(count / slab)), lane)
     return out
 
 
-def _slab_rows(m: int, count: int, lanes: int) -> int:
-    """Rows per slab for count fragments of m bands: as many (2m + 2)-square
-    matrices as _SLAB_ELEMS holds, at least _SLAB_ROWS, and at most
-    ceil(count / lanes), so that every lane gets a slab."""
-    budget = max(_SLAB_ROWS, _SLAB_ELEMS // (2 * m + 2) ** 2)
-    return min(budget, math.ceil(count / lanes))
-
-
-def _in_lanes(lanes: int, work) -> None:
-    """work(lane, lanes) for lane = 0 .. lanes - 1: lane 0 on the calling
-    thread, each other lane on a helper thread. Every helper is joined
-    before this returns; then the error of the lowest failed lane, if any,
-    is raised."""
-    errors = [None] * lanes
-
-    def helper(lane: int) -> None:
-        try:
-            work(lane, lanes)
-        except BaseException as exc:  # raised again in the caller below
-            errors[lane] = exc
-
-    threads = []
-    try:
-        for lane in range(1, lanes):
-            thread = threading.Thread(target=helper, args=(lane,))
-            thread.start()
-            threads.append(thread)
-        work(0, lanes)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+def _slab_rows(m: int) -> int:
+    """Rows per slab for fragments of m bands: as many (2m + 2)-square
+    matrices as _SLAB_ELEMS holds, and at least _SLAB_ROWS."""
+    return max(_SLAB_ROWS, _SLAB_ELEMS // (2 * m + 2) ** 2)
 
 
 def universal_pip(h_s: float, f: float) -> float:

@@ -1,5 +1,5 @@
 """Shared constructors for randomized test states, and the lane and fork
-probes of the tests of lane-split code."""
+probes of the tests of numeric._forked_lanes and its callers."""
 import contextlib
 import os
 
@@ -37,15 +37,23 @@ def random_branching_state(rng, n_env, k, d=2, allow_zero=False) -> BranchingSta
     return BranchingState(probs, phases, conds)
 
 
-def force_lanes(monkeypatch, module, lanes):
-    """Keep the one-thread BLAS scope of `module` but make it yield `lanes`."""
+def force_lanes(monkeypatch, lanes):
+    """Keep numeric's one-thread BLAS scope but make its outermost entry
+    yield `lanes`. A scope inside it yields one lane, as BLAS then reports
+    one thread, in this process and in every forked lane."""
+    real = numeric._one_blas_thread
+    depth = []
 
     @contextlib.contextmanager
     def forced():
-        with numeric._one_blas_thread():
-            yield lanes
+        with real():
+            depth.append(None)
+            try:
+                yield lanes if len(depth) == 1 else 1
+            finally:
+                depth.pop()
 
-    monkeypatch.setattr(module, "_one_blas_thread", forced)
+    monkeypatch.setattr(numeric, "_one_blas_thread", forced)
 
 
 def count_forks(monkeypatch):

@@ -377,8 +377,9 @@ class TestCommands:
         assert 1.3 < rep["r_delta_mean"] < 3.5
 
     def test_baseline_lane_error_exits_1(self, tmp_path, capsys, monkeypatch):
-        # state 1 runs in forked lane 1, which sends its ValueError back
-        force_lanes(monkeypatch, darwin, 2)
+        # state 1 fails in whichever lane takes it; a child lane sends its
+        # ValueError back
+        force_lanes(monkeypatch, 2)
         fail_at(monkeypatch, 2)
         assert run(tmp_path, "baseline", "--n", "6", "--states", "3",
                    "--samples", "4", "--seed", "1") == 1
@@ -387,7 +388,7 @@ class TestCommands:
         assert_no_children()
 
     def test_baseline_cap_exits_2_before_any_fork(self, tmp_path, monkeypatch):
-        force_lanes(monkeypatch, darwin, 2)
+        force_lanes(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         assert run(tmp_path, "baseline", "--n", "24", "--states", "4", "--seed", "1") == 2
         assert forks == []
@@ -554,9 +555,9 @@ class TestLayersLoadOnUse:
 
 
 class TestBlasThreads:
-    """The Gaussian path pins BLAS to one thread, and the baseline runs one
-    lane per thread, each pinned, so neither's bytes follow
-    OPENBLAS_NUM_THREADS."""
+    """The Gaussian path pins BLAS to one thread, and forked lanes (one per
+    thread, each pinned) take the baseline's states and the sizes of a
+    plot, so no run's bytes follow OPENBLAS_NUM_THREADS."""
 
     @staticmethod
     def _outputs(tmp_path, argv, names, thread_counts) -> list:
@@ -580,8 +581,17 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
     def test_baseline_bytes_do_not_depend_on_lanes(self, tmp_path):
-        # one, two and three lanes; three split the four states 2, 1, 1
+        # one, two and three lanes; three lanes take the four states as
+        # each finishes one
         outputs = self._outputs(tmp_path, ["baseline", "--n", "8", "--states", "4",
                                            "--samples", "6", "--seed", "1"],
                                 ("baseline.json",), ("1", "2", "3"))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_plot_bytes_do_not_depend_on_lanes(self, tmp_path):
+        # the interacting plot at n = 14 runs 70-120 ms, past
+        # darwin._LANES_AFTER_S, so its later sizes go to the lanes
+        outputs = self._outputs(tmp_path, ["redundancy", "--model", "interacting", "--n", "14",
+                                           "--t", "10", "--seed", "1"],
+                                ("redundancy.csv", "redundancy.json"), ("1", "2", "3"))
         assert outputs[0] == outputs[1] == outputs[2]

@@ -2,6 +2,7 @@
 import itertools
 import math
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.branching import two_branch_entropy
-from darwinlab import darwin, qstate
+from darwinlab import darwin, numeric, qstate
 from darwinlab.darwin import (
     BranchingSource,
     DenseSource,
@@ -559,6 +560,72 @@ class TestFragmentRows:
                         method(np.array(bad, dtype=np.intp))
 
 
+class TestPlotLanes:
+    """build_pip deals the sizes left after _LANES_AFTER_S over forked
+    lanes; the plot is the serial loop's, bit for bit, and no child
+    outlives a call. The cut is 0 here, so every size is dealt."""
+
+    @staticmethod
+    def sources():
+        rng = np.random.default_rng(23)
+        # the default start is flip even, so the dense kernel splits each side
+        yield InteractingSource(random_interacting_params(rng, 8, 10.0))
+        yield haar_random_source(8, seed=4)
+        yield BranchingSource(random_branching_state(rng, 12, 3))
+        yield GaussianSource(qbm_evolve(OhmicBathParams(bands=12), 4.0, "x", 2.0))
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_lanes_give_the_serial_bits(self, monkeypatch, lanes):
+        force_lanes(monkeypatch, lanes)
+        forks = count_forks(monkeypatch)
+        for source in self.sources():
+            monkeypatch.setattr(darwin, "_LANES_AFTER_S", math.inf)
+            want = build_pip(source, samples_per_fraction=5, seed=3)
+            monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+            forks.clear()
+            got = build_pip(source, samples_per_fraction=5, seed=3)
+            assert got == want and pip_to_csv(got) == pip_to_csv(want)
+            assert len(forks) == lanes - 1
+            assert_no_children()
+
+    def test_symmetric_sources_fork_nothing(self, monkeypatch):
+        force_lanes(monkeypatch, 3)
+        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+        forks = count_forks(monkeypatch)
+        build_pip(PhotonSource(0.2, n_env=40), seed=0)
+        build_pip(HazySource(HazyCentralSpin(12, 0.5, 1.0, HazyParams(0.3))), seed=0)
+        assert forks == []
+
+    def test_plots_below_the_cut_fork_nothing(self, monkeypatch):
+        force_lanes(monkeypatch, 3)
+        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 1e9)
+        forks = count_forks(monkeypatch)
+        for source in self.sources():
+            build_pip(source, samples_per_fraction=5, seed=3)
+        assert forks == []
+
+    @pytest.mark.parametrize("in_child", [True, False])
+    def test_a_lane_error_is_raised_with_its_type(self, monkeypatch, in_child):
+        # every size fails in the child lanes, or in this process alone
+        # (which sleeps, so the children take sizes meanwhile)
+        parent = os.getpid()
+        source = spin_source(12, t=1.5)
+        real = source.fragment_mutual_info_many
+
+        def failing(idx):
+            if (os.getpid() != parent) == in_child:
+                raise ValueError(f"size {idx.shape[1]} failed")
+            time.sleep(0.01)
+            return real(idx)
+
+        monkeypatch.setattr(source, "fragment_mutual_info_many", failing)
+        force_lanes(monkeypatch, 3)
+        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+        with pytest.raises(ValueError, match=r"^size \d+ failed$"):
+            build_pip(source, samples_per_fraction=4, seed=0)
+        assert_no_children()
+
+
 class TestHaarBaseline:
     """haar_baseline deals its states over forked lanes; the R list is the
     serial loop's, bit for bit, and no child outlives a call."""
@@ -579,32 +646,55 @@ class TestHaarBaseline:
     @pytest.mark.parametrize("lanes, states", [
         (1, 4), (2, 4), (3, 4),
         (2, 1), (3, 2),          # fewer states than lanes
-        (3, 5),                  # uneven: lanes take 2, 2 and 1 states
+        (3, 5),                  # uneven: lanes take the states as they finish
     ])
     def test_lanes_give_the_serial_bits(self, monkeypatch, lanes, states):
-        force_lanes(monkeypatch, darwin, lanes)
+        force_lanes(monkeypatch, lanes)
         forks = count_forks(monkeypatch)
         got = self.baseline(states)
         assert np.array(got).tobytes() == self.serial(states)
         assert len(forks) == min(lanes, states) - 1
         assert_no_children()
 
+    def test_a_slow_state_keeps_state_order(self, monkeypatch):
+        # state 0 is slow, so the other lanes take the states after it
+        # meanwhile; the plots past a zero cut would fork in a lane that
+        # had more than one, so the fork count also shows that no lane
+        # forks again
+        want = self.serial(5)
+        real = darwin.haar_random_source
+
+        def slow(n_env, s):
+            if s == self.SEED:
+                time.sleep(0.2)
+            return real(n_env, s)
+
+        monkeypatch.setattr(darwin, "haar_random_source", slow)
+        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+        force_lanes(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        assert np.array(self.baseline(5)).tobytes() == want
+        assert len(forks) == 2
+        assert_no_children()
+
     def test_one_lane_without_fork(self, monkeypatch):
-        force_lanes(monkeypatch, darwin, 2)
+        force_lanes(monkeypatch, 2)
         monkeypatch.delattr(os, "fork")
         assert np.array(self.baseline(3)).tobytes() == self.serial(3)
 
     @pytest.mark.parametrize("failing", [0, 1, 4])
     def test_a_lane_error_is_raised_with_its_type(self, monkeypatch, failing):
-        # state 0 fails in this process, states 1 and 4 in child lane 1
-        force_lanes(monkeypatch, darwin, 3)
+        # the failing state runs in whichever lane takes it
+        force_lanes(monkeypatch, 3)
         fail_at(monkeypatch, self.SEED + failing)
         with pytest.raises(ValueError, match=f"no state at seed {self.SEED + failing}$"):
             self.baseline(5)
         assert_no_children()
 
     def test_lowest_failed_lane_wins(self, monkeypatch):
-        force_lanes(monkeypatch, darwin, 3)
+        # the error of the lowest failed state is raised, whichever lanes
+        # ran states 1 and 2
+        force_lanes(monkeypatch, 3)
         real = darwin.haar_random_source
 
         def failing(n_env, s):
@@ -618,7 +708,7 @@ class TestHaarBaseline:
         assert_no_children()
 
     def test_dense_cap_before_any_fork(self, monkeypatch):
-        force_lanes(monkeypatch, darwin, 2)
+        force_lanes(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         with pytest.raises(CapExceeded):
             haar_baseline(24, 4, self.SAMPLES, self.DELTA, self.SEED)
@@ -626,27 +716,35 @@ class TestHaarBaseline:
             haar_baseline(0, 4, self.SAMPLES, self.DELTA, self.SEED)
         assert forks == []
 
-    def test_lane_without_result(self):
-        def work(lane, lanes):
-            if lane == 1:
-                os._exit(3)
-            return lane
+    @staticmethod
+    def in_children(parent, act):
+        """A work function that runs act() in a child lane; in this
+        process it sleeps, so the children take items meanwhile."""
+        def work(i):
+            if os.getpid() != parent:
+                act()
+            time.sleep(0.01)
+            return i
+        return work
 
+    def test_lane_without_result(self, monkeypatch):
+        force_lanes(monkeypatch, 3)
+        work = self.in_children(os.getpid(), lambda: os._exit(3))
         with pytest.raises(ChildProcessError, match="lane 1 ended with exit code 3"):
-            darwin._forked_lanes(3, work)
+            numeric._forked_lanes(work, range(40))
         assert_no_children()
 
-    def test_unpicklable_error(self):
+    def test_unpicklable_error(self, monkeypatch):
         class Local(Exception):
             pass
 
-        def work(lane, lanes):
-            if lane == 2:
-                raise Local("lost")
-            return lane
+        def lost():
+            raise Local("lost")
 
-        with pytest.raises(RuntimeError, match="lane 2: Local\\('lost'\\)"):
-            darwin._forked_lanes(3, work)
+        force_lanes(monkeypatch, 3)
+        work = self.in_children(os.getpid(), lost)
+        with pytest.raises(RuntimeError, match=r"^item \d+: Local\('lost'\)$"):
+            numeric._forked_lanes(work, range(40))
         assert_no_children()
 
 

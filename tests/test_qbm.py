@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from darwinlab.qbm import (
     symplectic_area,
     universal_pip,
 )
-from helpers import force_lanes
 
 # small bath for unit tests; acceptance uses the full figure-scale setup
 BATH = OhmicBathParams(bands=64)
@@ -416,8 +414,8 @@ class TestMutualInfo:
         assert got.shape == (0,)
 
     def test_slabs_match_single_rows(self):
-        # more rows than one slab holds at any lane count: every row still
-        # gets the bytes of a lone call
+        # more rows than one slab holds: every row still gets the bytes of a
+        # lone call
         rng = np.random.default_rng(13)
         for m in (1, 5, 32):
             count = max(qbm._SLAB_ROWS, qbm._SLAB_ELEMS // (2 * m + 2) ** 2) + 1
@@ -426,118 +424,15 @@ class TestMutualInfo:
             got = qbm_mutual_info_many(self.state, idx)
             assert got.tolist() == [one_fragment_info(self.state, row) for row in idx.tolist()]
 
-    @pytest.mark.parametrize("m, count, lanes, rows", [
-        (64, 48, 2, 6),      # 130 x 130 matrices: the element budget is the floor
-        (100, 48, 2, 6),     # larger matrices: the 6-row floor binds
-        (5, 48, 2, 24),      # small matrices: one slab per lane
-        (5, 10 ** 4, 1, qbm._SLAB_ELEMS // 12 ** 2),  # the element budget binds
-        (32, 5, 3, 2),       # fewer rows than lanes x 6: every lane gets a slab
-        (1, 1, 2, 1),        # one row: one slab, so one lane runs
+    @pytest.mark.parametrize("m, rows", [
+        (64, 6),      # 130 x 130 matrices: the element budget is the floor
+        (100, 6),     # larger matrices: the 6-row floor binds
+        (5, qbm._SLAB_ELEMS // 12 ** 2),  # small matrices: the element budget binds
+        (1, qbm._SLAB_ELEMS // 4 ** 2),
     ])
-    def test_slab_rule(self, m, count, lanes, rows):
+    def test_slab_rule(self, m, rows):
         assert qbm._SLAB_ELEMS == 6 * 130 ** 2
-        assert qbm._slab_rows(m, count, lanes) == rows
-
-
-def record_thread_starts(monkeypatch):
-    """A list that gains every thread qbm starts from now on."""
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(qbm.threading, "Thread", Recorded)
-    return started
-
-
-class TestLanes:
-    """The slabs of a fragment size split across lanes: the bits do not
-    depend on the lane count, and no helper thread outlives the call."""
-
-    def setup_method(self):
-        self.state = qbm_evolve(OhmicBathParams(), 1e3, "x", 3.0)
-
-    def test_lanes_give_identical_bits(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        budget = qbm._SLAB_ELEMS // 34 ** 2  # rows the element budget allows at m = 16
-        cases = [(m, 3 * qbm._SLAB_ROWS + 2) for m in (10, 16, 32, 64)]
-        # every size is above the one-lane cut; the 6-row floor binds at
-        # m = 64 and 100, the element budget at m = 16 with more than
-        # 3 x `budget` rows, and 5 rows are fewer than lanes x 6 for 2 and 3
-        # lanes
-        cases += [(100, 3 * qbm._SLAB_ROWS + 2), (16, 3 * budget + 1), (32, 5)]
-        started = record_thread_starts(monkeypatch)
-        for m, count in cases:
-            idx = np.array([np.sort(rng.choice(128, m, replace=False)) for _ in range(count)],
-                           dtype=np.intp)
-            got = {}
-            for lanes in (1, 2, 3):
-                force_lanes(monkeypatch, qbm, lanes)
-                before = set(threading.enumerate())
-                started.clear()
-                got[lanes] = qbm_mutual_info_many(self.state, idx).tobytes()
-                assert set(threading.enumerate()) == before
-                # every case has a slab for each lane, so each lane runs
-                assert len(started) == lanes - 1
-            assert got[2] == got[1] and got[3] == got[1]
-
-    def test_helper_lanes_run_off_the_calling_thread(self, monkeypatch):
-        threads = set()
-        cholesky = qbm._cholesky
-
-        def recorded(cov):
-            threads.add(threading.get_ident())
-            return cholesky(cov)
-
-        monkeypatch.setattr(qbm, "_cholesky", recorded)
-        force_lanes(monkeypatch, qbm, 2)
-        # m = 10 is the smallest size above the one-lane cut, 2m + 2 = 22
-        idx = np.tile(np.arange(10, dtype=np.intp), (2 * qbm._SLAB_ROWS, 1))
-        qbm_mutual_info_many(self.state, idx)
-        assert len(threads) == 2 and threading.get_ident() in threads
-
-    @pytest.mark.parametrize("m", [1, 9])
-    def test_small_sizes_start_no_thread(self, monkeypatch, m):
-        """Up to 2m + 2 = 20 a size runs on one lane, with no helper thread,
-        even where two lanes would each get a slab."""
-        started = record_thread_starts(monkeypatch)
-        force_lanes(monkeypatch, qbm, 2)
-        idx = np.tile(np.arange(m, dtype=np.intp), (3 * qbm._SLAB_ROWS + 2, 1))
-        got = qbm_mutual_info_many(self.state, idx)
-        assert started == []
-        force_lanes(monkeypatch, qbm, 1)
-        assert qbm_mutual_info_many(self.state, idx).tobytes() == got.tobytes()
-
-    def test_error_in_a_helper_lane_reaches_the_caller(self, monkeypatch):
-        cov = self.state.cov.copy()
-        cov[2 * 8, 2 * 8] = -1.0  # band 7 has a negative variance
-        bad = GaussianState._unchecked(self.state.means, cov)
-        bad._h_system = qbm_system_entropy(self.state)
-        # m = 10, above the one-lane cut; only the last row holds band 7, and
-        # 2 lanes split the rows into two slabs of ceil(count / 2), of which
-        # lane 1 takes the second
-        rows = [list(range(11, 21))] * (3 * qbm._SLAB_ROWS)
-        rows[-1] = list(range(1, 11))
-        idx = np.array(rows, dtype=np.intp)
-        failed = []
-        cholesky = qbm._cholesky
-
-        def recorded(cov):
-            try:
-                return cholesky(cov)
-            except ValueError:
-                failed.append(threading.get_ident())
-                raise
-
-        monkeypatch.setattr(qbm, "_cholesky", recorded)
-        force_lanes(monkeypatch, qbm, 2)
-        before = set(threading.enumerate())
-        with pytest.raises(ValueError, match="positive definite"):
-            qbm_mutual_info_many(bad, idx)
-        assert set(threading.enumerate()) == before
-        assert len(failed) == 1 and failed[0] != threading.get_ident()
+        assert qbm._slab_rows(m) == rows
 
 
 def two_cholesky_mutual_info(state, bands):
