@@ -7,16 +7,16 @@ import. A run is fully determined by its merged configuration plus the
 mandatory seed: all randomness flows from the single seed through fixed
 counter keys, and file outputs are byte-identical across reruns and BLAS
 thread counts. No environment variable changes a run, with one
-exception: on a numpy without bundled scipy-openblas the Gaussian path
-cannot pin BLAS to one thread, so the last digits of a qbm run may
-follow OPENBLAS_NUM_THREADS. That thread count also sets how many
+exception: on a numpy without bundled scipy-openblas, plots and the
+Gaussian evolution cannot pin BLAS to one thread, so their last digits
+may follow OPENBLAS_NUM_THREADS. That thread count also sets how many
 processes a run uses, never its bytes, through darwinlab's one lane
 mechanism (numeric._forked_lanes): one lane per thread, all but the
-first forked, each with BLAS on one thread. A plot deals the fragment
-sizes left once it has run darwin._LANES_AFTER_S, unless its model is
-symmetric (photon, hazy); a baseline run deals its states. A run stays
-on one lane when BLAS has one thread or is not the bundled
-scipy-openblas, or without os.fork.
+first forked, each with BLAS on one thread. A plot deals the sizes
+after its largest when that one's time, times the sizes left, passes
+darwin._DEAL_ABOVE_S, unless its model is symmetric (photon, hazy); a
+baseline run deals its states. A run stays on one lane when BLAS has one
+thread or is not the bundled scipy-openblas, or without os.fork.
 
 Configuration comes from an INI file (one section per subcommand, keys
 named like the long flags) with command-line flags taking precedence.

@@ -30,7 +30,7 @@ from .branching import (BranchingState, _entropies, decohered_system_entropy,
                         mutual_info_many, system_entropy, to_state_vector,
                         two_branch_entropy)
 from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
-from .numeric import POLICY, _forked_lanes, brentq
+from .numeric import POLICY, _forked_lanes, _one_blas_thread, brentq
 from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
                      reduced_density, subsystem_entropy, system_fragment_entropies)
 from .spinmodels import (HALF, CentralSpinParams, HazyCentralSpin, InteractingEnvParams,
@@ -444,22 +444,13 @@ def _fragment_rows(source, m: int, count: int, seed: int) -> np.ndarray:
     return _distinct_rows(n, m, count, rng)
 
 
-# build_pip deals the sizes left over forked lanes once the plot has run
-# this long (seconds, from its first line); a fork, the child's copy-on-write
-# faults and its exit cost 4-7 ms. Warm in-process medians of 11 calls
-# (2-vCPU x86 box, 2 BLAS threads), forked from the first size: plots of
-# 6-24 ms lost 3-5 ms (c-not n = 20, central spin n = 50, Haar n = 10) and
-# larger ones gained (central spin n = 2000 98 -> 72 ms, interacting n = 14
-# 119 -> 69 ms). At this cut the small plots stay serial, those two went
-# 76 -> 70 and 136 -> 101 ms in another round, and the interacting bath at
-# n = 12, which passes the cut near its end, went from 30 to 37 ms.
-_LANES_AFTER_S = 0.025
-
-
-def _sample_size(source, m: int, count: int, seed: int) -> tuple[float, float, int]:
-    vals = source.fragment_mutual_info_many(_fragment_rows(source, m, count, seed))
-    sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-    return float(vals.mean()), sd, len(vals)
+# build_pip deals the sizes after the largest when its time, times the
+# sizes left (about the most the rest can take), passes this (seconds).
+# Warm medians of 11-15 calls (2-vCPU x86 VM, 2 BLAS threads), serial ->
+# dealt: products of 13-35 ms lost 2-5 ms (c-not n = 20, central spin n =
+# 50), 32-64 ms broke even (Haar n = 10, interacting n = 11, 12), 0.15-1 s
+# gained (central spin n = 200 76 -> 60 ms, interacting n = 14 129 -> 90).
+_DEAL_ABOVE_S = 0.1
 
 
 def build_pip(source, fractions=None, samples_per_fraction: int = 24,
@@ -472,14 +463,16 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     within each size and deterministic in `seed`; each size gets its own
     counter-keyed stream.
 
-    The sizes run largest first. Once the plot has run _LANES_AFTER_S,
-    the sizes left are dealt over numeric._forked_lanes, which gives the
-    same values as the serial loop. A symmetric source stays serial and
-    ascending: it has one row per size, and the hazy model's lift cache
-    climbs degree by degree, which a forked lane would do for itself alone
-    and a descending scan would restart once.
+    The sizes run largest first, each with BLAS on one thread, so the
+    values do not depend on OPENBLAS_NUM_THREADS. When the largest took
+    longer than _DEAL_ABOVE_S over the sizes left, those are dealt over
+    numeric._forked_lanes, with the serial loop's values: a call may fork
+    when OpenBLAS has threads, which a caller with threads of its own (a
+    Jupyter kernel) avoids by OPENBLAS_NUM_THREADS=1 (Python 3.12+ warns
+    on such a fork). A symmetric source stays serial and ascending: one
+    row per size, and the hazy lift cache climbs degree by degree, which
+    a lane would do alone and a descending scan would restart once.
     """
-    clock = time.perf_counter()
     if samples_per_fraction < 1:
         raise ValueError("need at least one sample per fraction")
     if seed < 0:
@@ -496,15 +489,20 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
         cards = tuple(sorted(ms | {0, n}))
     h_s = source.system_entropy()
     pure = source.pure_global
-    keys = sorted({min(m, n - m) if pure else m for m in cards}, reverse=not source.symmetric)
-    stats = {}
-    for i, m in enumerate(keys):
-        if not source.symmetric and time.perf_counter() - clock > _LANES_AFTER_S:
-            rest = keys[i:]
-            stats.update(zip(rest, _forked_lanes(
-                lambda k: _sample_size(source, k, samples_per_fraction, seed), rest)))
-            break
-        stats[m] = _sample_size(source, m, samples_per_fraction, seed)
+
+    def sample(m: int) -> tuple[float, float, int]:
+        with _one_blas_thread():  # in this process and in a lane alike
+            vals = source.fragment_mutual_info_many(
+                _fragment_rows(source, m, samples_per_fraction, seed))
+        sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+        return float(vals.mean()), sd, len(vals)
+
+    first, *rest = sorted({min(m, n - m) if pure else m for m in cards},
+                          reverse=not source.symmetric)
+    clock = time.perf_counter()
+    stats = {first: sample(first)}
+    deal = not source.symmetric and (time.perf_counter() - clock) * len(rest) > _DEAL_ABOVE_S
+    stats.update(zip(rest, _forked_lanes(sample, rest) if deal else map(sample, rest)))
     points = []
     for m in cards:
         key = min(m, n - m) if pure else m

@@ -20,14 +20,12 @@ Al-Mohy & Higham variant) by rounding only; tests/test_numeric.py bounds
 the gap on the QBM propagators and on random matrices.
 
 _one_blas_thread pins numpy's bundled scipy-openblas to one thread for a
-scope and hands the thread count it had to the caller as a lane count.
-OpenBLAS rounds a product or factorization differently at different
-thread counts, so the Gaussian path, which runs inside this scope, gives
-the same bytes whatever OPENBLAS_NUM_THREADS says. _forked_lanes is
-darwinlab's one lane mechanism: inside that scope it deals independent
-items (the fragment sizes of a plot, the states of the Haar baseline)
-over one lane per thread OpenBLAS had, every lane but the first a forked
-process.
+scope. OpenBLAS rounds differently at different thread counts, so every
+fragment size of a plot and the Gaussian evolution run inside such a
+scope and give the same bytes whatever OPENBLAS_NUM_THREADS says.
+_forked_lanes, darwinlab's one lane mechanism, deals independent items
+(a plot's fragment sizes, the Haar baseline's states) over one lane per
+thread OpenBLAS had, every lane but the first a forked process.
 """
 import contextlib
 import functools
@@ -234,19 +232,22 @@ def _one_blas_thread():
     """Run the scope with the bundled OpenBLAS on one thread and yield the
     lane count: OpenBLAS's own thread count before the scope, so that its
     thread budget goes to lanes of work instead. The count is restored on
-    exit. Without the bundled library the scope yields one lane and leaves
-    BLAS as shipped. The thread count is process-wide, so scopes entered
-    on two threads at once would see each other's setting; darwinlab
-    enters them from one thread."""
-    handle = _openblas_threads()
-    if handle is None:
+    exit. A scope entered on one thread (nested, or in a forked lane)
+    leaves OpenBLAS alone: a fork stops its worker threads, and setting
+    the count, even to 1, starts them again beside the lanes (the Haar
+    baseline at n = 12 with 20 states took 470-560 ms, not 410-440).
+    Without the bundled library the scope yields one lane and leaves BLAS
+    as shipped. The thread count is process-wide, so scopes entered on two
+    threads at once would see each other's setting; darwinlab enters them
+    from one thread."""
+    get, put = _openblas_threads() or (lambda: 1, None)
+    threads = get()
+    if threads <= 1:
         yield 1
         return
-    get, put = handle
-    threads = get()
     put(1)
     try:
-        yield max(1, threads)
+        yield threads
     finally:
         put(threads)
 
@@ -256,27 +257,28 @@ def _forked_lanes(work, items) -> list:
 
     Inside _one_blas_thread the lane count is the thread count OpenBLAS
     had, at most one lane per item. Lane 0 runs in this process and every
-    other lane in an os.fork child. The item positions wait as 4-byte
-    tickets in one pipe that every lane reads, so a lane takes the next
-    item when it has finished one. The tickets fit in PIPE_BUF bytes,
-    which a pipe holds whole; past that, a ticket carries every k-th
-    position. A child sends its (position, result) pairs pickled through
-    its own pipe; the results come back in item order. Inside a lane BLAS
-    reports one thread, so a nested call runs its items in line and
-    nothing forks twice. The items also run in line, inside the scope,
-    when BLAS has one thread or is not the bundled scipy-openblas, without
-    os.fork, or for a single item.
+    other lane in an os.fork child. The items wait as 4-byte tickets in
+    one pipe that every lane reads, so a lane takes the next ticket when
+    it has finished one. A ticket is one item, or, past the PIPE_BUF
+    bytes a pipe holds whole, a run of consecutive positions. A child
+    sends its (position, result) pairs pickled through its own pipe; the
+    results come back in item order. The items run in line, inside the
+    scope, when BLAS has one thread (as in a lane, so nothing forks
+    twice) or is not the bundled scipy-openblas, without os.fork, or for
+    a single item.
 
     An item that raises ends its lane and empties the ticket pipe, so the
-    other lanes stop after their current item. The error of the lowest
-    position that failed is raised here with its type (as RuntimeError if
-    a child cannot pickle it). Every child is reaped before this returns
-    or raises.
+    other lanes stop after their current ticket. Tickets are read in
+    position order, so every position below a failed one has been taken
+    and runs: the serial loop's error, that of the lowest failed position,
+    is raised here with its type (as RuntimeError if a child cannot pickle
+    it). Every child is reaped before this returns or raises.
 
     Fork, not spawn: a spawned lane would import numpy and darwinlab
-    afresh, about half of what a baseline run saves. Fork is safe here
-    because the only other threads are OpenBLAS's, which its own fork
-    handler stops and restarts; darwinlab starts no Python thread at all.
+    afresh, about half of what a baseline run saves. Fork is safe when
+    the only other threads are OpenBLAS's, which its own fork handler
+    stops and restarts; darwinlab starts no Python thread, so that holds
+    for the CLI. build_pip says what a library caller should know.
     """
     items = list(items)
     with _one_blas_thread() as lanes:
@@ -284,9 +286,9 @@ def _forked_lanes(work, items) -> list:
         if lanes <= 1:
             return [work(x) for x in items]
         tickets, w = os.pipe()
-        stride = min(len(items), os.fpathconf(w, "PC_PIPE_BUF") // 4)
+        run = -(-len(items) // (os.fpathconf(w, "PC_PIPE_BUF") // 4))
         with os.fdopen(w, "wb") as pipe:
-            pipe.write(b"".join(t.to_bytes(4, "little") for t in range(stride)))
+            pipe.write(b"".join(t.to_bytes(4, "little") for t in range(0, len(items), run)))
         children = []  # (lane, pid, read end of its pipe) of the lanes not yet reaped
         try:
             for lane in range(1, lanes):
@@ -294,14 +296,14 @@ def _forked_lanes(work, items) -> list:
                 try:
                     pid = os.fork()
                     if pid == 0:  # the child leaves inside _child_lane
-                        _child_lane(r, w, work, items, tickets, stride)
+                        _child_lane(r, w, work, items, tickets, run)
                 except BaseException:
                     os.close(r)
                     raise
                 finally:
                     os.close(w)
                 children.append((lane, pid, r))
-            done, failed = _lane(work, items, tickets, stride)
+            done, failed = _lane(work, items, tickets, run)
             failures = [failed] if failed else []
             while children:
                 lane, pid, r = children.pop(0)
@@ -330,13 +332,14 @@ def _forked_lanes(work, items) -> list:
     return results
 
 
-def _lane(work, items, tickets: int, stride: int):
+def _lane(work, items, tickets: int, run: int):
     """One lane's share: the (position, work(item)) pairs of the tickets
-    it reads until the pipe is empty, and (position, error) of the item
-    that raised, which ends the lane, or None."""
+    it reads until the pipe is empty, `run` positions a ticket, and
+    (position, error) of the item that raised, which ends the lane, or None."""
     done = []
     while ticket := os.read(tickets, 4):
-        for pos in range(int.from_bytes(ticket, "little"), len(items), stride):
+        first = int.from_bytes(ticket, "little")
+        for pos in range(first, min(first + run, len(items))):
             try:
                 done.append((pos, work(items[pos])))
             except Exception as exc:  # raised again by _forked_lanes
@@ -346,13 +349,13 @@ def _lane(work, items, tickets: int, stride: int):
     return done, None
 
 
-def _child_lane(r: int, w: int, work, items, tickets: int, stride: int):
+def _child_lane(r: int, w: int, work, items, tickets: int, run: int):
     """Body of a forked lane: its _lane result pickled into w. Leaves by
     os._exit, so none of the parent's cleanup, atexit hooks or stdio
     buffers run twice."""
     try:
         os.close(r)
-        done, failed = _lane(work, items, tickets, stride)
+        done, failed = _lane(work, items, tickets, run)
         if failed:
             try:
                 pickle.dumps(failed[1])

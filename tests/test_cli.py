@@ -588,9 +588,9 @@ class TestBlasThreads:
                                 ("baseline.json",), ("1", "2", "3"))
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_plot_bytes_do_not_depend_on_lanes(self, tmp_path):
-        # the interacting plot at n = 14 runs 70-120 ms, past
-        # darwin._LANES_AFTER_S, so its later sizes go to the lanes
+    def test_plot_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # every fragment size of the interacting plot runs with BLAS on
+        # one thread, in this process or in a forked lane
         outputs = self._outputs(tmp_path, ["redundancy", "--model", "interacting", "--n", "14",
                                            "--t", "10", "--seed", "1"],
                                 ("redundancy.csv", "redundancy.json"), ("1", "2", "3"))

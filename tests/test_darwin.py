@@ -560,10 +560,30 @@ class TestFragmentRows:
                         method(np.array(bad, dtype=np.intp))
 
 
+class SlowSource(darwin.Source):
+    """n_env = 8, no purity: nine sizes, the largest first. Each size
+    sleeps its entry of `sleeps` (seconds) and gives I = m, so H_S is
+    half of n_env."""
+
+    tag = "slow"
+    n_env = 8
+
+    def __init__(self, sleeps):
+        self.sleeps = sleeps
+
+    def system_entropy(self):
+        return 4.0
+
+    def fragment_mutual_info_many(self, idx):
+        time.sleep(self.sleeps.get(idx.shape[1], 0.0))
+        return np.full(len(idx), float(idx.shape[1]))
+
+
 class TestPlotLanes:
-    """build_pip deals the sizes left after _LANES_AFTER_S over forked
-    lanes; the plot is the serial loop's, bit for bit, and no child
-    outlives a call. The cut is 0 here, so every size is dealt."""
+    """build_pip runs its largest size, then deals the sizes left over
+    forked lanes when that size's time, times the sizes left, passes
+    _DEAL_ABOVE_S; the plot is the serial loop's, bit for bit, and no
+    child outlives a call."""
 
     @staticmethod
     def sources():
@@ -576,51 +596,82 @@ class TestPlotLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_lanes_give_the_serial_bits(self, monkeypatch, lanes):
+        # a cut of 0 deals every size after the largest
         force_lanes(monkeypatch, lanes)
         forks = count_forks(monkeypatch)
         for source in self.sources():
-            monkeypatch.setattr(darwin, "_LANES_AFTER_S", math.inf)
+            monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", math.inf)
             want = build_pip(source, samples_per_fraction=5, seed=3)
-            monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+            monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
             forks.clear()
             got = build_pip(source, samples_per_fraction=5, seed=3)
             assert got == want and pip_to_csv(got) == pip_to_csv(want)
             assert len(forks) == lanes - 1
             assert_no_children()
 
+    def test_a_slow_largest_size_deals_the_rest(self, monkeypatch):
+        # eight sizes are left, so the largest one's sleep puts the
+        # product at twice the cut
+        force_lanes(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        pip = build_pip(SlowSource({8: 2 * darwin._DEAL_ABOVE_S / 8}), seed=0)
+        assert [p.mean_i for p in pip.points] == list(map(float, range(9)))
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_a_fast_largest_size_keeps_the_plot_serial(self, monkeypatch):
+        # the sizes after the largest are slow, but the cut reads the
+        # largest one alone
+        force_lanes(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        build_pip(SlowSource({m: 0.01 for m in range(8)}), seed=0)
+        assert forks == []
+
     def test_symmetric_sources_fork_nothing(self, monkeypatch):
         force_lanes(monkeypatch, 3)
-        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+        monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
         forks = count_forks(monkeypatch)
         build_pip(PhotonSource(0.2, n_env=40), seed=0)
         build_pip(HazySource(HazyCentralSpin(12, 0.5, 1.0, HazyParams(0.3))), seed=0)
         assert forks == []
 
-    def test_plots_below_the_cut_fork_nothing(self, monkeypatch):
-        force_lanes(monkeypatch, 3)
-        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 1e9)
-        forks = count_forks(monkeypatch)
-        for source in self.sources():
-            build_pip(source, samples_per_fraction=5, seed=3)
-        assert forks == []
-
-    @pytest.mark.parametrize("in_child", [True, False])
-    def test_a_lane_error_is_raised_with_its_type(self, monkeypatch, in_child):
-        # every size fails in the child lanes, or in this process alone
-        # (which sleeps, so the children take sizes meanwhile)
-        parent = os.getpid()
+    def test_every_size_runs_on_one_blas_thread(self, monkeypatch):
+        # in this process as in a lane, so the bytes cannot depend on
+        # which sizes were dealt
+        threads = []
         source = spin_source(12, t=1.5)
         real = source.fragment_mutual_info_many
 
+        def recorded(idx):
+            threads.append(numeric._openblas_threads()[0]())
+            return real(idx)
+
+        if numeric._openblas_threads() is None:
+            pytest.skip("numpy ships no bundled scipy-openblas")
+        monkeypatch.setattr(source, "fragment_mutual_info_many", recorded)
+        build_pip(source, samples_per_fraction=4, seed=0)
+        assert threads and set(threads) == {1}
+
+    @pytest.mark.parametrize("in_child", [True, False])
+    def test_a_lane_error_is_raised_with_its_type(self, monkeypatch, in_child):
+        # the largest size runs here and passes; every later size fails in
+        # the child lanes, or in this process alone (which sleeps, so the
+        # children take sizes meanwhile)
+        parent = os.getpid()
+        source = spin_source(12, t=1.5)
+        real = source.fragment_mutual_info_many
+        ran = []
+
         def failing(idx):
-            if (os.getpid() != parent) == in_child:
+            if ran and (os.getpid() != parent) == in_child:
                 raise ValueError(f"size {idx.shape[1]} failed")
+            ran.append(idx.shape[1])
             time.sleep(0.01)
             return real(idx)
 
         monkeypatch.setattr(source, "fragment_mutual_info_many", failing)
         force_lanes(monkeypatch, 3)
-        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+        monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
         with pytest.raises(ValueError, match=r"^size \d+ failed$"):
             build_pip(source, samples_per_fraction=4, seed=0)
         assert_no_children()
@@ -670,7 +721,7 @@ class TestHaarBaseline:
             return real(n_env, s)
 
         monkeypatch.setattr(darwin, "haar_random_source", slow)
-        monkeypatch.setattr(darwin, "_LANES_AFTER_S", 0.0)
+        monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
         force_lanes(monkeypatch, 3)
         forks = count_forks(monkeypatch)
         assert np.array(self.baseline(5)).tobytes() == want
@@ -733,6 +784,26 @@ class TestHaarBaseline:
         with pytest.raises(ChildProcessError, match="lane 1 ended with exit code 3"):
             numeric._forked_lanes(work, range(40))
         assert_no_children()
+
+    def test_lowest_failure_past_pipe_buf(self, monkeypatch):
+        # 3000 items do not fit the ticket pipe one by one, so a ticket is
+        # a run of consecutive positions. Item 700 sleeps before it fails,
+        # so the other lanes reach item 2500 and empty the pipe meanwhile;
+        # the ticket of item 700 was taken before that, so its error, the
+        # serial loop's, is the one raised
+        def work(i):
+            if i == 700:
+                time.sleep(0.2)
+                raise KeyError(i)
+            if i == 2500:
+                raise ArithmeticError(i)
+            return i * i
+
+        force_lanes(monkeypatch, 3)
+        with pytest.raises(KeyError):
+            numeric._forked_lanes(work, range(3000))
+        assert_no_children()
+        assert numeric._forked_lanes(lambda i: i * i, range(3000)) == [i * i for i in range(3000)]
 
     def test_unpicklable_error(self, monkeypatch):
         class Local(Exception):

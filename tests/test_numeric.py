@@ -232,3 +232,13 @@ class TestOneBlasThread:
         monkeypatch.setattr(numeric, "_openblas_threads", lambda: None)
         with numeric._one_blas_thread() as lanes:
             assert lanes == 1
+
+    @pytest.mark.parametrize("threads, calls", [(1, []), (3, [1, 3])])
+    def test_sets_the_count_only_to_change_it(self, monkeypatch, threads, calls):
+        # setting the count, even to the one it has, restarts OpenBLAS's
+        # workers after a fork, so a scope on one thread leaves it alone
+        made = []
+        monkeypatch.setattr(numeric, "_openblas_threads", lambda: (lambda: threads, made.append))
+        with numeric._one_blas_thread() as lanes:
+            assert lanes == threads
+        assert made == calls
