@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY
-from .qstate import DensityMatrix, _entropy_from_eigs, _sorted_positions, partial_trace
+from .qstate import (DensityMatrix, _entropy_from_eigs, _sorted_positions, _traced_matrix,
+                     partial_trace)
 
 LN2 = float(np.log(2.0))
 
@@ -176,22 +177,34 @@ def mutual_information(rho: DensityMatrix, part_a) -> float:
 
 
 def _apply_projector(rho: DensityMatrix, projector: np.ndarray, on: tuple,
-                     rest: tuple) -> np.ndarray:
+                     rest: tuple, path=True) -> np.ndarray:
     """Compute P rho P with P acting on the sorted `on` subsystems only;
-    rest holds the other subsystems, ascending."""
+    rest holds the other subsystems, ascending. path is einsum's optimize
+    argument: True plans the contraction, a planned path skips that."""
     dims = rho.shape.dims
     n = len(dims)
     d_on = rho.shape.dim_of(on)
     perm = list(on) + list(rest)
     t = rho.mat.reshape(dims + dims)
     t = t.transpose(perm + [n + i for i in perm]).reshape(d_on, -1, d_on, rho.shape.dim_of(rest))
-    t = np.einsum("ai,ibjc,jd->abdc", projector, t, projector.conj().T, optimize=True)
+    t = np.einsum("ai,ibjc,jd->abdc", projector, t, projector.conj().T, optimize=path)
     # t axes now: on row, rest row, on col, rest col -> back to original layout
     t = t.reshape([dims[i] for i in perm] + [dims[i] for i in perm])
     inv = np.argsort(perm)
     t = t.transpose(list(inv) + [n + i for i in inv])
     d = rho.shape.total_dim
     return t.reshape(d, d)
+
+
+def _conditional(rho: DensityMatrix, projector: np.ndarray, on: tuple, rest: tuple,
+                 path=True) -> tuple[np.ndarray | None, float]:
+    """conditional_state's (matrix, probability), unchecked."""
+    projected = _apply_projector(rho, projector, on, rest, path)
+    p = float(np.trace(projected).real)
+    if p <= POLICY.eig_floor:
+        return None, 0.0
+    out = projected / p
+    return 0.5 * (out + out.conj().T), p
 
 
 def conditional_state(rho: DensityMatrix, projector: np.ndarray, on) -> tuple[DensityMatrix | None, float]:
@@ -201,13 +214,8 @@ def conditional_state(rho: DensityMatrix, projector: np.ndarray, on) -> tuple[De
     callers that average over a basis just skip it.
     """
     on, rest = _sorted_positions(on, rho.shape.n_subsystems)
-    projected = _apply_projector(rho, np.asarray(projector, dtype=complex), on, rest)
-    p = float(np.trace(projected).real)
-    if p <= POLICY.eig_floor:
-        return None, 0.0
-    out = projected / p
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(rho.shape, out), p
+    out, p = _conditional(rho, np.asarray(projector, dtype=complex), on, rest)
+    return (None, 0.0) if out is None else (DensityMatrix(rho.shape, out), p)
 
 
 def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
@@ -215,12 +223,20 @@ def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on)
     on, rest = _sorted_positions(on, rho.shape.n_subsystems)
     if not rest:
         raise ValueError("measurement must leave a nonempty remainder")
+    return _average_conditional_entropy(rho, basis.projectors, on, rest)
+
+
+def _average_conditional_entropy(rho: DensityMatrix, projectors, on: tuple, rest: tuple,
+                                 path=True) -> float:
+    """average_conditional_entropy over complex projectors, unchecked: no
+    state is built or validated on the way."""
     total = 0.0
-    for proj in basis.projectors:
-        cond, p = conditional_state(rho, proj, on)
+    for proj in projectors:
+        cond, p = _conditional(rho, proj, on, rest, path)
         if cond is None:
             continue
-        total += p * von_neumann_entropy(partial_trace(cond, rest))
+        total += p * _entropy_from_eigs(np.linalg.eigvalsh(
+            _traced_matrix(cond, rho.shape.dims, rest, on)))
     return total
 
 
@@ -237,10 +253,15 @@ def discord(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
 
 
 def bloch_basis(theta: float, phi: float) -> MeasurementBasis:
+    return MeasurementBasis(_bloch_projectors(theta, phi))
+
+
+def _bloch_projectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two projectors of bloch_basis(theta, phi), unchecked."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     k0 = np.array([c, np.exp(1j * phi) * s])
     k1 = np.array([-np.exp(-1j * phi) * s, c])
-    return MeasurementBasis.from_states([k0, k1])
+    return np.outer(k0, np.conj(k0)), np.outer(k1, np.conj(k1))
 
 
 def min_discord(rho: DensityMatrix, on, grid: tuple[int, int] = (180, 90)) -> float:
@@ -248,7 +269,9 @@ def min_discord(rho: DensityMatrix, on, grid: tuple[int, int] = (180, 90)) -> fl
 
     Only qubit subsystems are searched, and only orthonormal bases;
     POVMs are out of scope. Grid resolution trades accuracy for time;
-    the default matches the documented policy.
+    the default matches the documented policy. Every grid point gives
+    discord(rho, bloch_basis(theta, phi), on) to the bit, from unchecked
+    projectors and conditional states and one planned einsum path.
     """
     on, rest = _sorted_positions(on, rho.shape.n_subsystems)
     if rho.shape.dim_of(on) != 2:
@@ -256,10 +279,15 @@ def min_discord(rho: DensityMatrix, on, grid: tuple[int, int] = (180, 90)) -> fl
     i_sym = mutual_information(rho, on)
     h_rest = von_neumann_entropy(partial_trace(rho, rest))
     n_theta, n_phi = grid
+    # _apply_projector's contraction, planned once for these shapes
+    proj = np.eye(2, dtype=complex)
+    moved = np.empty((2, rho.shape.dim_of(rest), 2, rho.shape.dim_of(rest)), dtype=complex)
+    path = np.einsum_path("ai,ibjc,jd->abdc", proj, moved, proj, optimize=True)[0]
     best = np.inf
     for theta in np.linspace(0.0, np.pi, n_theta, endpoint=True):
         for phi in np.linspace(0.0, np.pi, n_phi, endpoint=False):
-            j = h_rest - average_conditional_entropy(rho, bloch_basis(theta, phi), on)
+            projectors = _bloch_projectors(theta, phi)
+            j = h_rest - _average_conditional_entropy(rho, projectors, on, rest, path)
             d = i_sym - j
             if d < best:
                 best = d

@@ -22,14 +22,25 @@ eps * nu_max^2, so a vacuum-like nu next to a strongly mixed one
 keeps the complex route, as an independent check of global purity.
 
 qbm_mutual_info_many takes one fragment size at a time, and one
-Cholesky factorization per fragment serves both entropies. With mode 0
-first, Delta_SF = L L^T and the F rows of L, L_F = L[2:], give
-Delta_F = L_F L_F^T. L_F is 2m x (2m + 2), so K = L_F^T Omega L_F holds
-the m pairs nu^2 of Delta_F plus one zero pair, whose area max(2 nu, 1)
-is 1 and adds exactly 0 to the entropy. (The F-first order, where the
-factor of Delta_F is the leading block of L, moves values ten times
-further from a separate factorization of Delta_F.) Rows are gathered,
-factorized and solved as stacks, in slabs that bound the working set.
+Cholesky factorization and one product K^T K per fragment serve both
+entropies. With mode 0 first, Delta_SF = L L^T and the F rows of L,
+L_F = L[2:], give Delta_F = L_F L_F^T. L_F is 2m x (2m + 2), so
+K_F = L_F^T Omega L_F holds the m pairs nu^2 of Delta_F plus one zero
+pair, whose area max(2 nu, 1) is 1 and adds exactly 0 to the entropy.
+(The F-first order, where the factor of Delta_F is the leading block of
+L, moves values ten times further from a separate factorization of
+Delta_F.) The system rows of L are nonzero in columns 0 and 1 only, so
+K_SF = K_F + l_00 l_11 J on entries (0, 1) and (1, 0), and K_SF^T K_SF
+is K_F^T K_F changed in rows and columns 0 and 1 alone: after H_F, that
+O(m) update in place gives H_SF. The update always adds the system
+(F to SF); taking it away would cancel nu_S^2 ~ 10^4 down to ~1/4.
+
+A globally pure state (GaussianState.is_pure) has H_F = H_SC and
+H_SF = H_C for the complement C of F. At the half size, a row whose
+complement is also a row (qstate._complement_rows, the dense kernel's
+rule) is not solved: it takes its partner's two entropies swapped, so
+I(C) = 2 H_S - I(F). Rows are gathered, factorized and solved as
+stacks, in slabs that bound the working set.
 
 BLAS. qbm_evolve and qbm_mutual_info_many run with numpy's bundled
 OpenBLAS pinned to one thread (numeric._one_blas_thread), because its
@@ -53,13 +64,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY, CapExceeded, _one_blas_thread, expm
-from .qstate import _sorted_positions, check_rows
+from .qstate import _complement_rows, _sorted_positions, check_rows
 
 # fragment rows per stacked gather, factorization and eigensolve
-# (_slab_rows). Peak memory follows the matrix elements in flight, so
-# _SLAB_ELEMS caps a slab at six 130 x 130 matrices, the largest slab of a
-# 128-band plot (m = 64, the half size of a pure state); smaller matrices
-# come in taller stacks. The _SLAB_ROWS floor binds above 2m + 2 = 130.
+# (_slab_rows). Peak memory follows the matrix elements in flight: a slab
+# holds at most four stacks of its (2m + 2)-square matrices at once, the
+# factor L, K_F, K^T K and eigvalsh's working copy of K^T K (the gathered
+# covariances go once factorized), and _slab_spectra frees them all before
+# the next slab is gathered. _SLAB_ELEMS caps a slab at six 130 x 130
+# matrices per stack, the largest slab of a 128-band plot (m = 64, the half
+# size of a pure state); smaller matrices come in taller stacks. The
+# _SLAB_ROWS floor binds above 2m + 2 = 130.
 _SLAB_ROWS = 6
 _SLAB_ELEMS = _SLAB_ROWS * 130 ** 2
 
@@ -90,7 +105,13 @@ def _symplectic_spectrum(l: np.ndarray) -> np.ndarray:
     factors) of a covariance, Delta = l l^T; GaussianState.symplectic_eigenvalues
     says why. Each column of l beyond its rows adds half a zero pair."""
     k = l.swapaxes(-1, -2) @ _omega_times(l)
-    lam = np.linalg.eigvalsh(k.swapaxes(-1, -2) @ k)
+    return _square_spectrum(k.swapaxes(-1, -2) @ k)
+
+
+def _square_spectrum(kk: np.ndarray) -> np.ndarray:
+    """Ascending nu from K^T K (or a stack): its ascending eigenvalues pair
+    up, and every second one is one nu^2."""
+    lam = np.linalg.eigvalsh(kk)
     return np.sqrt(np.clip(lam[..., 1::2], 0.0, None))
 
 
@@ -347,30 +368,62 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     """I(S : F) for every row F of idx, a (count, m) matrix of sorted,
     repeat-free band indices; band i is phase-space mode i + 1.
 
-    The rows are checked once per call. Each slab of rows gathers its SF
-    covariances, mode 0 first, as one stack and takes one stacked Cholesky;
-    the F rows of each factor are a factor of Delta_F (module docstring).
-    H_S comes from qbm_system_entropy. BLAS runs on one thread (module
+    The rows are checked once per call. Each slab of rows is solved by
+    _slab_spectra: one stacked Cholesky of the SF covariances, mode 0
+    first, and one product K^T K per row for both entropies (module
+    docstring). On a globally pure state, a half-size row whose complement
+    came earlier in idx takes that row's entropies swapped instead. H_S
+    comes from qbm_system_entropy. BLAS runs on one thread (module
     docstring).
     """
     idx = check_rows(idx, state.n_modes - 1)
     count, m = idx.shape
-    out = np.zeros(count)
     if not (count and m):
-        return out
+        return np.zeros(count)
     h_s = qbm_system_entropy(state)
-    modes = np.concatenate((np.zeros((count, 1), dtype=np.intp), idx + 1), axis=1)
-    rows = np.stack((2 * modes, 2 * modes + 1), axis=2).reshape(count, 2 * m + 2)
-    cov = state.cov
+    partner = _complement_rows(idx, 0, state.n_modes - 1)
+    borrow = (partner >= 0) & (partner < np.arange(count))
+    if borrow.any() and not state.is_pure():
+        borrow[:] = False
+    solve = np.flatnonzero(~borrow)
+    h_f, h_sf = np.empty(count), np.empty(count)
     with _one_blas_thread():
         slab = _slab_rows(m)
-        for lo in range(0, count, slab):
-            r = rows[lo:lo + slab]
-            l = _cholesky(cov[r[:, :, None], r[:, None, :]])
-            h_f = _spectrum_entropy(_symplectic_spectrum(l[:, 2:]))
-            h_sf = _spectrum_entropy(_symplectic_spectrum(l))
-            out[lo:lo + len(r)] = h_s + h_f - h_sf
-    return out
+        for lo in range(0, len(solve), slab):
+            rows = solve[lo:lo + slab]
+            nu_f, nu_sf = _slab_spectra(state.cov, idx[rows])
+            h_f[rows] = _spectrum_entropy(nu_f)
+            h_sf[rows] = _spectrum_entropy(nu_sf)
+    mate = partner[borrow]
+    h_f[borrow], h_sf[borrow] = h_sf[mate], h_f[mate]
+    return h_s + h_f - h_sf
+
+
+def _slab_spectra(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nu of Delta_F, nu of Delta_SF) for each fragment row of a slab, the
+    first with one zero pair: one gather of the SF covariances, mode 0
+    first, one stacked Cholesky and one product K_F^T K_F, updated in place
+    to K_SF^T K_SF (module docstring). The slab's factor and products are
+    freed on return, before the next slab is gathered."""
+    modes = np.concatenate((np.zeros((len(idx), 1), dtype=np.intp), idx + 1), axis=1)
+    r = np.stack((2 * modes, 2 * modes + 1), axis=2).reshape(len(idx), -1)
+    l = _cholesky(cov[r[:, :, None], r[:, None, :]])
+    l_f = l[:, 2:]
+    k = l_f.swapaxes(-1, -2) @ _omega_times(l_f)
+    kk = k.swapaxes(-1, -2) @ k
+    nu_f = _square_spectrum(kk)
+    # K_SF = K_F + D, D = c (e0 e1^T - e1 e0^T): K_F^T D + D^T K_F adds c
+    # times row 0 of K_F to column and row 1 and takes c times row 1 from
+    # column and row 0; D^T D adds c^2 to entries (0, 0) and (1, 1)
+    c = l[:, 0, 0] * l[:, 1, 1]
+    row0, row1 = c[:, None] * k[:, 0], c[:, None] * k[:, 1]
+    kk[:, :, 0] -= row1
+    kk[:, :, 1] += row0
+    kk[:, 0] -= row1
+    kk[:, 1] += row0
+    kk[:, 0, 0] += c * c
+    kk[:, 1, 1] += c * c
+    return nu_f, _square_spectrum(kk)
 
 
 def _slab_rows(m: int) -> int:

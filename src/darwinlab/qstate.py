@@ -291,16 +291,28 @@ def _complement_partners(idx: np.ndarray, n: int, d_f: np.ndarray, d_s: int,
     positions 1 .. n - 1, when S+F and S+C are both the larger side: then
     H_SF of F and H_F of C come from one Gram matrix, C against S+F. -1
     where there is no such row."""
-    partner = np.full(len(idx), -1, dtype=np.intp)
-    if 2 * idx.shape[1] != n - 1:
+    partner = _complement_rows(idx, 1, n)
+    d_c = total // (d_s * d_f)
+    partner[(d_s * d_f <= d_c) | (d_s * d_c <= d_f)] = -1
+    return partner
+
+
+def _complement_rows(idx: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """For each row of idx, a (count, m) matrix of sorted, repeat-free
+    positions in start .. stop - 1: the index of the last row holding
+    exactly the positions of that range it leaves out. -1 where there is
+    none, and everywhere unless 2 m = stop - start. Rows are keyed by
+    their packed membership masks, not by sums of bits in an integer, so
+    positions have no upper limit."""
+    count, m = idx.shape
+    partner = np.full(count, -1, dtype=np.intp)
+    if 2 * m != stop - start:
         return partner
-    keys = np.left_shift(1, idx).sum(axis=1).tolist()
-    where = {k: i for i, k in enumerate(keys)}
-    full = (1 << n) - 2
-    for i, (k, df) in enumerate(zip(keys, d_f.tolist())):
-        d_c = total // (d_s * df)
-        if d_s * df > d_c and d_s * d_c > df:
-            partner[i] = where.get(full ^ k, -1)
+    inside = np.zeros((count, stop - start), dtype=bool)
+    inside[np.arange(count)[:, None], idx - start] = True
+    where = {k.tobytes(): i for i, k in enumerate(np.packbits(inside, axis=1))}
+    for i, k in enumerate(np.packbits(~inside, axis=1)):
+        partner[i] = where.get(k.tobytes(), -1)
     return partner
 
 
@@ -385,18 +397,23 @@ def _stacked_entropies(g: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    dims = rho.shape.dims
+    ks, rest = _sorted_positions(keep, rho.shape.n_subsystems)
+    out = _traced_matrix(rho.mat, rho.shape.dims, ks, rest)
+    return DensityMatrix(HilbertShape(tuple(rho.shape.dims[i] for i in ks)), out)
+
+
+def _traced_matrix(mat: np.ndarray, dims: tuple, ks: tuple, rest: tuple) -> np.ndarray:
+    """partial_trace's matrix, unchecked: mat over dims with the sorted
+    positions rest traced out and ks kept."""
     n = len(dims)
-    ks, rest = _sorted_positions(keep, n)
-    dk = rho.shape.dim_of(ks)
-    dr = rho.shape.dim_of(rest)
-    t = rho.mat.reshape(dims + dims)
+    dk = math.prod(dims[i] for i in ks)
+    dr = math.prod(dims[i] for i in rest)
+    t = mat.reshape(dims + dims)
     # row axes i, column axes n+i; contract matching rest axes
     perm = list(ks) + [n + i for i in ks] + list(rest) + [n + i for i in rest]
     t = t.transpose(perm).reshape(dk, dk, dr, dr)
     out = np.einsum("ijkk->ij", t)
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(HilbertShape(tuple(dims[i] for i in ks)), out)
+    return 0.5 * (out + out.conj().T)
 
 
 def apply_unitary(state: StateVector, u: np.ndarray, targets) -> StateVector:

@@ -239,6 +239,26 @@ def test_min_discord_asymmetry_of_access():
     assert d_measuring_system > 0.01
 
 
+
+def random_two_qubit_density(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = a @ a.conj().T
+    return DensityMatrix(qubits(2), m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("on", [(0,), (1,)])
+@pytest.mark.parametrize("make", [up_upright_mixture, lambda: random_two_qubit_density(31)],
+                         ids=["up-upright", "random"])
+def test_min_discord_is_the_grid_minimum_of_discord(make, on):
+    # the search is the public discord at every grid point, to the bit
+    rho = make()
+    grid = (12, 6)
+    want = min(discord(rho, bloch_basis(theta, phi), on)
+               for theta in np.linspace(0.0, np.pi, grid[0], endpoint=True)
+               for phi in np.linspace(0.0, np.pi, grid[1], endpoint=False))
+    assert min_discord(rho, on, grid=grid) == want
+
 def test_holevo_examples():
     rho0 = pure_density(ket([1, 0]))
     rho_plus = pure_density(ket([1, 1]))

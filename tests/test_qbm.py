@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from darwinlab import qbm
-from darwinlab.darwin import GaussianSource
+from darwinlab import qbm, qstate
+from darwinlab.darwin import GaussianSource, _paired_half_rows
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
     GaussianState,
@@ -161,26 +161,28 @@ class TestValidateOnce:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_system_block_solved_once_per_state(self, monkeypatch):
-        shapes = []
-        solve = qbm._symplectic_spectrum
+        shapes, slabs = [], []
+        solve, solve_slab = qbm._symplectic_spectrum, qbm._slab_spectra
 
         def counted(l):
             shapes.append(l.shape)
             return solve(l)
 
+        def counted_slab(cov, idx):
+            slabs.append(idx.shape)
+            return solve_slab(cov, idx)
+
         monkeypatch.setattr(qbm, "_symplectic_spectrum", counted)
+        monkeypatch.setattr(qbm, "_slab_spectra", counted_slab)
         frags = [[0, 1], [2, 5, 7], list(range(8)), [15, 3], [2, 5, 7]]
         first = one_fragment_info(self.state, frags[0])
-        assert shapes.count((2, 2)) == 1
-        n_first = len(shapes)
+        assert shapes == [(2, 2)]
         for frag in frags[1:]:
             one_fragment_info(self.state, frag)
-        # one stacked solve per side and call; the 2x2 block is never re-solved
-        assert len(shapes) - n_first == 2 * (len(frags) - 1)
-        assert (2, 2) not in shapes[n_first:]
-        assert all(len(shape) == 3 for shape in shapes[n_first:])
+        # one slab per call solves both sides; the 2x2 block is never re-solved
+        assert slabs == [(1, len(frag)) for frag in frags]
         assert one_fragment_info(self.state, frags[0]) == first
-        assert shapes.count((2, 2)) == 1
+        assert shapes == [(2, 2)]
 
     def test_two_full_state_solves_per_source(self, monkeypatch):
         """Start and evolved state are solved once each, when validated;
@@ -455,6 +457,113 @@ class TestStackedKernel:
             want = np.array([two_cholesky_mutual_info(state, row) for row in idx.tolist()])
             assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
+
+def sf_covariances(state, idx):
+    """The stacked SF covariances of rows idx, mode 0 first, gathered as
+    qbm._slab_spectra gathers them."""
+    modes = np.concatenate((np.zeros((len(idx), 1), dtype=np.intp), idx + 1), axis=1)
+    r = np.stack((2 * modes, 2 * modes + 1), axis=2).reshape(len(idx), -1)
+    return state.cov[r[:, :, None], r[:, None, :]]
+
+
+class TestSharedProduct:
+    """H_SF comes from K_F^T K_F updated in place to K_SF^T K_SF: its nu
+    against those of a fresh product of the whole factor."""
+
+    @pytest.mark.parametrize("squeezing", [1.0, 1e2, 1e3])
+    @pytest.mark.parametrize("direction", ["x", "p"])
+    def test_update_matches_full_factor(self, squeezing, direction):
+        state = qbm_evolve(OhmicBathParams(), squeezing, direction, 3.0)
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 32, 64):
+            idx = np.array([np.sort(rng.choice(128, m, replace=False))
+                            for _ in range(4)], dtype=np.intp)
+            covs = sf_covariances(state, idx)
+            l = np.linalg.cholesky(covs)
+            nu_f, nu_sf = qbm._slab_spectra(state.cov, idx)
+            # H_F's spectrum is the plain product of the F rows, bit for bit
+            assert np.array_equal(nu_f, qbm._symplectic_spectrum(l[:, 2:]))
+            want = qbm._symplectic_spectrum(l)
+            assert nu_sf.shape == want.shape == (len(idx), m + 1)
+            # module docstring: absolute error in nu^2 of about
+            # eps * nu_max^2. The fresh product of the whole factor is the
+            # further off: up to ~430 eps nu_max^2 from the complex route at
+            # squeezing 1e3 along x, where the update stays within ~11, so
+            # the two real routes agree within 1024 eps nu_max^2
+            nu_max = np.max(want)
+            assert np.max(np.abs(nu_sf ** 2 - want ** 2)) <= 1024 * EPS * nu_max ** 2
+            for cov, nus in zip(covs, nu_sf):
+                oracle = complex_route_nus(cov)
+                assert np.max(np.abs(nus ** 2 - oracle ** 2)) <= nu_squared_tol(2 * m + 2, nu_max)
+
+
+class TestHalfPairs:
+    """On a pure state, a half-size row whose complement came earlier in
+    the matrix takes that row's two entropies swapped, I(C) = 2 H_S - I(F)."""
+
+    def setup_method(self):
+        self.state = qbm_evolve(OhmicBathParams(), 1e3, "x", 3.0)
+        self.rows = _paired_half_rows(128, 64, 48, np.random.default_rng(23))
+
+    def count_slab_rows(self, monkeypatch):
+        solved = []
+        solve_slab = qbm._slab_spectra
+        monkeypatch.setattr(qbm, "_slab_spectra",
+                            lambda cov, idx: solved.append(len(idx)) or solve_slab(cov, idx))
+        return solved
+
+    def test_readme_state_matches_oracle(self, monkeypatch):
+        solved = self.count_slab_rows(monkeypatch)
+        got = qbm_mutual_info_many(self.state, self.rows)
+        assert sum(solved) == len(self.rows) // 2
+        want = np.array([two_cholesky_mutual_info(self.state, row)
+                         for row in self.rows.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_pairs_sum_to_twice_system_entropy(self):
+        got = qbm_mutual_info_many(self.state, self.rows)
+        h_s = qbm_system_entropy(self.state)
+        # each pair sums the same three entropies in two orders: only the
+        # rounding of those sums separates it from 2 H_S
+        assert np.all(np.abs(got[0::2] + got[1::2] - 2.0 * h_s) <= 1e-12 * 2.0 * h_s)
+
+    def test_mixed_state_solves_every_row(self, monkeypatch):
+        # 16 of the 32 bands: a mixed state, whose complements share nothing
+        whole = qbm_evolve(OhmicBathParams(bands=32), 1e3, "x", 3.0)
+        mixed = whole.marginal(range(17))
+        assert not mixed.is_pure()
+        rows = _paired_half_rows(16, 8, 12, np.random.default_rng(24))
+        partner = qstate._complement_rows(rows, 0, 16)
+        assert np.all(partner >= 0)
+        solved = self.count_slab_rows(monkeypatch)
+        got = qbm_mutual_info_many(mixed, rows)
+        assert sum(solved) == len(rows)
+        alone = [qbm_mutual_info_many(mixed, rows[i:i + 1])[0] for i in range(len(rows))]
+        assert got.tolist() == alone
+        want = [two_cholesky_mutual_info(mixed, row) for row in rows.tolist()]
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_partner_key_past_position_63(self):
+        # bit keys in int64 wrap at 1 << 64: positions 0 and 64 would collide
+        rows = np.array([range(64), range(64, 128), list(range(1, 64)) + [64],
+                         [0] + list(range(65, 128)), list(range(0, 128, 2))], dtype=np.intp)
+        assert qstate._complement_rows(rows, 0, 128).tolist() == [1, 0, 3, 2, -1]
+        # the dense kernel's range starts at 1, past the system
+        assert qstate._complement_rows(rows + 1, 1, 129).tolist() == [1, 0, 3, 2, -1]
+        assert np.all(qstate._complement_rows(rows[:, :63], 0, 128) == -1)
+
+    def test_partners_past_position_63_share(self, monkeypatch):
+        # a half, an unpaired row, then the half's complement: every row
+        # holds positions past 63, and the third takes the first's entropies
+        rows = self.rows[[0, 2, 1]]
+        solved = self.count_slab_rows(monkeypatch)
+        got = qbm_mutual_info_many(self.state, rows)
+        assert sum(solved) == 2
+        assert qstate._complement_rows(rows, 0, 128).tolist() == [2, -1, 0]
+        h_s = qbm_system_entropy(self.state)
+        assert abs(got[0] + got[2] - 2.0 * h_s) <= 1e-12 * 2.0 * h_s
+        want = [two_cholesky_mutual_info(self.state, row) for row in rows.tolist()]
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 class TestFormulas:
     def test_universal_pip_center_and_shift(self):
