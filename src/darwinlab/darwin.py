@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -444,15 +443,6 @@ def _fragment_rows(source, m: int, count: int, seed: int) -> np.ndarray:
     return _distinct_rows(n, m, count, rng)
 
 
-# build_pip deals the sizes after the largest when its time, times the
-# sizes left (about the most the rest can take), passes this (seconds).
-# Warm medians of 11-15 calls (2-vCPU x86 VM, 2 BLAS threads), serial ->
-# dealt: products of 13-35 ms lost 2-5 ms (c-not n = 20, central spin n =
-# 50), 32-64 ms broke even (Haar n = 10, interacting n = 11, 12), 0.15-1 s
-# gained (central spin n = 200 76 -> 60 ms, interacting n = 14 129 -> 90).
-_DEAL_ABOVE_S = 0.1
-
-
 def build_pip(source, fractions=None, samples_per_fraction: int = 24,
               seed: int = 0) -> PartialInfoPlot:
     """Sample the partial-information plot of a source.
@@ -463,15 +453,15 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     within each size and deterministic in `seed`; each size gets its own
     counter-keyed stream.
 
-    The sizes run largest first, each with BLAS on one thread, so the
-    values do not depend on OPENBLAS_NUM_THREADS. When the largest took
-    longer than _DEAL_ABOVE_S over the sizes left, those are dealt over
-    numeric._forked_lanes, with the serial loop's values: a call may fork
-    when OpenBLAS has threads, which a caller with threads of its own (a
-    Jupyter kernel) avoids by OPENBLAS_NUM_THREADS=1 (Python 3.12+ warns
-    on such a fork). A symmetric source stays serial and ascending: one
-    row per size, and the hazy lift cache climbs degree by degree, which
-    a lane would do alone and a descending scan would restart once.
+    Every size runs with BLAS on one thread, so the values do not depend
+    on OPENBLAS_NUM_THREADS. A source that is not symmetric deals all its
+    sizes, largest first, over numeric._forked_lanes, with the serial
+    loop's values: the plot forks when OpenBLAS has threads, whatever its
+    sizes cost (about 3 ms a fork). A caller with threads of its own (a
+    Jupyter kernel) avoids that by OPENBLAS_NUM_THREADS=1 (Python 3.12+
+    warns on such a fork). A symmetric source stays serial and ascending:
+    one row per size, and the hazy lift cache climbs degree by degree,
+    which a lane would do alone and a descending scan would restart once.
     """
     if samples_per_fraction < 1:
         raise ValueError("need at least one sample per fraction")
@@ -497,12 +487,9 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
         sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
         return float(vals.mean()), sd, len(vals)
 
-    first, *rest = sorted({min(m, n - m) if pure else m for m in cards},
-                          reverse=not source.symmetric)
-    clock = time.perf_counter()
-    stats = {first: sample(first)}
-    deal = not source.symmetric and (time.perf_counter() - clock) * len(rest) > _DEAL_ABOVE_S
-    stats.update(zip(rest, _forked_lanes(sample, rest) if deal else map(sample, rest)))
+    sizes = sorted({min(m, n - m) if pure else m for m in cards}, reverse=not source.symmetric)
+    stats = dict(zip(sizes, map(sample, sizes) if source.symmetric
+                     else _forked_lanes(sample, sizes)))
     points = []
     for m in cards:
         key = min(m, n - m) if pure else m

@@ -216,7 +216,7 @@ def system_fragment_entropies(state: StateVector,
     idx is a (count, m) np.intp matrix of sorted, repeat-free positions in
     1 .. n - 1, as check_rows gives environment rows shifted by one; it is
     not checked again here. Rows are grouped by d_F, which fixes every
-    matrix shape, and solved in slabs of _SLAB_ROWS: per slab and side, one
+    matrix shape, and solved in slabs (_SLAB_AMPS): per slab and side, one
     transpose copy of the amplitudes per row into one stack, one stacked
     Gram matrix and one stacked eigvalsh.
 
@@ -241,13 +241,14 @@ def system_fragment_entropies(state: StateVector,
     partner = _complement_partners(idx, n, d_f, d_s, total)
     h_f, h_sf = np.empty(len(idx)), np.empty(len(idx))
     # the split solve writes only the first half of each row's buffer
-    work = np.empty((2, min(len(idx), _SLAB_ROWS), total), dtype=complex)
+    height = max(_SLAB_ROWS, _SLAB_AMPS // total)
+    work = np.empty((2, min(len(idx), height), total), dtype=complex)
     split = _flip_symmetric(state)
 
     def grams(orders, rows):
         # a one-row side (F the whole bath, H_SF of a pure state) has no halves
         solve = _split_grams if split and rows > 1 else _slab_grams
-        return solve(grid, orders, rows, work)
+        return solve(grid, orders, rows, work, height)
 
     # a set, not np.unique, which imports numpy.ma (0.5 MB, 14 ms) on first use
     for df in sorted(set(d_f.tolist())):
@@ -274,14 +275,15 @@ def system_fragment_entropies(state: StateVector,
     return h_f, h_sf
 
 
-# fragment rows per stacked transpose, Gram product and eigvalsh. The work
-# buffer of one call holds 2 _SLAB_ROWS copies of the amplitudes; reusing it
-# across slabs cut the page faults of one n = 14 half-size call from about
-# 16,700 (one row at a time) to about 50. The process keeps those pages
-# after the call: an interacting bath at n = 14 peaks at about 49.4 MB while
-# its state is evolved, and the kernel that follows reached 45.8 MB with 3
-# rows, 48.1 MB with 4, 50.9 MB with 6 and 53.8 MB with 8, at the same speed
-# within noise (2-vCPU x86 box).
+# amplitudes per stacked transpose, Gram product and eigvalsh: a slab holds
+# _SLAB_AMPS // total rows and at least _SLAB_ROWS (qbm's _SLAB_ELEMS rule),
+# so its reused work buffer (2 copies of a slab's amplitudes, about 3 MB up
+# to n = 14) takes 12 rows of a Haar state at n = 12 and 3 at n = 14. One
+# row at a time, an n = 14 half-size call took 16,700 page faults, 3 rows
+# about 50; 8 rows kept 53.8 MB against 45.8 MB, at the same speed. At n =
+# 12, 12 rows took the Haar baseline (20 states, one BLAS thread) from
+# 425-429 to 394-408 ms (2-vCPU x86 box).
+_SLAB_AMPS = 3 * 2 ** 15
 _SLAB_ROWS = 3
 
 
@@ -316,13 +318,13 @@ def _complement_rows(idx: np.ndarray, start: int, stop: int) -> np.ndarray:
     return partner
 
 
-def _slab_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray):
-    """(slice of orders, stacked Gram matrices) for each slab of orders.
-    Matrix i is the grid with its axes in orders[i], the leading axes making
-    its `rows` rows; a slab's amplitudes go to work[0] and their conjugates
-    to work[1], so each slab overwrites the last."""
-    for lo in range(0, len(orders), _SLAB_ROWS):
-        slab = orders[lo:lo + _SLAB_ROWS]
+def _slab_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray, height: int):
+    """(slice of orders, stacked Gram matrices) for each slab of `height`
+    orders. Matrix i is the grid with its axes in orders[i], the leading
+    axes making its `rows` rows; a slab's amplitudes go to work[0] and their
+    conjugates to work[1], so each slab overwrites the last."""
+    for lo in range(0, len(orders), height):
+        slab = orders[lo:lo + height]
         for w, order in zip(work[0], slab):
             w.reshape([grid.shape[i] for i in order])[...] = grid.transpose(order)
         a = work[0, :len(slab)].reshape(len(slab), rows, -1)
@@ -337,7 +339,7 @@ def _flip_symmetric(state: StateVector) -> bool:
     return set(state.shape.dims) == {2} and np.array_equal(state.amps, state.amps[::-1])
 
 
-def _split_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray):
+def _split_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray, height: int):
     """_slab_grams for a _flip_symmetric qubit grid: per order, the Gram
     matrices of its two flip-sector blocks, stacked (count, 2, k, k) with
     k = rows / 2; their spectra together are the Gram spectrum.
@@ -350,8 +352,8 @@ def _split_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray):
     go to work[1] and their conjugates over T."""
     k, half = rows // 2, grid.size // 2
     tops, blocks = work.reshape(2, -1, half)
-    for lo in range(0, len(orders), _SLAB_ROWS):
-        slab = orders[lo:lo + _SLAB_ROWS]
+    for lo in range(0, len(orders), height):
+        slab = orders[lo:lo + height]
         for w, order in zip(tops, slab):
             w.reshape([grid.shape[i] for i in order[1:]])[...] = grid.transpose(order)[0]
         t = tops[:len(slab)].reshape(len(slab), k, -1)

@@ -208,14 +208,19 @@ def _z_values(n: int, lo: int, hi: int) -> np.ndarray:
 def interacting_phase_vector(p: InteractingEnvParams) -> np.ndarray:
     """Energy-times-time phases of H = sz sum_i d_i sz_i + sum_{j<k} m_jk sz_j sz_k
     over the (system, bath_1..bath_N) computational basis, built over blocks
-    of at most _PHASE_BLOCK basis states."""
+    of at most _PHASE_BLOCK basis states. H is even under flipping every
+    qubit (i -> 2^n - 1 - i), so the second half of the basis is the first
+    reversed; the vector equals its reversal bit for bit, which the dense
+    kernel's flip split (qstate._flip_symmetric) needs of an even start."""
     n = p.n_env + 1
+    half = 2 ** (n - 1)
     energy = np.empty(2 ** n)
-    for lo in range(0, 2 ** n, _PHASE_BLOCK):
-        z = _z_values(n, lo, min(lo + _PHASE_BLOCK, 2 ** n))
+    for lo in range(0, half, _PHASE_BLOCK):
+        z = _z_values(n, lo, min(lo + _PHASE_BLOCK, half))
         zs, ze = z[:, 0], z[:, 1:]
         energy[lo:lo + len(z)] = (zs * (ze @ p.couplings)
                                   + 0.5 * np.einsum("bi,ij,bj->b", ze, p.pair_couplings, ze))
+    energy[half:] = energy[half - 1::-1]
     return p.t * energy
 
 

@@ -219,7 +219,7 @@ class TestDenseKernel:
 
     def test_sampled_half_pairs_span_slabs(self):
         rows = darwin._paired_half_rows(12, 6, 24, np.random.default_rng(8))
-        assert len(rows) > qstate._SLAB_ROWS
+        assert len(rows) > max(qstate._SLAB_ROWS, qstate._SLAB_AMPS // 2 ** 13)
         self.assert_matches_lone_rows(haar_random_source(12, seed=8), rows)
 
     def test_half_rows_without_their_complement(self):
@@ -560,30 +560,24 @@ class TestFragmentRows:
                         method(np.array(bad, dtype=np.intp))
 
 
-class SlowSource(darwin.Source):
-    """n_env = 8, no purity: nine sizes, the largest first. Each size
-    sleeps its entry of `sleeps` (seconds) and gives I = m, so H_S is
+class SizeSource(darwin.Source):
+    """n_env = 8, no purity: nine sizes, each fast, with I = m, so H_S is
     half of n_env."""
 
-    tag = "slow"
+    tag = "sizes"
     n_env = 8
-
-    def __init__(self, sleeps):
-        self.sleeps = sleeps
 
     def system_entropy(self):
         return 4.0
 
     def fragment_mutual_info_many(self, idx):
-        time.sleep(self.sleeps.get(idx.shape[1], 0.0))
         return np.full(len(idx), float(idx.shape[1]))
 
 
 class TestPlotLanes:
-    """build_pip runs its largest size, then deals the sizes left over
-    forked lanes when that size's time, times the sizes left, passes
-    _DEAL_ABOVE_S; the plot is the serial loop's, bit for bit, and no
-    child outlives a call."""
+    """build_pip deals every size of a plot that is not symmetric over
+    forked lanes, whatever the sizes cost; the plot is the serial loop's,
+    bit for bit, and no child outlives a call."""
 
     @staticmethod
     def sources():
@@ -596,40 +590,31 @@ class TestPlotLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_lanes_give_the_serial_bits(self, monkeypatch, lanes):
-        # a cut of 0 deals every size after the largest
-        force_lanes(monkeypatch, lanes)
         forks = count_forks(monkeypatch)
         for source in self.sources():
-            monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", math.inf)
+            force_lanes(monkeypatch, 1)
             want = build_pip(source, samples_per_fraction=5, seed=3)
-            monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
-            forks.clear()
+            assert forks == []
+            force_lanes(monkeypatch, lanes)
             got = build_pip(source, samples_per_fraction=5, seed=3)
             assert got == want and pip_to_csv(got) == pip_to_csv(want)
             assert len(forks) == lanes - 1
+            forks.clear()
             assert_no_children()
 
-    def test_a_slow_largest_size_deals_the_rest(self, monkeypatch):
-        # eight sizes are left, so the largest one's sleep puts the
-        # product at twice the cut
-        force_lanes(monkeypatch, 3)
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_a_fast_plot_forks_by_lanes_alone(self, monkeypatch, lanes):
+        # no clock decides: sizes that take microseconds are dealt too,
+        # and one lane forks nothing
+        force_lanes(monkeypatch, lanes)
         forks = count_forks(monkeypatch)
-        pip = build_pip(SlowSource({8: 2 * darwin._DEAL_ABOVE_S / 8}), seed=0)
+        pip = build_pip(SizeSource(), seed=0)
         assert [p.mean_i for p in pip.points] == list(map(float, range(9)))
-        assert len(forks) == 2
+        assert len(forks) == lanes - 1
         assert_no_children()
-
-    def test_a_fast_largest_size_keeps_the_plot_serial(self, monkeypatch):
-        # the sizes after the largest are slow, but the cut reads the
-        # largest one alone
-        force_lanes(monkeypatch, 3)
-        forks = count_forks(monkeypatch)
-        build_pip(SlowSource({m: 0.01 for m in range(8)}), seed=0)
-        assert forks == []
 
     def test_symmetric_sources_fork_nothing(self, monkeypatch):
         force_lanes(monkeypatch, 3)
-        monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
         forks = count_forks(monkeypatch)
         build_pip(PhotonSource(0.2, n_env=40), seed=0)
         build_pip(HazySource(HazyCentralSpin(12, 0.5, 1.0, HazyParams(0.3))), seed=0)
@@ -654,7 +639,7 @@ class TestPlotLanes:
 
     @pytest.mark.parametrize("in_child", [True, False])
     def test_a_lane_error_is_raised_with_its_type(self, monkeypatch, in_child):
-        # the largest size runs here and passes; every later size fails in
+        # the first size each lane runs passes; every later size fails in
         # the child lanes, or in this process alone (which sleeps, so the
         # children take sizes meanwhile)
         parent = os.getpid()
@@ -671,7 +656,6 @@ class TestPlotLanes:
 
         monkeypatch.setattr(source, "fragment_mutual_info_many", failing)
         force_lanes(monkeypatch, 3)
-        monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
         with pytest.raises(ValueError, match=r"^size \d+ failed$"):
             build_pip(source, samples_per_fraction=4, seed=0)
         assert_no_children()
@@ -700,18 +684,19 @@ class TestHaarBaseline:
         (3, 5),                  # uneven: lanes take the states as they finish
     ])
     def test_lanes_give_the_serial_bits(self, monkeypatch, lanes, states):
+        # the reference's own plots fork too, so it runs before the count
         force_lanes(monkeypatch, lanes)
+        want = self.serial(states)
         forks = count_forks(monkeypatch)
         got = self.baseline(states)
-        assert np.array(got).tobytes() == self.serial(states)
+        assert np.array(got).tobytes() == want
         assert len(forks) == min(lanes, states) - 1
         assert_no_children()
 
     def test_a_slow_state_keeps_state_order(self, monkeypatch):
         # state 0 is slow, so the other lanes take the states after it
-        # meanwhile; the plots past a zero cut would fork in a lane that
-        # had more than one, so the fork count also shows that no lane
-        # forks again
+        # meanwhile; every plot would fork in a lane that had more than
+        # one, so the fork count also shows that no lane forks again
         want = self.serial(5)
         real = darwin.haar_random_source
 
@@ -721,7 +706,6 @@ class TestHaarBaseline:
             return real(n_env, s)
 
         monkeypatch.setattr(darwin, "haar_random_source", slow)
-        monkeypatch.setattr(darwin, "_DEAL_ABOVE_S", 0.0)
         force_lanes(monkeypatch, 3)
         forks = count_forks(monkeypatch)
         assert np.array(self.baseline(5)).tobytes() == want

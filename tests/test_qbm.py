@@ -485,11 +485,10 @@ class TestSharedProduct:
             assert np.array_equal(nu_f, qbm._symplectic_spectrum(l[:, 2:]))
             want = qbm._symplectic_spectrum(l)
             assert nu_sf.shape == want.shape == (len(idx), m + 1)
-            # module docstring: absolute error in nu^2 of about
-            # eps * nu_max^2. The fresh product of the whole factor is the
-            # further off: up to ~430 eps nu_max^2 from the complex route at
-            # squeezing 1e3 along x, where the update stays within ~11, so
-            # the two real routes agree within 1024 eps nu_max^2
+            # module docstring: the fresh product of the whole factor is
+            # the further off, up to ~540 eps nu_max^2 from the complex
+            # route at squeezing 1e3 along x, where the update stays within
+            # ~16, so the two real routes agree within 1024 eps nu_max^2
             nu_max = np.max(want)
             assert np.max(np.abs(nu_sf ** 2 - want ** 2)) <= 1024 * EPS * nu_max ** 2
             for cov, nus in zip(covs, nu_sf):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+from darwinlab import qstate
 from darwinlab.numeric import POLICY, CapExceeded
 from darwinlab.qstate import (
     DensityMatrix,
@@ -22,8 +23,10 @@ from darwinlab.qstate import (
     reduced_density,
     schmidt,
     subsystem_entropy,
+    system_fragment_entropies,
     tensor,
 )
+from darwinlab.spinmodels import interacting_evolve, random_interacting_params
 from helpers import random_state_vector, random_unitary
 
 Z = np.diag([1.0, -1.0])
@@ -321,3 +324,24 @@ def test_stacked_entropies_equal_the_per_row_sum():
             lam = lam[lam > POLICY.eig_floor]
             want.append(float(-np.sum(lam * np.log(lam))))
         assert _stacked_entropies(g).tolist() == want
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_slab_height_leaves_the_bytes(monkeypatch, split):
+    """One row a slab gives the bytes of the default height (192 rows at
+    this size, every row of a size in one slab), on the plain solve of a
+    Haar state and the flip-sector split of the interacting bath's even
+    start."""
+    rng = np.random.default_rng(17)
+    if split:
+        state = interacting_evolve(random_interacting_params(rng, 8, 10.0, sigma_m=0.3))
+    else:
+        state = random_state_vector(rng, (2,) * 9)
+    assert qstate._flip_symmetric(state) == split
+    sizes = [np.array(list(itertools.combinations(range(1, 9), m)), dtype=np.intp)
+             for m in range(1, 9)]
+    want = [np.concatenate(system_fragment_entropies(state, idx)).tobytes() for idx in sizes]
+    monkeypatch.setattr(qstate, "_SLAB_ROWS", 1)
+    monkeypatch.setattr(qstate, "_SLAB_AMPS", 0)
+    got = [np.concatenate(system_fragment_entropies(state, idx)).tobytes() for idx in sizes]
+    assert got == want
