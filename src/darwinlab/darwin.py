@@ -10,9 +10,10 @@ export.
 Mirrored fragment sizes of globally pure sources are never recomputed:
 purity gives I(E minus F) = 2 H_S - I(F) exactly, so the plot is
 antisymmetric about f = 1/2 by construction and half the work is free.
-The half size is drawn in complement pairs (F, E minus F); purity gives
-H_SF(F) = H_F(E minus F), so the dense kernel solves two spectra per pair
-there instead of four.
+The half size is drawn in complement pairs (F, E minus F), and build_pip
+solves only F of each pair and mirrors its complement the same way, so the
+f = 1/2 mean is H_S. build_pip is the one place that uses purity; every
+kernel solves each row it is given alone.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ class Source:
 
     symmetric: I depends on the fragment size only, so one fragment per
     size is drawn. pure_global: the global state is pure, so mirrored
-    sizes come free. pure_decoherence: the records factorize, and two more
-    per-fragment methods exist, on the same row matrix:
-    decohered_system_entropy(idx) gives one array, decompose(idx) two (the
-    classical and quantum parts of I(S : F)). decompose_mutual_info(source,
-    sites) is their one-fragment entry point.
+    sizes and the second row of each half-size pair come free (build_pip).
+    pure_decoherence: the records factorize, and two more per-fragment
+    methods exist, on the same row matrix: decohered_system_entropy(idx)
+    gives one array, decompose(idx) two (the classical and quantum parts
+    of I(S : F)). decompose_mutual_info(source, sites) is their
+    one-fragment entry point.
     """
 
     symmetric = False
@@ -416,12 +418,16 @@ def _distinct_rows(n: int, m: int, count: int, rng) -> np.ndarray:
 
 
 def _paired_half_rows(n: int, m: int, count: int, rng) -> np.ndarray:
-    """Half-size draws joined with their complements; for a pure source the
-    pair mean is pinned to H_S, which keeps the midpoint noise-free."""
+    """Half-size draws, each followed by its complement; for a pure source
+    build_pip mirrors the second row of each pair, which pins the pair
+    mean to H_S and keeps the midpoint noise-free. When every subset fits,
+    the draws are the combinations that hold position 0, in order."""
     if _few_subsets(n, m, count):
-        return _distinct_rows(n, m, count, rng)
+        picks = _distinct_rows(n, m, count, rng)[:math.comb(n - 1, m - 1)]
+    else:
+        picks = _distinct_rows(n, m, (count + 1) // 2, rng)
     out, seen = [], set()
-    for s in _distinct_rows(n, m, (count + 1) // 2, rng):
+    for s in picks:
         outside = np.ones(n, dtype=bool)
         outside[s] = False
         c = np.flatnonzero(outside)
@@ -453,6 +459,13 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     within each size and deterministic in `seed`; each size gets its own
     counter-keyed stream.
 
+    Global purity is used here and nowhere else. For a pure_global
+    source, a size past the half is read off its mirror, 2 H_S - I. At
+    the half size of one that is not symmetric, the rows are complement
+    pairs: the source solves the first row of each pair, and the second
+    takes 2 H_S - I of it, so the point keeps every sample and its mean
+    is H_S. A mixed source solves every row of every size.
+
     Every size runs with BLAS on one thread, so the values do not depend
     on OPENBLAS_NUM_THREADS. A source that is not symmetric deals all its
     sizes, largest first, over numeric._forked_lanes, with the serial
@@ -481,9 +494,12 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     pure = source.pure_global
 
     def sample(m: int) -> tuple[float, float, int]:
+        rows = _fragment_rows(source, m, samples_per_fraction, seed)
+        paired = pure and not source.symmetric and 2 * m == n
         with _one_blas_thread():  # in this process and in a lane alike
-            vals = source.fragment_mutual_info_many(
-                _fragment_rows(source, m, samples_per_fraction, seed))
+            vals = source.fragment_mutual_info_many(rows[0::2] if paired else rows)
+        if paired:  # each complement mirrors the row before it
+            vals = np.stack((vals, 2.0 * h_s - vals), axis=1).ravel()
         sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
         return float(vals.mean()), sd, len(vals)
 

@@ -37,11 +37,9 @@ is K_F^T K_F changed in rows and columns 0 and 1 alone: after H_F, that
 O(m) update in place gives H_SF. The update always adds the system
 (F to SF); taking it away would cancel nu_S^2 ~ 10^4 down to ~1/4.
 
-A globally pure state (GaussianState.is_pure) has H_F = H_SC and
-H_SF = H_C for the complement C of F. At the half size, a row whose
-complement is also a row (qstate._complement_rows, the dense kernel's
-rule) is not solved: it takes its partner's two entropies swapped, so
-I(C) = 2 H_S - I(F). Rows are gathered, factorized and solved as
+Every row is solved from its own factorization, whatever the other
+rows are; a globally pure state's complement pairs are mirrored by
+darwin.build_pip, not here. Rows are gathered, factorized and solved as
 stacks, in slabs that bound the working set.
 
 BLAS. qbm_evolve and qbm_mutual_info_many run with numpy's bundled
@@ -66,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY, CapExceeded, _one_blas_thread, expm
-from .qstate import _complement_rows, _sorted_positions, check_rows
+from .qstate import _sorted_positions, check_rows
 
 # fragment rows per stacked gather, factorization and eigensolve
 # (_slab_rows). Peak memory follows the matrix elements in flight: a slab
@@ -373,8 +371,7 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     The rows are checked once per call. Each slab of rows is solved by
     _slab_spectra: one stacked Cholesky of the SF covariances, mode 0
     first, and one product K^T K per row for both entropies (module
-    docstring). On a globally pure state, a half-size row whose complement
-    came earlier in idx takes that row's entropies swapped instead. H_S
+    docstring); a row's value does not depend on the other rows. H_S
     comes from qbm_system_entropy. BLAS runs on one thread (module
     docstring).
     """
@@ -383,21 +380,13 @@ def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
     if not (count and m):
         return np.zeros(count)
     h_s = qbm_system_entropy(state)
-    partner = _complement_rows(idx, 0, state.n_modes - 1)
-    borrow = (partner >= 0) & (partner < np.arange(count))
-    if borrow.any() and not state.is_pure():
-        borrow[:] = False
-    solve = np.flatnonzero(~borrow)
     h_f, h_sf = np.empty(count), np.empty(count)
     with _one_blas_thread():
         slab = _slab_rows(m)
-        for lo in range(0, len(solve), slab):
-            rows = solve[lo:lo + slab]
-            nu_f, nu_sf = _slab_spectra(state.cov, idx[rows])
-            h_f[rows] = _spectrum_entropy(nu_f)
-            h_sf[rows] = _spectrum_entropy(nu_sf)
-    mate = partner[borrow]
-    h_f[borrow], h_sf[borrow] = h_sf[mate], h_f[mate]
+        for lo in range(0, count, slab):
+            nu_f, nu_sf = _slab_spectra(state.cov, idx[lo:lo + slab])
+            h_f[lo:lo + slab] = _spectrum_entropy(nu_f)
+            h_sf[lo:lo + slab] = _spectrum_entropy(nu_sf)
     return h_s + h_f - h_sf
 
 

@@ -228,17 +228,14 @@ def system_fragment_entropies(state: StateVector,
 
     When S+F is the smaller side, its Gram matrix gives H_SF, and rho_F is
     the sum of its d_S diagonal d_F blocks. Otherwise H_SF comes from the
-    rest-side Gram and H_F from the smaller side of F against S+rest. A
-    row whose complement C is also a row, with S+F and S+C both the larger
-    side (the half size of a qubit bath), solves only its H_F: its H_SF is
-    H_C of its partner, the same Gram matrix of the same rows and columns.
+    rest-side Gram and H_F from the smaller side of F against S+rest.
+    Each row is solved alone: its values do not depend on the other rows.
     """
     idx = np.asarray(idx, dtype=np.intp)
     dims = state.shape.dims
     n, d_s, total = len(dims), dims[0], state.shape.total_dim
     grid = state.as_grid()
     d_f = np.prod(np.array(dims)[idx], axis=1, dtype=np.int64)
-    partner = _complement_partners(idx, n, d_f, d_s, total)
     h_f, h_sf = np.empty(len(idx)), np.empty(len(idx))
     # the split solve writes only the first half of each row's buffer
     height = max(_SLAB_ROWS, _SLAB_AMPS // total)
@@ -266,12 +263,9 @@ def system_fragment_entropies(state: StateVector,
         orders = [f + [0] + r if f_first else [0] + r + f for f, r in zip(frags, rests)]
         for sl, g in grams(orders, df if f_first else d_s * rest):
             h_f[rows[sl]] = _stacked_entropies(g)
-        lone = np.flatnonzero(partner[rows] < 0)
-        orders = [rests[i] + [0] + frags[i] for i in lone]
+        orders = [r + [0] + f for f, r in zip(frags, rests)]
         for sl, g in grams(orders, rest):
-            h_sf[rows[lone[sl]]] = _stacked_entropies(g)
-    paired = partner >= 0
-    h_sf[paired] = h_f[partner[paired]]
+            h_sf[rows[sl]] = _stacked_entropies(g)
     return h_f, h_sf
 
 
@@ -285,37 +279,6 @@ def system_fragment_entropies(state: StateVector,
 # 425-429 to 394-408 ms (2-vCPU x86 box).
 _SLAB_AMPS = 3 * 2 ** 15
 _SLAB_ROWS = 3
-
-
-def _complement_partners(idx: np.ndarray, n: int, d_f: np.ndarray, d_s: int,
-                         total: int) -> np.ndarray:
-    """For each row F of idx, the index of a row C holding exactly the other
-    positions 1 .. n - 1, when S+F and S+C are both the larger side: then
-    H_SF of F and H_F of C come from one Gram matrix, C against S+F. -1
-    where there is no such row."""
-    partner = _complement_rows(idx, 1, n)
-    d_c = total // (d_s * d_f)
-    partner[(d_s * d_f <= d_c) | (d_s * d_c <= d_f)] = -1
-    return partner
-
-
-def _complement_rows(idx: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """For each row of idx, a (count, m) matrix of sorted, repeat-free
-    positions in start .. stop - 1: the index of the last row holding
-    exactly the positions of that range it leaves out. -1 where there is
-    none, and everywhere unless 2 m = stop - start. Rows are keyed by
-    their packed membership masks, not by sums of bits in an integer, so
-    positions have no upper limit."""
-    count, m = idx.shape
-    partner = np.full(count, -1, dtype=np.intp)
-    if 2 * m != stop - start:
-        return partner
-    inside = np.zeros((count, stop - start), dtype=bool)
-    inside[np.arange(count)[:, None], idx - start] = True
-    where = {k.tobytes(): i for i, k in enumerate(np.packbits(inside, axis=1))}
-    for i, k in enumerate(np.packbits(~inside, axis=1)):
-        partner[i] = where.get(k.tobytes(), -1)
-    return partner
 
 
 def _slab_grams(grid: np.ndarray, orders, rows: int, work: np.ndarray, height: int):

@@ -289,39 +289,6 @@ def _sym_step(a: np.ndarray, lift: np.ndarray) -> np.ndarray:
             + a[1, 1] * (np.outer(cy, cy) * pad[:-1, :-1]))
 
 
-def sym_power(a: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of A acting on the degree-k symmetric subspace of (C^2)^k,
-    i.e. the restriction of A^(x k) to the orthonormal symmetric basis
-    |r> ~ sym(x^{k-r} y^r). Hermitian for Hermitian A and multiplicative:
-    sym_power(AB) = sym_power(A) sym_power(B).
-
-    Built one degree at a time by the isometry step of _sym_step.
-    """
-    a = np.asarray(a, dtype=complex)
-    lift = np.ones((1, 1), dtype=complex)
-    for _ in range(k):
-        lift = _sym_step(a, lift)
-    return lift
-
-
-def sector_label_range(m: int):
-    """Spin sectors j of m qubits; 2j runs over m, m-2, ..., (0 or 1)."""
-    return [jj2 / 2.0 for jj2 in range(m % 2, m + 1, 2)]
-
-
-def sector_multiplicity(m: int, j: float) -> int:
-    k = int(round(m / 2.0 - j))
-    lo = math.comb(m, k - 1) if k >= 1 else 0
-    return math.comb(m, k) - lo
-
-
-def sector_block(a: np.ndarray, m: int, j: float) -> np.ndarray:
-    """Irreducible block of A^(x m) in the spin-j sector: det(A)^(m/2-j) Sym^(2j)(A)."""
-    k = int(round(m / 2.0 - j))
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return (det ** k) * sym_power(a, int(round(2 * j)))
-
-
 # largest power taken of a mantissa in [1/2, 1) by _sector_weights: it is
 # at least 2^-1000, still a normal float
 _POW_STEP = 1000

@@ -1,5 +1,6 @@
-"""Shared constructors for randomized test states, and the lane and fork
-probes of the tests of numeric._forked_lanes and its callers."""
+"""Shared constructors for randomized test states, the lone-row check of
+the fragment kernels, and the lane and fork probes of the tests of
+numeric._forked_lanes and its callers."""
 import contextlib
 import os
 
@@ -35,6 +36,13 @@ def random_branching_state(rng, n_env, k, d=2, allow_zero=False) -> BranchingSta
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
     conds = [np.stack([random_ket(rng, d) for _ in range(k)]) for _ in range(n_env)]
     return BranchingState(probs, phases, conds)
+
+
+def assert_matches_lone_rows(src, idx):
+    """Every row of idx gives, in one call of src.fragment_mutual_info_many,
+    the bits it gives alone: no kernel reads the other rows of a matrix."""
+    alone = [src.fragment_mutual_info_many(idx[i:i + 1])[0] for i in range(len(idx))]
+    assert src.fragment_mutual_info_many(idx).tolist() == alone
 
 
 def force_lanes(monkeypatch, lanes):

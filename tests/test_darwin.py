@@ -50,8 +50,8 @@ from darwinlab.spinmodels import (
     random_interacting_params,
     uniform_couplings,
 )
-from helpers import (assert_no_children, count_forks, fail_at, force_lanes,
-                     random_branching_state, random_state_vector)
+from helpers import (assert_matches_lone_rows, assert_no_children, count_forks, fail_at,
+                     force_lanes, random_branching_state, random_state_vector)
 
 LN2 = math.log(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -181,21 +181,16 @@ def two_side_mutual_info(state, sites):
 
 class TestDenseKernel:
     """The stacked dense kernel: rows grouped by d_F and solved a slab at a
-    time, against the two-transpose formula; half-size rows whose complement
-    is in the same matrix take H_SF from their partner's H_F, to the bit. A
-    qubit state equal to its reversal solves each side as two flip-sector
-    blocks of half its size; any other state solves the whole side."""
+    time, against the two-transpose formula; each row gives the bits it
+    gives alone, whatever else the matrix holds. A qubit state equal to its
+    reversal solves each side as two flip-sector blocks of half its size;
+    any other state solves the whole side."""
 
     def assert_matches_oracle(self, src, rows):
         idx = np.array(rows, dtype=np.intp)
         got = src.fragment_mutual_info_many(idx)
         want = [two_side_mutual_info(src.state, row) for row in rows]
         assert np.max(np.abs(got - want)) <= 1e-13
-
-    def assert_matches_lone_rows(self, src, idx):
-        # a row passed alone has no partner, so it solves both of its spectra
-        alone = [src.fragment_mutual_info_many(idx[i:i + 1])[0] for i in range(len(idx))]
-        assert src.fragment_mutual_info_many(idx).tolist() == alone
 
     def test_every_size_of_a_haar_state(self):
         # S+F is the smaller side up to m = 3, the rest side from m = 4, and
@@ -207,33 +202,35 @@ class TestDenseKernel:
             self.assert_matches_oracle(src, rows)
 
     def test_exhaustive_half_pairs_every_row(self, monkeypatch):
+        # every complement is in the matrix, and still every row solves
+        # both of its spectra, H_F and H_SF
         src = haar_random_source(8, seed=7)
         idx = np.array(list(itertools.combinations(range(8), 4)), dtype=np.intp)
-        self.assert_matches_lone_rows(src, idx)
+        assert_matches_lone_rows(src, idx)
         solved = []
         spectra = qstate._stacked_entropies
         monkeypatch.setattr(qstate, "_stacked_entropies",
                             lambda g: solved.append(len(g)) or spectra(g))
         src.fragment_mutual_info_many(idx)
-        assert sum(solved) == len(idx)    # H_F of every row, no H_SF
+        assert sum(solved) == 2 * len(idx)
 
     def test_sampled_half_pairs_span_slabs(self):
         rows = darwin._paired_half_rows(12, 6, 24, np.random.default_rng(8))
         assert len(rows) > max(qstate._SLAB_ROWS, qstate._SLAB_AMPS // 2 ** 13)
-        self.assert_matches_lone_rows(haar_random_source(12, seed=8), rows)
+        assert_matches_lone_rows(haar_random_source(12, seed=8), rows)
 
     def test_half_rows_without_their_complement(self):
         rows = darwin._paired_half_rows(10, 5, 12, np.random.default_rng(9))
-        # drop the partner of every other pair: those rows solve both sides
+        # drop the complement of every other pair
         idx = np.concatenate((rows[0::4], rows[1::4], rows[2::4]))
-        self.assert_matches_lone_rows(haar_random_source(10, seed=9), idx)
+        assert_matches_lone_rows(haar_random_source(10, seed=9), idx)
 
     def test_mixed_dimension_half_rows(self):
-        # {0, 1} holds 8 dimensions and {2, 3} 4: S+C is not the larger side,
-        # so these complements share no Gram matrix and stay unpaired
+        # {0, 1} holds 8 dimensions and {2, 3} 4: complements of one size
+        # fall into different d_F groups
         src = DenseSource(random_state_vector(np.random.default_rng(10), (2, 2, 4, 2, 2)))
         idx = np.array(list(itertools.combinations(range(4), 2)), dtype=np.intp)
-        self.assert_matches_lone_rows(src, idx)
+        assert_matches_lone_rows(src, idx)
         self.assert_matches_oracle(src, idx.tolist())
 
     def test_qutrit_system_sums_three_blocks(self):
@@ -269,8 +266,8 @@ class TestDenseKernel:
         rows = darwin._paired_half_rows(10, 5, 12, np.random.default_rng(3))
         for row in rows.tolist():
             self.assert_matches_oracle(src, [row])   # alone: H_SF from the rest side
-        self.assert_matches_lone_rows(src, rows)
-        self.assert_matches_lone_rows(src, np.concatenate((rows[0::4], rows[1::4], rows[2::4])))
+        assert_matches_lone_rows(src, rows)
+        assert_matches_lone_rows(src, np.concatenate((rows[0::4], rows[1::4], rows[2::4])))
 
     def test_symmetrized_random_states(self):
         rng = np.random.default_rng(13)
@@ -288,9 +285,8 @@ class TestDenseKernel:
             self.assert_matches_oracle(src, [row])
 
     def test_flip_symmetric_solves_are_half_size(self, monkeypatch):
-        # one row a call, so no row takes its H_SF from a partner; the whole
-        # side of a size is min(2^m, 2^(n + 1 - m)) for H_F and
-        # min(2^(m + 1), 2^(n - m)) for H_SF
+        # one row a call; the whole side of a size is min(2^m, 2^(n + 1 - m))
+        # for H_F and min(2^(m + 1), 2^(n - m)) for H_SF
         n = 9
         src = InteractingSource(random_interacting_params(np.random.default_rng(14), n, 10.0))
         sides = []
@@ -324,6 +320,35 @@ class TestDenseKernel:
         for row in rows:
             self.assert_matches_oracle(InteractingSource(p), [row])
         assert split
+
+
+class TestKernelRows:
+    """The dense and Gaussian kernels read each row alone: any matrix of
+    rows, with complements, repeats and rows of mixed d_F, gives every row
+    the bits it gives in a call of its own."""
+
+    SOURCES = {
+        "dense": lambda: haar_random_source(8, seed=3),
+        "mixed dims": lambda: DenseSource(random_state_vector(np.random.default_rng(4),
+                                                              (2, 2, 4, 2, 2, 3, 2))),
+        "flip split": lambda: InteractingSource(random_interacting_params(
+            np.random.default_rng(5), 8, 10.0)),
+        "gaussian": lambda: GaussianSource(qbm_evolve(OhmicBathParams(bands=10), 100.0, "x", 2.0)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_rows_give_their_lone_values(self, kind, seed):
+        src = self.SOURCES[kind]()
+        n = src.n_env
+        rng = np.random.default_rng(seed)
+        m = n // 2 if rng.random() < 0.5 else int(rng.integers(1, n))
+        rows = [np.sort(rng.choice(n, m, replace=False)) for _ in range(int(rng.integers(1, 8)))]
+        rows += [np.setdiff1d(np.arange(n), r) for r in rows if 2 * m == n and rng.random() < 0.5]
+        rows += [rows[int(rng.integers(len(rows)))] for _ in range(int(rng.integers(0, 3)))]
+        idx = np.array(rows, dtype=np.intp)[rng.permutation(len(rows))]
+        assert_matches_lone_rows(src, idx)
 
 
 class TestCardinalities:
@@ -375,11 +400,74 @@ class TestBuildPip:
             assert s == pytest.approx(2 * pip.h_system, abs=1e-12)
 
     def test_half_point_pinned_at_system_entropy(self):
-        src = haar_random_source(8, seed=6)
-        pip = build_pip(src, samples_per_fraction=5, seed=0)
-        mid = pip.point_at(4)
-        assert mid.mean_i == pytest.approx(pip.h_system, abs=1e-12)
-        assert mid.stddev > 0.0    # individual draws still scatter
+        rng = np.random.default_rng(6)
+        for src in (haar_random_source(8, seed=6),
+                    BranchingSource(random_branching_state(rng, 10, 3))):
+            pip = build_pip(src, samples_per_fraction=5, seed=0)
+            mid = pip.point_at(src.n_env // 2)
+            assert mid.mean_i == pytest.approx(pip.h_system, abs=1e-12)
+            assert mid.stddev > 0.0    # individual draws still scatter
+
+    @staticmethod
+    def record_rows(monkeypatch, src):
+        """force one lane, so every size runs here, and record each row
+        matrix the source is given with the values it returns"""
+        force_lanes(monkeypatch, 1)
+        seen = {}
+        real = src.fragment_mutual_info_many
+
+        def recorded(idx):
+            vals = real(idx)
+            seen[idx.shape[1]] = (idx, vals)
+            return vals
+
+        monkeypatch.setattr(src, "fragment_mutual_info_many", recorded)
+        return seen
+
+    @pytest.mark.parametrize("make", [
+        lambda: haar_random_source(8, seed=6),
+        lambda: BranchingSource(random_branching_state(np.random.default_rng(7), 10, 3)),
+        lambda: GaussianSource(qbm_evolve(OhmicBathParams(bands=12), 100.0, "x", 2.0)),
+        lambda: haar_random_source(4, seed=2),     # exhaustive pairs
+    ], ids=["dense", "branching", "gaussian", "dense exhaustive"])
+    def test_half_size_solves_one_row_per_pair(self, monkeypatch, make):
+        src = make()
+        assert src.pure_global
+        half = src.n_env // 2
+        seen = self.record_rows(monkeypatch, src)
+        pip = build_pip(src, samples_per_fraction=24, seed=5)
+        rows = darwin._fragment_rows(src, half, 24, 5)
+        idx, vals = seen[half]
+        assert idx.tolist() == rows[0::2].tolist()
+        # the second row of each pair is the mirror of the first, bit for bit
+        want = np.stack((vals, 2.0 * pip.h_system - vals), axis=1).ravel()
+        mid = pip.point_at(half)
+        assert mid.samples == len(rows) == 2 * len(idx)
+        assert mid.mean_i == float(want.mean())
+        assert mid.stddev == float(want.std(ddof=1))
+        # below the half, every drawn row is solved
+        for m in range(1, half):
+            assert seen[m][0].tolist() == darwin._fragment_rows(src, m, 24, 5).tolist()
+            assert pip.point_at(m).samples == len(seen[m][0])
+        assert set(seen) == set(range(half + 1))
+
+    def test_mixed_and_symmetric_sources_solve_every_row(self, monkeypatch):
+        whole = qbm_evolve(OhmicBathParams(bands=24), 100.0, "x", 2.0)
+        mixed = GaussianSource(whole.marginal(range(13)))
+        assert not mixed.pure_global
+        seen = self.record_rows(monkeypatch, mixed)
+        pip = build_pip(mixed, samples_per_fraction=24, seed=5)
+        for m in range(1, 12):
+            assert seen[m][0].tolist() == darwin._fragment_rows(mixed, m, 24, 5).tolist()
+            assert pip.point_at(m).samples == len(seen[m][0])
+        assert len(seen[6][0]) == 24    # the complement pairs of the half size
+        photon = PhotonSource(0.3, n_env=40)
+        assert photon.pure_global and photon.symmetric
+        seen = self.record_rows(monkeypatch, photon)
+        pip = build_pip(photon, seed=5)
+        assert seen[20][0].tolist() == [list(range(20))]
+        assert pip.point_at(20).samples == 1
+        assert pip.point_at(20).mean_i == seen[20][1][0]
 
     def test_symmetric_source_single_sample(self):
         pip = build_pip(PhotonSource(0.2, n_env=40), seed=0)
@@ -431,10 +519,12 @@ def tuple_distinct_subsets(n, m, count, rng):
 
 def tuple_paired_half_subsets(n, m, count, rng):
     if math.comb(n, m) <= count:
-        return [tuple(c) for c in itertools.combinations(range(n), m)]
+        picks = [c for c in itertools.combinations(range(n), m) if 0 in c]
+    else:
+        picks = tuple_distinct_subsets(n, m, (count + 1) // 2, rng)
     full = frozenset(range(n))
     out, seen = [], set()
-    for s in tuple_distinct_subsets(n, m, (count + 1) // 2, rng):
+    for s in picks:
         c = tuple(sorted(full - set(s)))
         if s in seen or c in seen:
             continue
@@ -457,9 +547,10 @@ def tuple_subsets(n, m, count, seed, symmetric=False):
 
 
 class TestFragmentRows:
-    @pytest.mark.parametrize("n, count", [(7, 64), (8, 5), (12, 24), (40, 24), (41, 7), (300, 24)],
+    @pytest.mark.parametrize("n, count", [(7, 64), (8, 5), (12, 24), (40, 24), (41, 7), (300, 24),
+                                          (6, 24)],
                              ids=["all exhaustive", "half sampled", "mixed", "sampled",
-                                  "odd", "wide"])
+                                  "odd", "wide", "half exhaustive"])
     @pytest.mark.parametrize("seed", [0, 1, 17, 2 ** 31 - 1])
     def test_rows_match_tuple_samplers(self, n, count, seed):
         for symmetric in (False, True):

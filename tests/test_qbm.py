@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from darwinlab import qbm, qstate
-from darwinlab.darwin import GaussianSource, _paired_half_rows
+from darwinlab import darwin, qbm
+from darwinlab.darwin import GaussianSource, _paired_half_rows, build_pip
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
     GaussianState,
@@ -23,6 +23,7 @@ from darwinlab.qbm import (
     symplectic_area,
     universal_pip,
 )
+from helpers import assert_matches_lone_rows, force_lanes
 
 # small bath for unit tests; acceptance uses the full figure-scale setup
 BATH = OhmicBathParams(bands=64)
@@ -497,8 +498,9 @@ class TestSharedProduct:
 
 
 class TestHalfPairs:
-    """On a pure state, a half-size row whose complement came earlier in
-    the matrix takes that row's two entropies swapped, I(C) = 2 H_S - I(F)."""
+    """Half-size complement pairs of the README state. The kernel solves
+    every row it is given from its own factorization; build_pip solves the
+    first row of each pair and mirrors the second, I(C) = 2 H_S - I(F)."""
 
     def setup_method(self):
         self.state = qbm_evolve(OhmicBathParams(), 1e3, "x", 3.0)
@@ -514,17 +516,28 @@ class TestHalfPairs:
     def test_readme_state_matches_oracle(self, monkeypatch):
         solved = self.count_slab_rows(monkeypatch)
         got = qbm_mutual_info_many(self.state, self.rows)
-        assert sum(solved) == len(self.rows) // 2
+        assert sum(solved) == len(self.rows)
         want = np.array([two_cholesky_mutual_info(self.state, row)
                          for row in self.rows.tolist()])
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
-    def test_pairs_sum_to_twice_system_entropy(self):
-        got = qbm_mutual_info_many(self.state, self.rows)
-        h_s = qbm_system_entropy(self.state)
-        # each pair sums the same three entropies in two orders: only the
-        # rounding of those sums separates it from 2 H_S
-        assert np.all(np.abs(got[0::2] + got[1::2] - 2.0 * h_s) <= 1e-12 * 2.0 * h_s)
+    def test_structured_halves_match_oracle(self):
+        # the first and last 64 bands: each row is solved alone, so neither
+        # takes the other's rounding
+        rows = np.array([range(64), range(64, 128)], dtype=np.intp)
+        got = qbm_mutual_info_many(self.state, rows)
+        want = np.array([two_cholesky_mutual_info(self.state, row) for row in rows.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_pairs_sum_to_twice_system_entropy(self, monkeypatch):
+        force_lanes(monkeypatch, 1)
+        solved = self.count_slab_rows(monkeypatch)
+        pip = build_pip(GaussianSource(self.state), fractions=[0.5], samples_per_fraction=48,
+                        seed=23)
+        mid = pip.point_at(64)
+        assert sum(solved) == mid.samples // 2 == 24
+        # each pair sums to 2 H_S up to the rounding of 2 H_S - v
+        assert mid.mean_i == pytest.approx(pip.h_system, rel=1e-14)
 
     def test_mixed_state_solves_every_row(self, monkeypatch):
         # 16 of the 32 bands: a mixed state, whose complements share nothing
@@ -532,37 +545,42 @@ class TestHalfPairs:
         mixed = whole.marginal(range(17))
         assert not mixed.is_pure()
         rows = _paired_half_rows(16, 8, 12, np.random.default_rng(24))
-        partner = qstate._complement_rows(rows, 0, 16)
-        assert np.all(partner >= 0)
+        comps = [np.setdiff1d(np.arange(16), r).tolist() for r in rows[0::2]]
+        assert rows[1::2].tolist() == comps
+        force_lanes(monkeypatch, 1)
         solved = self.count_slab_rows(monkeypatch)
         got = qbm_mutual_info_many(mixed, rows)
         assert sum(solved) == len(rows)
-        alone = [qbm_mutual_info_many(mixed, rows[i:i + 1])[0] for i in range(len(rows))]
-        assert got.tolist() == alone
+        assert_matches_lone_rows(GaussianSource(mixed), rows)
         want = [two_cholesky_mutual_info(mixed, row) for row in rows.tolist()]
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
-
-    def test_partner_key_past_position_63(self):
-        # bit keys in int64 wrap at 1 << 64: positions 0 and 64 would collide
-        rows = np.array([range(64), range(64, 128), list(range(1, 64)) + [64],
-                         [0] + list(range(65, 128)), list(range(0, 128, 2))], dtype=np.intp)
-        assert qstate._complement_rows(rows, 0, 128).tolist() == [1, 0, 3, 2, -1]
-        # the dense kernel's range starts at 1, past the system
-        assert qstate._complement_rows(rows + 1, 1, 129).tolist() == [1, 0, 3, 2, -1]
-        assert np.all(qstate._complement_rows(rows[:, :63], 0, 128) == -1)
+        solved.clear()
+        pip = build_pip(GaussianSource(mixed), fractions=[0.5], samples_per_fraction=12, seed=0)
+        # the whole bath, one row, and all 12 half-size rows: nothing mirrored
+        assert solved == [1, 12] and pip.point_at(8).samples == 12
 
     def test_partners_past_position_63_share(self, monkeypatch):
-        # a half, an unpaired row, then the half's complement: every row
-        # holds positions past 63, and the third takes the first's entropies
-        rows = self.rows[[0, 2, 1]]
-        solved = self.count_slab_rows(monkeypatch)
-        got = qbm_mutual_info_many(self.state, rows)
-        assert sum(solved) == 2
-        assert qstate._complement_rows(rows, 0, 128).tolist() == [2, -1, 0]
-        h_s = qbm_system_entropy(self.state)
-        assert abs(got[0] + got[2] - 2.0 * h_s) <= 1e-12 * 2.0 * h_s
-        want = [two_cholesky_mutual_info(self.state, row) for row in rows.tolist()]
-        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+        # build_pip at the half size of the README state: every complement
+        # holds positions past 63 and takes 2 H_S - I of its row, bit for bit
+        force_lanes(monkeypatch, 1)
+        src = GaussianSource(self.state)
+        calls = []
+        real = src.fragment_mutual_info_many
+
+        def recorded(idx):
+            calls.append((idx, real(idx)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(src, "fragment_mutual_info_many", recorded)
+        pip = build_pip(src, fractions=[0.5], samples_per_fraction=8, seed=23)
+        (idx, vals), = [c for c in calls if c[0].shape[1] == 64]
+        rows = darwin._fragment_rows(src, 64, 8, 23)
+        assert idx.tolist() == rows[0::2].tolist()
+        assert np.all(rows[1::2].max(axis=1) > 63)
+        want = np.stack((vals, 2.0 * pip.h_system - vals), axis=1).ravel()
+        assert pip.point_at(64).mean_i == float(want.mean())
+        assert pip.point_at(64).samples == 8
+
 
 class TestFormulas:
     def test_universal_pip_center_and_shift(self):
