@@ -21,12 +21,12 @@ counted apart) and its totals T = sum_l log o_l and Z = #{l : o_l = 0}:
 
     prod_{l not in F} o_l = 0 if Z - Z_F > 0, else exp(T - S_F),
 
-with S_F and Z_F summed over F alone. H_S is solved once per state.
-mutual_info_many evaluates a whole matrix of same-size fragments with one
-stacked eigensolve per side; decohered_system_entropy reads the row
-products alone. Every per-fragment function takes one fragment form, a
-(count, m) np.intp matrix of sorted, repeat-free rows, and checks it once
-per call with qstate.check_rows.
+with S_F and Z_F summed over F alone. _entropies gives H_F and H_SF of a
+whole matrix of same-size fragments, one stacked eigensolve per side, to
+darwin.BranchingSource, which checks the rows and keeps H_S;
+decohered_system_entropy reads the row products alone and checks its rows
+with qstate.check_rows. Both take one fragment form, a (count, m) np.intp
+matrix of sorted, repeat-free rows.
 
 Error rule. A complement-product entry computed this way carries a
 relative error of about eps * sum_l |log o_l| (eps = 2.2e-16, the sum over
@@ -93,7 +93,6 @@ class BranchingState:
         self._logs = None
         self._zeros = None
         self._totals = None
-        self._h_system = None
 
     @property
     def n_branches(self) -> int:
@@ -190,16 +189,14 @@ def _row_products(b: BranchingState, idx: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _products(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
+def _products(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Overlap products over each row of idx and over its complement.
 
-    idx is checked here with the module's one fragment check. The row
-    product is _row_products; the complement product comes from the log
-    totals (module docstring), gathered in the same chunks. The empty
-    fragment takes the literal product over all sites, so that H_SF = H_S
-    exactly.
+    idx is a checked row matrix. The row product is _row_products; the
+    complement product comes from the log totals (module docstring),
+    gathered in the same chunks. The empty fragment takes the literal
+    product over all sites, so that H_SF = H_S exactly.
     """
-    idx = check_rows(idx, b.n_env)
     count, m = idx.shape
     inside = _row_products(b, idx)
     if m == 0:
@@ -250,24 +247,22 @@ def gram_entropy(g: np.ndarray):
 
 
 def system_entropy(b: BranchingState) -> float:
-    """Entropy of the system after decoherence by the whole environment;
-    solved on the first call and kept on the state."""
-    if b._h_system is None:
-        b._h_system = gram_entropy(_phase_kernel(b, _literal_product(b, np.arange(b.n_env))))
-    return b._h_system
+    """Entropy of the system after decoherence by the whole environment."""
+    return gram_entropy(_phase_kernel(b, _literal_product(b, np.arange(b.n_env))))
 
 
-def _entropies(b: BranchingState, idx) -> tuple[np.ndarray, np.ndarray]:
-    """H_F and H_SF (nats) for every row F of idx, from one _products pass.
+def _entropies(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H_F and H_SF (nats) for every row F of the checked idx, from one
+    _products pass; one stacked eigensolve per side.
 
     H_F is the entropy of the fragment's Gram kernel; by global purity H_SF
     is that of the complement's phase-carrying kernel. The empty fragment
     is pure, so its H_F is exactly 0 (the eigensolver would leave an ulp),
-    and its H_SF is H_S to the bit: its I(S : F) is exactly 0.
+    and its H_SF is H_S to the bit: both parts of its decompose are exactly 0.
     """
     inside, outside = _products(b, idx)
     h_sf = gram_entropy(_phase_kernel(b, outside))
-    if not np.shape(idx)[1]:
+    if not idx.shape[1]:
         return np.zeros(len(h_sf)), h_sf
     return gram_entropy(_gram_kernel(b, inside)), h_sf
 
@@ -277,14 +272,6 @@ def decohered_system_entropy(b: BranchingState, idx) -> np.ndarray:
     decohering, for every row F of idx: off-diagonals are damped by the
     fragment's records alone. Only the row products are gathered."""
     return gram_entropy(_phase_kernel(b, _row_products(b, check_rows(idx, b.n_env))))
-
-
-def mutual_info_many(b: BranchingState, idx) -> np.ndarray:
-    """I(S : F) = H_S + H_F - H_SF for every row F of idx, a (count, m)
-    matrix of sorted, repeat-free np.intp site indices; one stacked
-    eigensolve per side."""
-    h_f, h_sf = _entropies(b, idx)
-    return system_entropy(b) + h_f - h_sf
 
 
 def two_branch_entropy(gamma: float) -> float:

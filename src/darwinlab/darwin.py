@@ -1,8 +1,9 @@
 """Partial-information plots and redundancy extraction.
 
 The experiment layer. Every decoherence model sits behind one small
-source interface (size, system entropy, mutual information of a matrix
-of same-size fragments) and the functions here do the statistics:
+source interface (size, system entropy, and the entropies H_F and H_SF
+of a matrix of same-size fragments); Source alone puts I(S : F) together
+from them, and the functions here do the statistics:
 uniform fragment sampling without replacement, crossing detection,
 counterfactual decoherence, observable sweeps, and stable CSV/manifest
 export.
@@ -26,9 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .branching import (BranchingState, _entropies, decohered_system_entropy,
-                        mutual_info_many, system_entropy, to_state_vector,
-                        two_branch_entropy)
+from .branching import (BranchingState, _entropies, decohered_system_entropy, system_entropy,
+                        to_state_vector, two_branch_entropy)
 from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, _forked_lanes, _one_blas_thread, brentq
 from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
@@ -49,10 +49,14 @@ class Source:
     Every source has n_env, tag, system_entropy() and the one fragment
     method fragment_mutual_info_many(idx): I(S : F) for every row F of idx,
     a (count, m) np.intp matrix of sorted, repeat-free site indices, so one
-    fragment size per call. An empty row gives exactly 0.0. A row out of
-    range, with a repeat or of a non-integer dtype raises ValueError,
-    except on a symmetric source, which reads only idx.shape.
-    fragment_mutual_info(sites) is the one-row wrapper, defined here alone.
+    fragment size per call. This class alone puts I = H_S + H_F - H_SF
+    together: it checks the rows (one out of range, with a repeat or of a
+    non-integer dtype raises ValueError), gives exactly 0.0 for an empty
+    row, solves the others with BLAS on one thread, so a direct call gives
+    a plot's bytes, and keeps H_S after its first solve. A source
+    implements only fragment_entropies(idx), the arrays H_F and H_SF of
+    checked, non-empty rows, and _system_entropy().
+    fragment_mutual_info(sites) is the one-row wrapper.
 
     symmetric: I depends on the fragment size only, so one fragment per
     size is drawn. pure_global: the global state is pure, so mirrored
@@ -67,13 +71,35 @@ class Source:
     symmetric = False
     pure_global = False
     pure_decoherence = False
+    _h_s = None
+
+    def system_entropy(self) -> float:
+        """H_S, solved by _system_entropy on the first call and kept."""
+        if self._h_s is None:
+            self._h_s = self._system_entropy()
+        return self._h_s
 
     def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError("a source implements fragment_mutual_info_many")
+        return self._mutual_info(check_rows(idx, self.n_env))
 
     def fragment_mutual_info(self, sites) -> float:
         """I(S : F) of one fragment: row 0 of fragment_mutual_info_many."""
         return float(self.fragment_mutual_info_many(_one_row(sites))[0])
+
+    def _mutual_info(self, idx: np.ndarray) -> np.ndarray:
+        """H_S + H_F - H_SF for every row of the checked idx; build_pip
+        calls it on its own draws. Empty rows give exactly 0.0."""
+        if not idx.size:
+            return np.zeros(len(idx))
+        with _one_blas_thread():
+            h_f, h_sf = self.fragment_entropies(idx)
+        return self.system_entropy() + h_f - h_sf
+
+    def fragment_entropies(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError("a source implements fragment_entropies")
+
+    def _system_entropy(self) -> float:
+        raise NotImplementedError("a source implements _system_entropy")
 
     def decoherence_fraction(self, delta_d: float) -> float | None:
         """Closed-form decoherence crossing, or None to scan fragment sizes."""
@@ -85,8 +111,8 @@ class Source:
 
 def _one_row(sites) -> np.ndarray:
     """One fragment's sites as a sorted (1, m) row matrix, np.intp when
-    empty; a repeat, a non-integer or a bad index is left for the source's
-    row check."""
+    empty; a repeat, a non-integer or a bad index is left for the row
+    check of fragment_mutual_info_many."""
     row = np.array([sorted(sites)])
     return row if row.size else row.astype(np.intp)
 
@@ -105,25 +131,16 @@ class DenseSource(Source):
             raise ValueError("need a system plus at least one environment part")
         self.state = state
         self.tag = tag
-        self._h_s: float | None = None
 
     @property
     def n_env(self) -> int:
         return self.state.shape.n_subsystems - 1
 
-    def system_entropy(self) -> float:
-        if self._h_s is None:
-            self._h_s = subsystem_entropy(self.state, (0,))
-        return self._h_s
+    def _system_entropy(self) -> float:
+        return subsystem_entropy(self.state, (0,))
 
-    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
-        """H_S + H_F - H_SF, the two row entropies from one call of
-        qstate.system_fragment_entropies (stacked spectra per slab)."""
-        idx = check_rows(idx, self.n_env)
-        if not idx.shape[1]:
-            return np.zeros(len(idx))
-        h_f, h_sf = system_fragment_entropies(self.state, idx + 1)
-        return self.system_entropy() + h_f - h_sf
+    def fragment_entropies(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return system_fragment_entropies(self.state, idx + 1)
 
     def state_vector(self) -> StateVector:
         return self.state
@@ -143,11 +160,11 @@ class BranchingSource(Source):
     def n_env(self) -> int:
         return self.b.n_env
 
-    def system_entropy(self) -> float:
+    def _system_entropy(self) -> float:
         return system_entropy(self.b)
 
-    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
-        return mutual_info_many(self.b, idx)
+    def fragment_entropies(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _entropies(self.b, idx)
 
     def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
         return decohered_system_entropy(self.b, idx)
@@ -156,7 +173,7 @@ class BranchingSource(Source):
         """classical = H_F - H_F(0) with H_F(0) = 0 (pure conditionals over
         a product start), quantum = H_S - H_SF, the system decohered by the
         complement alone."""
-        h_f, h_sf = _entropies(self.b, idx)
+        h_f, h_sf = _entropies(self.b, check_rows(idx, self.n_env))
         return h_f, self.system_entropy() - h_sf
 
     def state_vector(self) -> StateVector:
@@ -178,15 +195,13 @@ class GaussianSource(Source):
     def n_env(self) -> int:
         return self.state.n_modes - 1
 
-    def system_entropy(self) -> float:
-        from .qbm import qbm_system_entropy
+    def _system_entropy(self) -> float:
+        return self.state.marginal([0]).entropy()
 
-        return qbm_system_entropy(self.state)
+    def fragment_entropies(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        from .qbm import qbm_fragment_entropies
 
-    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
-        from .qbm import qbm_mutual_info_many
-
-        return qbm_mutual_info_many(self.state, idx)
+        return qbm_fragment_entropies(self.state, idx)
 
 
 class PhotonSource(Source):
@@ -215,15 +230,15 @@ class PhotonSource(Source):
         self.pure_global = not isotropic
         self.tag = "photon-iso" if isotropic else "photon"
 
-    def system_entropy(self) -> float:
+    def _system_entropy(self) -> float:
         return two_branch_entropy(self.gamma)
 
-    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
-        from .photon import isotropic_mutual_info, photon_mutual_info
-
+    def fragment_entropies(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # H(Gamma^f), 0 with no directional records, and H(Gamma^(1 - f))
         f = idx.shape[1] / self.n_env
-        mi = isotropic_mutual_info if self.isotropic else photon_mutual_info
-        return np.full(len(idx), mi(self.gamma, f))
+        h_f = 0.0 if self.isotropic else two_branch_entropy(self.gamma ** f)
+        h_sf = two_branch_entropy(self.gamma ** (1.0 - f))
+        return np.full(len(idx), h_f), np.full(len(idx), h_sf)
 
     def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
         f = idx.shape[1] / self.n_env
@@ -263,11 +278,13 @@ class HazySource(Source):
     def n_env(self) -> int:
         return self.model.n
 
-    def system_entropy(self) -> float:
+    def _system_entropy(self) -> float:
         return self.model.system_entropy()
 
-    def fragment_mutual_info_many(self, idx: np.ndarray) -> np.ndarray:
-        return np.full(len(idx), self.model.mutual_info(idx.shape[1]))
+    def fragment_entropies(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = idx.shape[1]
+        return (np.full(len(idx), self.model.fragment_entropy(m)),
+                np.full(len(idx), self.model.joint_entropy(m)))
 
     def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
         return np.full(len(idx), self.model.decohered_entropy(idx.shape[1]))
@@ -328,11 +345,14 @@ def _haar_shape(n_env: int) -> HilbertShape:
 
 
 def haar_random_source(n_env: int, seed: int) -> DenseSource:
-    """Haar-random pure state of one system qubit over n_env bath qubits."""
+    """Haar-random pure state of one system qubit over n_env bath qubits.
+    Its norm is a BLAS dot, rounded by OpenBLAS's thread count from
+    n_env = 14 on, so it is taken with BLAS on one thread."""
     shape = _haar_shape(n_env)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9A)))
     amps = rng.standard_normal(shape.total_dim) + 1j * rng.standard_normal(shape.total_dim)
-    amps /= np.linalg.norm(amps)
+    with _one_blas_thread():
+        amps /= np.linalg.norm(amps)
     return DenseSource(StateVector(shape, amps), tag=f"haar-{seed}")
 
 
@@ -418,23 +438,27 @@ def _distinct_rows(n: int, m: int, count: int, rng) -> np.ndarray:
 
 
 def _paired_half_rows(n: int, m: int, count: int, rng) -> np.ndarray:
-    """Half-size draws, each followed by its complement; for a pure source
-    build_pip mirrors the second row of each pair, which pins the pair
-    mean to H_S and keeps the midpoint noise-free. When every subset fits,
-    the draws are the combinations that hold position 0, in order."""
+    """(count + 1) // 2 half-size rows, each followed by its complement, so
+    an odd count rounds up; for a pure source build_pip mirrors the second
+    row of each pair, which pins the pair mean to H_S and keeps the
+    midpoint noise-free. A draw that repeats an earlier row or the
+    complement of one is drawn again. When every subset fits, the draws
+    are the combinations in order, so the pairs are those of the
+    combinations that hold position 0."""
     if _few_subsets(n, m, count):
-        picks = _distinct_rows(n, m, count, rng)[:math.comb(n - 1, m - 1)]
+        count = math.comb(n, m)
+        draws = iter(_distinct_rows(n, m, count, rng))
     else:
-        picks = _distinct_rows(n, m, (count + 1) // 2, rng)
-    out, seen = [], set()
-    for s in picks:
-        outside = np.ones(n, dtype=bool)
-        outside[s] = False
-        c = np.flatnonzero(outside)
-        if s.tobytes() in seen or c.tobytes() in seen:
-            continue
-        out.extend([s, c])
-        seen.update([s.tobytes(), c.tobytes()])
+        draws = (np.sort(rng.choice(n, size=m, replace=False)) for _ in itertools.count())
+    seen, out = set(), []
+    while len(out) < count:
+        pick = next(draws)
+        if pick.tobytes() not in seen:
+            outside = np.ones(n, dtype=bool)
+            outside[pick] = False
+            comp = np.flatnonzero(outside)
+            seen.update((pick.tobytes(), comp.tobytes()))
+            out.extend((pick, comp))
     return np.array(out, dtype=np.intp)
 
 
@@ -466,8 +490,9 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     takes 2 H_S - I of it, so the point keeps every sample and its mean
     is H_S. A mixed source solves every row of every size.
 
-    Every size runs with BLAS on one thread, so the values do not depend
-    on OPENBLAS_NUM_THREADS. A source that is not symmetric deals all its
+    Source._mutual_info solves each size's draws, unchecked (they are
+    valid), with BLAS on one thread, so the values do not depend on
+    OPENBLAS_NUM_THREADS. A source that is not symmetric deals all its
     sizes, largest first, over numeric._forked_lanes, with the serial
     loop's values: the plot forks when OpenBLAS has threads, whatever its
     sizes cost (about 3 ms a fork). A caller with threads of its own (a
@@ -496,8 +521,7 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     def sample(m: int) -> tuple[float, float, int]:
         rows = _fragment_rows(source, m, samples_per_fraction, seed)
         paired = pure and not source.symmetric and 2 * m == n
-        with _one_blas_thread():  # in this process and in a lane alike
-            vals = source.fragment_mutual_info_many(rows[0::2] if paired else rows)
+        vals = source._mutual_info(rows[0::2] if paired else rows)
         if paired:  # each complement mirrors the row before it
             vals = np.stack((vals, 2.0 * h_s - vals), axis=1).ravel()
         sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0

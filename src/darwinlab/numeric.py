@@ -20,9 +20,11 @@ Al-Mohy & Higham variant) by rounding only; tests/test_numeric.py bounds
 the gap on the QBM propagators and on random matrices.
 
 _one_blas_thread pins numpy's bundled scipy-openblas to one thread for a
-scope. OpenBLAS rounds differently at different thread counts, so every
-fragment size of a plot and the Gaussian evolution run inside such a
-scope and give the same bytes whatever OPENBLAS_NUM_THREADS says.
+scope. OpenBLAS rounds differently at different thread counts, so
+darwin.Source._mutual_info (every fragment entropy, in a plot or a direct
+call), the norm of darwin.haar_random_source, qbm_evolve and _forked_lanes
+run in such a scope and give the same bytes whatever
+OPENBLAS_NUM_THREADS says.
 _forked_lanes, darwinlab's one lane mechanism, deals independent items
 (a plot's fragment sizes, the Haar baseline's states) over one lane per
 thread OpenBLAS had, every lane but the first a forked process. Every

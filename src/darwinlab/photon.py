@@ -193,6 +193,9 @@ def isotropic_mutual_info(gamma, f: float) -> float:
     the locally accessible term vanishes and only the quantum part remains:
 
         I_iso(f) = H(Gamma) - H(Gamma^(1-f)).
+
+    The closed-form oracle of the isotropic darwin.PhotonSource, which
+    puts the same terms together as H_S + H_F - H_SF with H_F = 0.
     """
     g = _gamma_of(gamma)
     if not 0.0 <= f <= 1.0:

@@ -11,7 +11,7 @@ global symplectic eigenvalues at 1/2 to ~1e-10 after evolution.
 
 A GaussianState is validated once, when it is built. Marginals are
 principal sub-blocks of a valid covariance, so they inherit that
-validation instead of repeating it; H_S is solved once per state.
+validation instead of repeating it.
 
 The symplectic spectrum is solved in real arithmetic. With Delta = L L^T,
 K = L^T Omega L is real antisymmetric, so the real symmetric K^T K holds
@@ -23,7 +23,7 @@ and 540 eps * nu_max^2 at squeezing 1, 1e2 and 1e3 along x, the K_F
 update below (the fragment kernel's) by at most 16. evolved_purity_defect
 keeps the complex route, as an independent check of global purity.
 
-qbm_mutual_info_many takes one fragment size at a time, and one
+qbm_fragment_entropies takes one fragment size at a time, and one
 Cholesky factorization and one product K^T K per fragment serve both
 entropies. With mode 0 first, Delta_SF = L L^T and the F rows of L,
 L_F = L[2:], give Delta_F = L_F L_F^T. L_F is 2m x (2m + 2), so
@@ -42,16 +42,15 @@ rows are; a globally pure state's complement pairs are mirrored by
 darwin.build_pip, not here. Rows are gathered, factorized and solved as
 stacks, in slabs that bound the working set.
 
-BLAS. qbm_evolve and qbm_mutual_info_many run with numpy's bundled
-OpenBLAS pinned to one thread (numeric._one_blas_thread), because its
-threads gain nothing on matrices of a few hundred rows and change the
-rounding, so the bytes do not depend on OPENBLAS_NUM_THREADS. The thread
-budget goes to whole fragment sizes instead: build_pip deals a plot's
-sizes over forked lanes (numeric._forked_lanes), darwinlab's one lane
-mechanism. _slab_rows sizes a slab by matrix elements: as many
-(2m + 2)-square matrices as _SLAB_ELEMS holds, and at least _SLAB_ROWS.
-On a numpy without bundled scipy-openblas the path runs with BLAS as
-shipped.
+BLAS. qbm_evolve, and darwin.Source around qbm_fragment_entropies, run
+with numpy's bundled OpenBLAS pinned to one thread: its threads gain
+nothing on matrices of a few hundred rows and change the rounding, so
+the bytes do not depend on OPENBLAS_NUM_THREADS. The thread budget goes
+to whole fragment sizes instead: build_pip deals a plot's sizes over
+forked lanes (numeric._forked_lanes), darwinlab's one lane mechanism.
+_slab_rows sizes a slab by matrix elements: as many (2m + 2)-square
+matrices as _SLAB_ELEMS holds, and at least _SLAB_ROWS. On a numpy
+without bundled scipy-openblas the path runs with BLAS as shipped.
 
 hbar = 1 throughout.
 """
@@ -64,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY, CapExceeded, _one_blas_thread, expm
-from .qstate import _sorted_positions, check_rows
+from .qstate import _sorted_positions
 
 # fragment rows per stacked gather, factorization and eigensolve
 # (_slab_rows). Peak memory follows the matrix elements in flight: a slab
@@ -140,9 +139,6 @@ class GaussianState:
 
     means: np.ndarray
     cov: np.ndarray
-    # H_S of mode 0, filled in by the first qbm_system_entropy call
-    _h_system: float | None = field(default=None, init=False, repr=False,
-                                    compare=False)
     # global symplectic spectrum, kept from validation; None when unchecked
     _nus: np.ndarray | None = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -357,37 +353,24 @@ def evolved_purity_defect(bath: OhmicBathParams, squeezing: float, direction: st
     return float(np.max(np.abs(nus[nus > 0] - 0.5)))
 
 
-def qbm_system_entropy(state: GaussianState) -> float:
-    """H_S of mode 0, solved on the first call and kept on the state."""
-    if state._h_system is None:
-        state._h_system = state.marginal([0]).entropy()
-    return state._h_system
+def qbm_fragment_entropies(state: GaussianState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H_F, H_SF) for every row F of idx, a checked, non-empty (count, m)
+    matrix of sorted, repeat-free band indices; band i is phase-space
+    mode i + 1.
 
-
-def qbm_mutual_info_many(state: GaussianState, idx) -> np.ndarray:
-    """I(S : F) for every row F of idx, a (count, m) matrix of sorted,
-    repeat-free band indices; band i is phase-space mode i + 1.
-
-    The rows are checked once per call. Each slab of rows is solved by
-    _slab_spectra: one stacked Cholesky of the SF covariances, mode 0
-    first, and one product K^T K per row for both entropies (module
-    docstring); a row's value does not depend on the other rows. H_S
-    comes from qbm_system_entropy. BLAS runs on one thread (module
-    docstring).
+    Each slab of rows is solved by _slab_spectra: one stacked Cholesky of
+    the SF covariances, mode 0 first, and one product K^T K per row for
+    both entropies (module docstring); a row's values do not depend on
+    the other rows.
     """
-    idx = check_rows(idx, state.n_modes - 1)
     count, m = idx.shape
-    if not (count and m):
-        return np.zeros(count)
-    h_s = qbm_system_entropy(state)
     h_f, h_sf = np.empty(count), np.empty(count)
-    with _one_blas_thread():
-        slab = _slab_rows(m)
-        for lo in range(0, count, slab):
-            nu_f, nu_sf = _slab_spectra(state.cov, idx[lo:lo + slab])
-            h_f[lo:lo + slab] = _spectrum_entropy(nu_f)
-            h_sf[lo:lo + slab] = _spectrum_entropy(nu_sf)
-    return h_s + h_f - h_sf
+    slab = _slab_rows(m)
+    for lo in range(0, count, slab):
+        nu_f, nu_sf = _slab_spectra(state.cov, idx[lo:lo + slab])
+        h_f[lo:lo + slab] = _spectrum_entropy(nu_f)
+        h_sf[lo:lo + slab] = _spectrum_entropy(nu_sf)
+    return h_f, h_sf
 
 
 def _slab_spectra(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

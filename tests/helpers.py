@@ -1,6 +1,6 @@
-"""Shared constructors for randomized test states, the lone-row check of
-the fragment kernels, and the lane and fork probes of the tests of
-numeric._forked_lanes and its callers."""
+"""Shared constructors for randomized test states, the bad rows and the
+lone-row check of the fragment kernels, and the lane and fork probes of
+the tests of numeric._forked_lanes and its callers."""
 import contextlib
 import os
 
@@ -10,6 +10,18 @@ import pytest
 from darwinlab import darwin, numeric
 from darwinlab.branching import BranchingState
 from darwinlab.qstate import HilbertShape, StateVector
+
+
+# rows that every fragment method refuses with ValueError, on eight sites
+BAD_ROWS = {
+    "neg list": [[-1]],
+    "neg array": np.array([[-1, 2]]),
+    "n list": [[0, 8]],
+    "n array": np.array([[8]]),
+    "unsorted": np.array([[6, 1, 4]]),
+    "repeat": np.array([[1, 4, 4, 6]]),
+    "flat": np.array([1, 4, 6]),
+}
 
 
 def random_ket(rng, d):

@@ -7,7 +7,6 @@ from darwinlab.branching import (
     BranchingState,
     decohered_system_entropy,
     gram_entropy,
-    mutual_info_many,
     system_entropy,
     to_state_vector,
     two_branch_entropy,
@@ -16,7 +15,7 @@ from darwinlab.darwin import BranchingSource
 from darwinlab.info import LN2
 from darwinlab.qstate import subsystem_entropy
 from darwinlab.spinmodels import CentralSpinParams, central_spin_branching, cnot_model
-from helpers import random_branching_state, random_ket
+from helpers import BAD_ROWS, random_branching_state, random_ket
 
 
 def two_branch(overlap_angle, n, p0=0.5, phases=(0.0, 0.0)):
@@ -34,7 +33,7 @@ def row(sites):
 
 
 def mutual_info(b, sites):
-    return mutual_info_many(b, row(sites))[0]
+    return BranchingSource(b).fragment_mutual_info_many(row(sites))[0]
 
 
 def entropies(b, sites):
@@ -266,37 +265,38 @@ def test_branch_cap_enforced():
         )
 
 
-BAD_ROWS = {
-    "neg list": [[-1]],
-    "neg array": np.array([[-1, 2]]),
-    "n list": [[0, 8]],
-    "n array": np.array([[8]]),
-    "unsorted": np.array([[6, 1, 4]]),
-    "repeat": np.array([[1, 4, 4, 6]]),
-    "flat": np.array([1, 4, 6]),
-}
-# every route from a row matrix to a number; all of them gather through
-# _products, which holds the module's one fragment check
+# every public route from a row matrix to a number checks its rows
 ROW_ROUTES = {
-    "mutual_info": mutual_info_many,
-    "fragment": lambda b, idx: branching._entropies(b, idx)[0],
-    "fragment+system": lambda b, idx: branching._entropies(b, idx)[1],
+    "mutual_info": lambda b, idx: BranchingSource(b).fragment_mutual_info_many(idx),
     "decohered": decohered_system_entropy,
     "decomposition": lambda b, idx: BranchingSource(b).decompose(idx),
-    "gram": lambda b, idx: branching._gram_kernel(b, branching._products(b, idx)[0]),
-    "overlap_product": branching._products,
+}
+# the private steps behind them read checked rows only: every public route
+# refuses a bad row before any of them runs
+KERNEL_STEPS = {
+    "fragment": "_row_products",
+    "fragment+system": "_phase_kernel",
+    "gram": "_gram_kernel",
+    "overlap_product": "_products",
 }
 
 
-@pytest.mark.parametrize("name", ROW_ROUTES)
+@pytest.mark.parametrize("name", [*ROW_ROUTES, *KERNEL_STEPS])
 @pytest.mark.parametrize("sites", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
-def test_bad_site_index_rejected(name, sites):
+def test_bad_site_index_rejected(name, sites, monkeypatch):
     b = random_branching_state(np.random.default_rng(10), 8, 3)
-    with pytest.raises(ValueError):
-        ROW_ROUTES[name](b, sites)
+    routes = [ROW_ROUTES[name]] if name in ROW_ROUTES else ROW_ROUTES.values()
+    if name in KERNEL_STEPS:
+        monkeypatch.setattr(branching, KERNEL_STEPS[name],
+                            lambda *args: pytest.fail(f"{name} ran on a bad row"))
+    for route in routes:
+        with pytest.raises(ValueError):
+            route(b, sites)
 
 
 def test_system_entropy_solved_once_per_state(monkeypatch):
+    # H_S is kept by the state's source; each fragment call is one stacked
+    # solve per side
     calls = []
     solve = branching.gram_entropy
 
@@ -307,11 +307,11 @@ def test_system_entropy_solved_once_per_state(monkeypatch):
     monkeypatch.setattr(branching, "gram_entropy", counted)
     b = random_branching_state(np.random.default_rng(11), 6, 3)
     src = BranchingSource(b)
-    mutual_info(b, (0, 2))
+    src.fragment_mutual_info((0, 2))
     assert len(calls) == 3
     for sites in ((1,), (0, 2), (1, 3, 4, 5)):
         calls.clear()
-        mutual_info(b, sites)
+        src.fragment_mutual_info(sites)
         assert len(calls) == 2
     calls.clear()
     h_s = src.system_entropy()
@@ -465,8 +465,9 @@ def test_many_rows_equal_single_calls(k, n, t, monkeypatch):
     for m in (0, 1, 9, n // 2, n):
         idx = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(5)],
                        dtype=np.intp).reshape(5, m)
-        many = mutual_info_many(b, idx)
-        assert many.tolist() == [mutual_info_many(b, r[None])[0] for r in idx]
+        src = BranchingSource(b)
+        many = src.fragment_mutual_info_many(idx)
+        assert many.tolist() == [src.fragment_mutual_info_many(r[None])[0] for r in idx]
 
 
 def test_empty_fragment_leaves_the_system_entropy():
@@ -479,7 +480,7 @@ def test_empty_fragment_leaves_the_system_entropy():
         h_f, h_sf = branching._entropies(b, empty)
         assert h_sf.tolist() == [system_entropy(b)] * 3
         assert h_f.tolist() == [0.0] * 3
-        assert mutual_info_many(b, empty).tolist() == [0.0] * 3
+        assert BranchingSource(b).fragment_mutual_info_many(empty).tolist() == [0.0] * 3
 
 
 @pytest.mark.parametrize("idx", [np.array([[2, 1]]), np.array([[1, 1]]), np.array([[0, 8]]),
@@ -488,7 +489,7 @@ def test_empty_fragment_leaves_the_system_entropy():
 def test_many_rejects_bad_rows(idx):
     b = random_branching_state(np.random.default_rng(32), 8, 3)
     with pytest.raises(ValueError):
-        mutual_info_many(b, idx)
+        BranchingSource(b).fragment_mutual_info_many(idx)
 
 
 @pytest.mark.parametrize("n, t, k", [(2000, 0.02, 2), (2000, 4.0, 2), (200, None, 16)])

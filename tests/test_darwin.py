@@ -1,4 +1,5 @@
 """Experiment layer: sources, PIP sampling, redundancy, sweeps, export."""
+import contextlib
 import itertools
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.branching import two_branch_entropy
-from darwinlab import darwin, numeric, qstate
+from darwinlab import darwin, numeric, qbm, qstate
 from darwinlab.darwin import (
     BranchingSource,
     DenseSource,
@@ -36,7 +37,7 @@ from darwinlab.darwin import (
 )
 from darwinlab.numeric import POLICY, CapExceeded
 from darwinlab.photon import DecoherenceFactor, measured_photon_redundancy
-from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve, qbm_mutual_info_many
+from darwinlab.qbm import GaussianState, OhmicBathParams, qbm_evolve
 from darwinlab.qstate import HilbertShape, StateVector, subsystem_entropy
 from darwinlab.spinmodels import (
     CentralSpinParams,
@@ -50,8 +51,8 @@ from darwinlab.spinmodels import (
     random_interacting_params,
     uniform_couplings,
 )
-from helpers import (assert_matches_lone_rows, assert_no_children, count_forks, fail_at,
-                     force_lanes, random_branching_state, random_state_vector)
+from helpers import (BAD_ROWS, assert_matches_lone_rows, assert_no_children, count_forks,
+                     fail_at, force_lanes, random_branching_state, random_state_vector)
 
 LN2 = math.log(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -93,6 +94,22 @@ class TestSources:
         assert not np.array_equal(a.state.amps, c.state.amps)
         assert a.tag == "haar-9"
 
+    def test_haar_state_does_not_follow_blas_threads(self):
+        # from n_env = 14 on, a multi-threaded BLAS dot rounds the norm
+        # differently from a one-thread one
+        blas = numeric._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy ships no bundled scipy-openblas")
+        get, put = blas
+        before, amps = get(), []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                amps.append(haar_random_source(14, seed=1).state.amps.tobytes())
+        finally:
+            put(before)
+        assert amps[0] == amps[1]
+
     def test_photon_source_closed_form(self):
         src = PhotonSource(0.3, n_env=100)
         got = src.fragment_mutual_info(tuple(range(25)))
@@ -128,8 +145,8 @@ class TestSources:
         st = qbm_evolve(OhmicBathParams(bands=16), 50.0, "x", 1.0)
         src = GaussianSource(st)
         assert src.n_env == 16
-        assert src.fragment_mutual_info((0, 3)) == pytest.approx(
-            qbm_mutual_info_many(st, np.array([[0, 3]]))[0])
+        assert src.fragment_mutual_info((0, 3)) == src.fragment_mutual_info_many(
+            np.array([[0, 3]]))[0]
 
     def test_interacting_matches_branching_when_pairs_vanish(self):
         # oracle: the dense state re-evolved with the couplings outside a row cut
@@ -351,6 +368,67 @@ class TestKernelRows:
         assert_matches_lone_rows(src, idx)
 
 
+class TestSourceContract:
+    """Source alone puts I(S : F) = H_S + H_F - H_SF together, for every
+    source kind: it checks the rows, answers the empty row, runs each call
+    in one one-thread BLAS scope and keeps H_S."""
+
+    SOURCES = {
+        "dense haar": lambda: haar_random_source(8, seed=3),
+        "flip split": lambda: InteractingSource(random_interacting_params(
+            np.random.default_rng(5), 8, 10.0)),
+        "branching": lambda: BranchingSource(random_branching_state(np.random.default_rng(6), 8, 3)),
+        "gaussian": lambda: GaussianSource(qbm_evolve(OhmicBathParams(bands=8), 100.0, "x", 2.0)),
+        "mixed gaussian": lambda: GaussianSource(
+            qbm_evolve(OhmicBathParams(bands=16), 100.0, "x", 2.0).marginal(range(9))),
+        "hazy": lambda: HazySource(HazyCentralSpin(8, 0.6, 1.3, HazyParams(0.4))),
+        "photon": lambda: PhotonSource(0.3, n_env=8),
+        "isotropic photon": lambda: PhotonSource(0.3, n_env=8, isotropic=True),
+    }
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    @pytest.mark.parametrize("bad", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+    def test_bad_rows_rejected(self, kind, bad):
+        with pytest.raises(ValueError):
+            self.SOURCES[kind]().fragment_mutual_info_many(bad)
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_empty_row_is_exactly_zero(self, kind):
+        got = self.SOURCES[kind]().fragment_mutual_info_many(np.zeros((3, 0), dtype=np.intp))
+        assert got.tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_one_blas_scope_per_call(self, kind, monkeypatch):
+        entered = []
+        real = numeric._one_blas_thread
+
+        @contextlib.contextmanager
+        def counted():
+            entered.append(None)
+            with real() as lanes:
+                yield lanes
+
+        for module in (numeric, darwin, qbm):
+            monkeypatch.setattr(module, "_one_blas_thread", counted)
+        src = self.SOURCES[kind]()
+        for rows in ([[0, 2, 5]], [[1], [3]], [[0, 1, 2, 3], [4, 5, 6, 7]]):
+            entered.clear()
+            src.fragment_mutual_info_many(np.array(rows))
+            assert len(entered) == 1, rows
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_system_entropy_solved_once(self, kind, monkeypatch):
+        src = self.SOURCES[kind]()
+        solved = []
+        real = src._system_entropy
+        monkeypatch.setattr(src, "_system_entropy", lambda: solved.append(None) or real())
+        for rows in ([[0, 2, 5]], [[1], [3]], [[0, 2, 5]]):
+            src.fragment_mutual_info_many(np.array(rows))
+        h_s = src.system_entropy()
+        assert src.system_entropy() == h_s == real()
+        assert len(solved) == 1
+
+
 class TestCardinalities:
     def test_small_is_every_integer(self):
         assert default_cardinalities(5) == (0, 1, 2, 3, 4, 5)
@@ -414,14 +492,14 @@ class TestBuildPip:
         matrix the source is given with the values it returns"""
         force_lanes(monkeypatch, 1)
         seen = {}
-        real = src.fragment_mutual_info_many
+        real = src._mutual_info
 
         def recorded(idx):
             vals = real(idx)
             seen[idx.shape[1]] = (idx, vals)
             return vals
 
-        monkeypatch.setattr(src, "fragment_mutual_info_many", recorded)
+        monkeypatch.setattr(src, "_mutual_info", recorded)
         return seen
 
     @pytest.mark.parametrize("make", [
@@ -518,18 +596,17 @@ def tuple_distinct_subsets(n, m, count, rng):
 
 
 def tuple_paired_half_subsets(n, m, count, rng):
+    full = frozenset(range(n))
     if math.comb(n, m) <= count:
         picks = [c for c in itertools.combinations(range(n), m) if 0 in c]
-    else:
-        picks = tuple_distinct_subsets(n, m, (count + 1) // 2, rng)
-    full = frozenset(range(n))
+        return [r for s in picks for r in (s, tuple(sorted(full - set(s))))]
     out, seen = [], set()
-    for s in picks:
+    while len(out) < count:  # a repeat or a complement is drawn again
+        s = tuple(sorted(rng.choice(n, size=m, replace=False).tolist()))
         c = tuple(sorted(full - set(s)))
-        if s in seen or c in seen:
-            continue
-        out.extend([s, c])
-        seen.update([s, c])
+        if s not in seen:
+            out.extend([s, c])
+            seen.update([s, c])
     return out
 
 
@@ -568,6 +645,18 @@ class TestFragmentRows:
             want = tuple_distinct_subsets(n, m, 12, np.random.default_rng(key))
             assert list(map(tuple, rows.tolist())) == want
 
+    def test_half_pairs_redraw_collisions(self):
+        # n = 8 has 35 complement pairs: a draw that repeats an earlier row
+        # or its complement is drawn again, so each plot keeps 12 pairs
+        for s in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence((s, 4)))
+            rows = darwin._paired_half_rows(8, 4, 24, rng).tolist()
+            assert len(rows) == len(set(map(tuple, rows))) == 24
+            for row, comp in zip(rows[0::2], rows[1::2]):
+                assert sorted(row + comp) == list(range(8))
+        # an odd count rounds up to whole pairs
+        assert len(darwin._paired_half_rows(8, 4, 5, np.random.default_rng(0))) == 6
+
     @staticmethod
     def every_source():
         rng = np.random.default_rng(12)
@@ -601,8 +690,6 @@ class TestFragmentRows:
                 assert type(got) is float
                 assert got == many(np.array(want, dtype=np.intp).reshape(1, -1))[0]
             assert src.fragment_mutual_info(()) == 0.0
-            if src.symmetric:
-                continue
             for bad in ((0, src.n_env), (-1, 2), (1, 1), (2, 4, 2), (0.9,), (1, 2.2)):
                 with pytest.raises(ValueError):
                     src.fragment_mutual_info(bad)
@@ -658,11 +745,11 @@ class SizeSource(darwin.Source):
     tag = "sizes"
     n_env = 8
 
-    def system_entropy(self):
+    def _system_entropy(self):
         return 4.0
 
-    def fragment_mutual_info_many(self, idx):
-        return np.full(len(idx), float(idx.shape[1]))
+    def fragment_entropies(self, idx):
+        return np.full(len(idx), float(idx.shape[1])), np.full(len(idx), 4.0)
 
 
 class TestPlotLanes:
@@ -716,7 +803,7 @@ class TestPlotLanes:
         # which sizes were dealt
         threads = []
         source = spin_source(12, t=1.5)
-        real = source.fragment_mutual_info_many
+        real = source._mutual_info
 
         def recorded(idx):
             threads.append(numeric._openblas_threads()[0]())
@@ -724,7 +811,7 @@ class TestPlotLanes:
 
         if numeric._openblas_threads() is None:
             pytest.skip("numpy ships no bundled scipy-openblas")
-        monkeypatch.setattr(source, "fragment_mutual_info_many", recorded)
+        monkeypatch.setattr(source, "_mutual_info", recorded)
         build_pip(source, samples_per_fraction=4, seed=0)
         assert threads and set(threads) == {1}
 
@@ -735,7 +822,7 @@ class TestPlotLanes:
         # children take sizes meanwhile)
         parent = os.getpid()
         source = spin_source(12, t=1.5)
-        real = source.fragment_mutual_info_many
+        real = source._mutual_info
         ran = []
 
         def failing(idx):
@@ -745,7 +832,7 @@ class TestPlotLanes:
             time.sleep(0.01)
             return real(idx)
 
-        monkeypatch.setattr(source, "fragment_mutual_info_many", failing)
+        monkeypatch.setattr(source, "_mutual_info", failing)
         force_lanes(monkeypatch, 3)
         with pytest.raises(ValueError, match=r"^size \d+ failed$"):
             build_pip(source, samples_per_fraction=4, seed=0)

@@ -16,9 +16,7 @@ from darwinlab.qbm import (
     gaussian_entropy,
     qbm_evolve,
     qbm_generator,
-    qbm_mutual_info_many,
     qbm_redundancy,
-    qbm_system_entropy,
     squeezed_start,
     symplectic_area,
     universal_pip,
@@ -33,6 +31,11 @@ EPS = np.finfo(float).eps
 def one_fragment_info(state, bands):
     """I(S : bands) of one fragment, through the sources' one-row wrapper."""
     return GaussianSource(state).fragment_mutual_info(bands)
+
+
+def mutual_info_many(state, idx):
+    """I(S : F) of every row of idx, through the sources' one entry."""
+    return GaussianSource(state).fragment_mutual_info_many(idx)
 
 
 def complex_route_nus(cov):
@@ -123,7 +126,7 @@ class TestGaussianState:
 
 
 class TestValidateOnce:
-    """Marginals skip re-validation; H_S is solved once per state, and
+    """Marginals skip re-validation; H_S is solved once per source, and
     fragments share one stacked solve per side."""
 
     def setup_method(self):
@@ -162,6 +165,7 @@ class TestValidateOnce:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_system_block_solved_once_per_state(self, monkeypatch):
+        # H_S is kept by the state's source
         shapes, slabs = [], []
         solve, solve_slab = qbm._symplectic_spectrum, qbm._slab_spectra
 
@@ -176,13 +180,14 @@ class TestValidateOnce:
         monkeypatch.setattr(qbm, "_symplectic_spectrum", counted)
         monkeypatch.setattr(qbm, "_slab_spectra", counted_slab)
         frags = [[0, 1], [2, 5, 7], list(range(8)), [15, 3], [2, 5, 7]]
-        first = one_fragment_info(self.state, frags[0])
+        src = GaussianSource(self.state)
+        first = src.fragment_mutual_info(frags[0])
         assert shapes == [(2, 2)]
         for frag in frags[1:]:
-            one_fragment_info(self.state, frag)
+            src.fragment_mutual_info(frag)
         # one slab per call solves both sides; the 2x2 block is never re-solved
         assert slabs == [(1, len(frag)) for frag in frags]
-        assert one_fragment_info(self.state, frags[0]) == first
+        assert src.fragment_mutual_info(frags[0]) == first
         assert shapes == [(2, 2)]
 
     def test_two_full_state_solves_per_source(self, monkeypatch):
@@ -406,14 +411,14 @@ class TestMutualInfo:
     def test_bad_rows_rejected(self):
         for idx in ([[2, 1]], [[3, 3]], [[0, BATH.bands]], [[-1, 4]], [1, 2]):
             with pytest.raises(ValueError):
-                qbm_mutual_info_many(self.state, np.array(idx, dtype=np.intp))
+                mutual_info_many(self.state, np.array(idx, dtype=np.intp))
 
     def test_empty_rows(self):
-        got = qbm_mutual_info_many(self.state, np.zeros((3, 0), dtype=np.intp))
+        got = mutual_info_many(self.state, np.zeros((3, 0), dtype=np.intp))
         assert got.tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_rows(self):
-        got = qbm_mutual_info_many(self.state, np.zeros((0, 3), dtype=np.intp))
+        got = mutual_info_many(self.state, np.zeros((0, 3), dtype=np.intp))
         assert got.shape == (0,)
 
     def test_slabs_match_single_rows(self):
@@ -424,7 +429,7 @@ class TestMutualInfo:
             count = max(qbm._SLAB_ROWS, qbm._SLAB_ELEMS // (2 * m + 2) ** 2) + 1
             idx = np.array([np.sort(rng.choice(BATH.bands, m, replace=False))
                             for _ in range(count)], dtype=np.intp)
-            got = qbm_mutual_info_many(self.state, idx)
+            got = mutual_info_many(self.state, idx)
             assert got.tolist() == [one_fragment_info(self.state, row) for row in idx.tolist()]
 
     @pytest.mark.parametrize("m, rows", [
@@ -443,7 +448,7 @@ def two_cholesky_mutual_info(state, bands):
     first) and Delta_F factorized separately."""
     sf = state.marginal([0] + [b + 1 for b in bands])
     h_f = GaussianState._unchecked(sf.means[2:], sf.cov[2:, 2:]).entropy()
-    return qbm_system_entropy(state) + h_f - sf.entropy()
+    return GaussianSource(state).system_entropy() + h_f - sf.entropy()
 
 
 class TestStackedKernel:
@@ -454,7 +459,7 @@ class TestStackedKernel:
         for m in (1, 2, 32, 64):
             idx = np.array([np.sort(rng.choice(bath.bands, m, replace=False))
                             for _ in range(12)], dtype=np.intp)
-            got = qbm_mutual_info_many(state, idx)
+            got = mutual_info_many(state, idx)
             want = np.array([two_cholesky_mutual_info(state, row) for row in idx.tolist()])
             assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
@@ -515,7 +520,7 @@ class TestHalfPairs:
 
     def test_readme_state_matches_oracle(self, monkeypatch):
         solved = self.count_slab_rows(monkeypatch)
-        got = qbm_mutual_info_many(self.state, self.rows)
+        got = mutual_info_many(self.state, self.rows)
         assert sum(solved) == len(self.rows)
         want = np.array([two_cholesky_mutual_info(self.state, row)
                          for row in self.rows.tolist()])
@@ -525,7 +530,7 @@ class TestHalfPairs:
         # the first and last 64 bands: each row is solved alone, so neither
         # takes the other's rounding
         rows = np.array([range(64), range(64, 128)], dtype=np.intp)
-        got = qbm_mutual_info_many(self.state, rows)
+        got = mutual_info_many(self.state, rows)
         want = np.array([two_cholesky_mutual_info(self.state, row) for row in rows.tolist()])
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
@@ -549,7 +554,7 @@ class TestHalfPairs:
         assert rows[1::2].tolist() == comps
         force_lanes(monkeypatch, 1)
         solved = self.count_slab_rows(monkeypatch)
-        got = qbm_mutual_info_many(mixed, rows)
+        got = mutual_info_many(mixed, rows)
         assert sum(solved) == len(rows)
         assert_matches_lone_rows(GaussianSource(mixed), rows)
         want = [two_cholesky_mutual_info(mixed, row) for row in rows.tolist()]
@@ -565,13 +570,13 @@ class TestHalfPairs:
         force_lanes(monkeypatch, 1)
         src = GaussianSource(self.state)
         calls = []
-        real = src.fragment_mutual_info_many
+        real = src._mutual_info
 
         def recorded(idx):
             calls.append((idx, real(idx)))
             return calls[-1][1]
 
-        monkeypatch.setattr(src, "fragment_mutual_info_many", recorded)
+        monkeypatch.setattr(src, "_mutual_info", recorded)
         pip = build_pip(src, fractions=[0.5], samples_per_fraction=8, seed=23)
         (idx, vals), = [c for c in calls if c[0].shape[1] == 64]
         rows = darwin._fragment_rows(src, 64, 8, 23)

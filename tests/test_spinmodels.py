@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from darwinlab import spinmodels
-from darwinlab.branching import mutual_info_many, system_entropy, to_state_vector
+from darwinlab.branching import system_entropy, to_state_vector
+from darwinlab.darwin import BranchingSource
 from darwinlab.info import LN2, von_neumann_entropy
 from darwinlab.numeric import CapExceeded
 from darwinlab.qstate import (
@@ -86,12 +87,12 @@ class TestCnotModel:
         h_s = system_entropy(b)
         assert h_s == pytest.approx(LN2, abs=1e-12)
         for m in (1, 4, 9):
-            i = mutual_info_many(b, np.arange(m)[None])[0]
+            i = BranchingSource(b).fragment_mutual_info(range(m))
             assert i == pytest.approx(h_s, abs=1e-12)
 
     def test_whole_environment_doubles(self):
         b = cnot_model(0.6, 0.8, n=6)
-        i_all = mutual_info_many(b, np.arange(6)[None])[0]
+        i_all = BranchingSource(b).fragment_mutual_info(range(6))
         assert i_all == pytest.approx(2 * system_entropy(b), abs=1e-12)
 
     def test_rejects_unnormalized(self):
@@ -134,7 +135,7 @@ class TestCentralSpin:
         p = CentralSpinParams(np.array([0.4, 0.7, 1.0]), t=3.0,
                               env_init=np.array([1.0, 0.0]))
         b = central_spin_branching(p)
-        i = mutual_info_many(b, np.array([[0, 1, 2]]))[0]
+        i = BranchingSource(b).fragment_mutual_info((0, 1, 2))
         assert i == pytest.approx(0.0, abs=1e-9)
 
     def test_plateau_reached_for_many_sites(self):
@@ -143,7 +144,7 @@ class TestCentralSpin:
         b = central_spin_branching(p)
         h_s = system_entropy(b)
         assert h_s == pytest.approx(LN2, abs=1e-6)
-        mid = mutual_info_many(b, np.arange(20)[None])[0]
+        mid = BranchingSource(b).fragment_mutual_info(range(20))
         assert mid == pytest.approx(h_s, abs=1e-6)
 
     @pytest.mark.parametrize("env_init", [None, np.array([0.6, 0.8j])])
@@ -466,7 +467,7 @@ class TestHazyCentralSpin:
         b = central_spin_branching(CentralSpinParams(np.full(n, d), t))
         for m in (1, 3, 6):
             assert model.mutual_info(m) == pytest.approx(
-                mutual_info_many(b, np.arange(m)[None])[0], abs=1e-9)
+                BranchingSource(b).fragment_mutual_info(range(m)), abs=1e-9)
 
     def test_classical_term_vanishes_at_full_haze(self):
         model = HazyCentralSpin(24, 0.8, 3.0, HazyParams(LN2))
