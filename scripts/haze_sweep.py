@@ -3,13 +3,16 @@
 For a symmetric central-spin model the redundancy ratio R^h/R follows
 1 - h/h_m closely at strong haze and undershoots it at weak haze; the
 locally accessible share of each fragment's information dies at h_m
-while the quantum share stays. Emits haze_sweep.csv.
+while the quantum share stays. Both shares of one qubit's information
+come from darwin.decompose_mutual_info, which checks that they add up to
+I. Emits haze_sweep.csv.
 """
 import argparse
 import math
 
 import numpy as np
 
+from darwinlab.darwin import HazySource, decompose_mutual_info
 from darwinlab.spinmodels import (LN2, CentralSpinParams, HazyCentralSpin,
                                   HazyParams, hazy_redundancy)
 
@@ -32,9 +35,7 @@ def main():
     for x in np.linspace(0.0, 0.95, args.points):
         hp = HazyParams(float(x) * LN2)
         ratio = hazy_redundancy(base, hp, delta=0.1) / r_pure
-        model = HazyCentralSpin(args.n, 1.0, t, hp)
-        c1 = model.classical_term(1)
-        q1 = model.mutual_info(1) - c1
+        c1, q1 = decompose_mutual_info(HazySource(HazyCentralSpin(args.n, 1.0, t, hp)), (0,))
         lines.append(f"{float(x)!r},{ratio!r},{1.0 - float(x)!r},{c1!r},{q1!r}")
         print(f"h/h_m = {x:.3f}  R^h/R = {ratio:.4f}  (linear: {1 - x:.3f})")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -23,10 +23,10 @@ counted apart) and its totals T = sum_l log o_l and Z = #{l : o_l = 0}:
 
 with S_F and Z_F summed over F alone. _entropies gives H_F and H_SF of a
 whole matrix of same-size fragments, one stacked eigensolve per side, to
-darwin.BranchingSource, which checks the rows and keeps H_S;
-decohered_system_entropy reads the row products alone and checks its rows
-with qstate.check_rows. Both take one fragment form, a (count, m) np.intp
-matrix of sorted, repeat-free rows.
+darwin.BranchingSource, and decohered_system_entropy reads the row
+products alone; darwin.Source checks the rows of both with
+qstate.check_rows, answers empty rows and keeps H_S. Both take one
+fragment form, a (count, m) np.intp matrix of sorted, repeat-free rows.
 
 Error rule. A complement-product entry computed this way carries a
 relative error of about eps * sum_l |log o_l| (eps = 2.2e-16, the sum over
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import POLICY, CapExceeded
-from .qstate import HilbertShape, StateVector, _stacked_entropies, check_rows
+from .qstate import HilbertShape, StateVector, _stacked_entropies
 from .info import LN2, ProbVector, _entropy_from_eigs
 
 # cache per-subsystem overlap (and log) tables only below this entry count
@@ -258,7 +258,7 @@ def _entropies(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     H_F is the entropy of the fragment's Gram kernel; by global purity H_SF
     is that of the complement's phase-carrying kernel. The empty fragment
     is pure, so its H_F is exactly 0 (the eigensolver would leave an ulp),
-    and its H_SF is H_S to the bit: both parts of its decompose are exactly 0.
+    and its H_SF is H_S to the bit.
     """
     inside, outside = _products(b, idx)
     h_sf = gram_entropy(_phase_kernel(b, outside))
@@ -267,11 +267,11 @@ def _entropies(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return gram_entropy(_gram_kernel(b, inside)), h_sf
 
 
-def decohered_system_entropy(b: BranchingState, idx) -> np.ndarray:
-    """Counterfactual system entropy with only the row F doing the
-    decohering, for every row F of idx: off-diagonals are damped by the
+def decohered_system_entropy(b: BranchingState, idx: np.ndarray) -> np.ndarray:
+    """Counterfactual system entropy with only the row F decohering, for
+    every row F of the checked idx: off-diagonals are damped by the
     fragment's records alone. Only the row products are gathered."""
-    return gram_entropy(_phase_kernel(b, _row_products(b, check_rows(idx, b.n_env))))
+    return gram_entropy(_phase_kernel(b, _row_products(b, idx)))
 
 
 def two_branch_entropy(gamma: float) -> float:

@@ -61,16 +61,22 @@ class Source:
     symmetric: I depends on the fragment size only, so one fragment per
     size is drawn. pure_global: the global state is pure, so mirrored
     sizes and the second row of each half-size pair come free (build_pip).
-    pure_decoherence: the records factorize, and two more per-fragment
-    methods exist, on the same row matrix: decohered_system_entropy(idx)
-    gives one array, decompose(idx) two (the classical and quantum parts
-    of I(S : F)). decompose_mutual_info(source, sites) is their
-    one-fragment entry point.
+    pure_decoherence: the records factorize over a product start, and two
+    more per-fragment methods take the same rows under the same rules.
+    decohered_system_entropy(idx), H_S with only F decohering (0.0 for an
+    empty row: the system starts pure), comes from _decohered(idx) of the
+    source _counterfactual() names. decompose(idx) splits I by H_SF =
+    m site_entropy + H(S decohered by E minus F): classical = H_F -
+    m site_entropy (site_entropy, 0.0 here, is each site's start entropy)
+    and quantum = H_S - decohered_system_entropy(complement rows). Without
+    a counterfactual both raise ValueError before any solve.
+    decompose_mutual_info(source, sites) is their one-fragment wrapper.
     """
 
     symmetric = False
     pure_global = False
     pure_decoherence = False
+    site_entropy = 0.0
     _h_s = None
 
     def system_entropy(self) -> float:
@@ -101,6 +107,26 @@ class Source:
     def _system_entropy(self) -> float:
         raise NotImplementedError("a source implements _system_entropy")
 
+    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+        records = self._counterfactual()
+        idx = check_rows(idx, self.n_env)
+        with _one_blas_thread():
+            return records._decohered(idx) if idx.size else np.zeros(len(idx))
+
+    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The classical and quantum parts of I(S : F) for every row of idx."""
+        idx = check_rows(idx, self.n_env)
+        decohered = self.decohered_system_entropy(_complement_rows(idx, self.n_env))
+        with _one_blas_thread():
+            h_f = self.fragment_entropies(idx)[0] if idx.size else np.zeros(len(idx))
+        return h_f - idx.shape[1] * self.site_entropy, self.system_entropy() - decohered
+
+    def _counterfactual(self) -> Source:
+        """The source whose _decohered(idx) solves checked, non-empty rows."""
+        if not self.pure_decoherence:
+            raise ValueError("source offers no fragment-only decoherence counterfactual")
+        return self
+
     def decoherence_fraction(self, delta_d: float) -> float | None:
         """Closed-form decoherence crossing, or None to scan fragment sizes."""
         return None
@@ -115,6 +141,13 @@ def _one_row(sites) -> np.ndarray:
     check of fragment_mutual_info_many."""
     row = np.array([sorted(sites)])
     return row if row.size else row.astype(np.intp)
+
+
+def _complement_rows(idx: np.ndarray, n: int) -> np.ndarray:
+    """The sorted complement in range(n) of every row of the checked idx."""
+    outside = np.ones((len(idx), n), dtype=bool)
+    np.put_along_axis(outside, idx, False, axis=1)
+    return np.nonzero(outside)[1].reshape(len(idx), n - idx.shape[1])
 
 
 class DenseSource(Source):
@@ -166,15 +199,8 @@ class BranchingSource(Source):
     def fragment_entropies(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _entropies(self.b, idx)
 
-    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+    def _decohered(self, idx: np.ndarray) -> np.ndarray:
         return decohered_system_entropy(self.b, idx)
-
-    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """classical = H_F - H_F(0) with H_F(0) = 0 (pure conditionals over
-        a product start), quantum = H_S - H_SF, the system decohered by the
-        complement alone."""
-        h_f, h_sf = _entropies(self.b, check_rows(idx, self.n_env))
-        return h_f, self.system_entropy() - h_sf
 
     def state_vector(self) -> StateVector:
         return to_state_vector(self.b)
@@ -240,7 +266,7 @@ class PhotonSource(Source):
         h_sf = two_branch_entropy(self.gamma ** (1.0 - f))
         return np.full(len(idx), h_f), np.full(len(idx), h_sf)
 
-    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+    def _decohered(self, idx: np.ndarray) -> np.ndarray:
         f = idx.shape[1] / self.n_env
         return np.full(len(idx), two_branch_entropy(self.gamma ** f))
 
@@ -256,13 +282,6 @@ class PhotonSource(Source):
         return brentq(lambda f: two_branch_entropy(self.gamma ** f) - target,
                       0.0, 1.0, 1e-14)
 
-    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f = idx.shape[1] / self.n_env
-        quantum = (two_branch_entropy(self.gamma)
-                   - two_branch_entropy(self.gamma ** (1.0 - f)))
-        classical = 0.0 if self.isotropic else two_branch_entropy(self.gamma ** f)
-        return np.full(len(idx), classical), np.full(len(idx), quantum)
-
 
 class HazySource(Source):
     """Equal-coupling central spin over a partly mixed bath."""
@@ -273,6 +292,7 @@ class HazySource(Source):
     def __init__(self, model: HazyCentralSpin):
         self.model = model
         self.tag = "hazy"
+        self.site_entropy = model.haze.h  # each bath qubit starts with entropy h
 
     @property
     def n_env(self) -> int:
@@ -286,15 +306,8 @@ class HazySource(Source):
         return (np.full(len(idx), self.model.fragment_entropy(m)),
                 np.full(len(idx), self.model.joint_entropy(m)))
 
-    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
+    def _decohered(self, idx: np.ndarray) -> np.ndarray:
         return np.full(len(idx), self.model.decohered_entropy(idx.shape[1]))
-
-    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # classical/quantum split stays exact for a hazy bath: the joint
-        # entropy separates as H_SF = m h + H_(S decohered by E minus F)
-        m = idx.shape[1]
-        quantum = self.system_entropy() - self.model.decohered_entropy(self.model.n - m)
-        return np.full(len(idx), self.model.classical_term(m)), np.full(len(idx), quantum)
 
 
 class InteractingSource(DenseSource):
@@ -302,9 +315,8 @@ class InteractingSource(DenseSource):
 
     Pair couplings inside the bath scramble records away from single
     sites. With all of them zero the model is the central spin, pure
-    decoherence: its branching records are built once, here, and the
-    fragment-only counterfactuals (decohered_system_entropy, decompose)
-    are read from them; I(S : F) stays on the dense kernel.
+    decoherence: its branching records, built once here, are its
+    _counterfactual(); I(S : F) and decompose's H_F stay on the dense kernel.
 
     H commutes with flipping every qubit, and the default start |+>^(n+1)
     is even under that flip, so the evolved amplitudes equal their own
@@ -328,12 +340,6 @@ class InteractingSource(DenseSource):
         if self._records is None:
             raise ValueError("intra-bath couplings leave no clean fragment-only counterfactual")
         return self._records
-
-    def decohered_system_entropy(self, idx: np.ndarray) -> np.ndarray:
-        return self._counterfactual().decohered_system_entropy(idx)
-
-    def decompose(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._counterfactual().decompose(idx)
 
 
 def _haar_shape(n_env: int) -> HilbertShape:
@@ -454,9 +460,7 @@ def _paired_half_rows(n: int, m: int, count: int, rng) -> np.ndarray:
     while len(out) < count:
         pick = next(draws)
         if pick.tobytes() not in seen:
-            outside = np.ones(n, dtype=bool)
-            outside[pick] = False
-            comp = np.flatnonzero(outside)
+            comp = _complement_rows(pick[None], n)[0]
             seen.update((pick.tobytes(), comp.tobytes()))
             out.extend((pick, comp))
     return np.array(out, dtype=np.intp)
@@ -634,7 +638,7 @@ def redundancy_of_decoherence(source, delta_d: float = 0.1, seed: int = 0) -> fl
     and the scan always crosses. A source with a closed-form
     decoherence_fraction skips the scan. An H_S at or below
     POLICY.spectrum_atol counts as zero and raises ValueError, as in
-    info._first_crossing.
+    info._first_crossing; so does a scan without a counterfactual.
     """
     if not 0.0 < delta_d < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -645,8 +649,6 @@ def redundancy_of_decoherence(source, delta_d: float = 0.1, seed: int = 0) -> fl
     f = source.decoherence_fraction(delta_d)
     if f is not None:
         return 1.0 / f if f > 0.0 else float(n)
-    if not source.pure_decoherence:
-        raise ValueError("source offers no fragment-only decoherence counterfactual")
     _, r, _ = _first_crossing(
         n, default_cardinalities(n)[1:],
         lambda m: _mean_decohered(source, m, 12, seed), h_s, delta_d)
@@ -656,13 +658,11 @@ def redundancy_of_decoherence(source, delta_d: float = 0.1, seed: int = 0) -> fl
 def decompose_mutual_info(source, sites) -> tuple[float, float]:
     """Split I(S:F) into locally accessible and quantum parts.
 
-    classical = H_F(t) - H_F(0), quantum = H_S - H of the system
-    decohered by everything outside F. Only factorizing pure-decoherence
-    sources support the split; the parts are checked against the
-    directly computed mutual information before being returned.
+    The parts are Source.decompose's, so a source without a
+    counterfactual raises ValueError there; they are checked against the
+    directly computed mutual information before being returned, a test of
+    H_SF = H_F(0) + H(S decohered by E minus F).
     """
-    if not source.pure_decoherence:
-        raise ValueError("decomposition needs a factorizing pure-decoherence source")
     row = _one_row(sites)
     c, q = (float(part[0]) for part in source.decompose(row))
     i = float(source.fragment_mutual_info_many(row)[0])

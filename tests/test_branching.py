@@ -268,7 +268,7 @@ def test_branch_cap_enforced():
 # every public route from a row matrix to a number checks its rows
 ROW_ROUTES = {
     "mutual_info": lambda b, idx: BranchingSource(b).fragment_mutual_info_many(idx),
-    "decohered": decohered_system_entropy,
+    "decohered": lambda b, idx: BranchingSource(b).decohered_system_entropy(idx),
     "decomposition": lambda b, idx: BranchingSource(b).decompose(idx),
 }
 # the private steps behind them read checked rows only: every public route

@@ -714,6 +714,26 @@ class TestFragmentRows:
             InteractingSource(InteractingEnvParams(d, np.zeros((6, 6)), t=3.0)),
         ]
 
+    @staticmethod
+    def per_source_decompose(src, idx):
+        """The per-source decompose formulas that Source.decompose replaced,
+        kept as an oracle: the interacting bath read its branching records,
+        a branching source took H_SF from the same solve as H_F."""
+        m = idx.shape[1]
+        if isinstance(src, InteractingSource):
+            src = src._counterfactual()
+        if isinstance(src, BranchingSource):
+            h_f, h_sf = src.fragment_entropies(idx)
+            return h_f, src.system_entropy() - h_sf
+        if isinstance(src, PhotonSource):
+            f = m / src.n_env
+            classical = 0.0 if src.isotropic else two_branch_entropy(src.gamma ** f)
+            quantum = two_branch_entropy(src.gamma) - two_branch_entropy(src.gamma ** (1.0 - f))
+        else:
+            classical = src.model.classical_term(m)
+            quantum = src.system_entropy() - src.model.decohered_entropy(src.model.n - m)
+        return np.full(len(idx), classical), np.full(len(idx), quantum)
+
     def test_decoherence_methods_contract(self):
         rng = np.random.default_rng(15)
         for src in self.decohering_sources():
@@ -730,12 +750,32 @@ class TestFragmentRows:
                     assert decohered[i] == src.decohered_system_entropy(row[None])[0]
                     c, q = src.decompose(row[None])
                     assert classical[i] == c[0] and quantum[i] == q[0]
-            if src.symmetric:
-                continue
+                if m == 0:  # the system starts pure
+                    assert decohered.tolist() == [0.0] * 4
+                # the one decompose rule, to the bit
+                rest = np.array([sorted(set(range(n)) - set(r)) for r in idx.tolist()],
+                                dtype=np.intp).reshape(4, n - m)
+                assert quantum.tolist() == (
+                    src.system_entropy() - src.decohered_system_entropy(rest)).tolist()
+                with numeric._one_blas_thread():
+                    h_f = src.fragment_entropies(idx)[0] if m else np.zeros(4)
+                assert classical.tolist() == (h_f - m * src.site_entropy).tolist()
+                old_c, old_q = self.per_source_decompose(src, idx)
+                assert np.abs(classical - old_c).max() <= 1e-14
+                assert np.abs(quantum - old_q).max() <= 1e-14
             for bad in ([[2, 1]], [[1, 1]], [[0, n]], [[-1, 2]], [1, 2]):
                 for method in (src.decohered_system_entropy, src.decompose):
                     with pytest.raises(ValueError):
                         method(np.array(bad, dtype=np.intp))
+
+    def test_no_counterfactual_raises_before_any_solve(self, monkeypatch):
+        src = haar_random_source(4, 0)
+        monkeypatch.setattr(src, "fragment_entropies",
+                            lambda idx: pytest.fail("solved without a counterfactual"))
+        for rows in ([[]], [[0, 2]], [[0, 1, 2, 3]]):
+            for method in (src.decohered_system_entropy, src.decompose):
+                with pytest.raises(ValueError, match="no fragment-only"):
+                    method(np.array(rows, dtype=np.intp))
 
 
 class SizeSource(darwin.Source):
