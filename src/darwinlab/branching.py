@@ -26,7 +26,8 @@ whole matrix of same-size fragments, one stacked eigensolve per side, to
 darwin.BranchingSource, and decohered_system_entropy reads the row
 products alone; darwin.Source checks the rows of both with
 qstate.check_rows, answers empty rows and keeps H_S. Both take one
-fragment form, a (count, m) np.intp matrix of sorted, repeat-free rows.
+fragment form, a (count, m) np.intp matrix of sorted, repeat-free rows,
+and only non-empty rows (m >= 1): no kernel here has an empty-row path.
 
 Error rule. A complement-product entry computed this way carries a
 relative error of about eps * sum_l |log o_l| (eps = 2.2e-16, the sum over
@@ -85,9 +86,10 @@ class BranchingState:
             raise ValueError(f"conditionals must be (n, K, d) with K = {k}, got shape {c.shape}")
         if len(c) > POLICY.env_cap:
             raise CapExceeded(f"environment size {len(c)} exceeds cap")
-        bad = np.abs(np.linalg.norm(c, axis=2) - 1.0).max(axis=1) > POLICY.state_atol
-        if bad.any():
-            raise ValueError(f"conditional states of subsystem {bad.argmax()} not normalized")
+        bad = ~(np.abs(np.linalg.norm(c, axis=2) - 1.0).max(axis=1) <= POLICY.state_atol)
+        if bad.any():  # a nan entry fails too
+            raise ValueError(f"conditional states of subsystem {bad.argmax()} not normalized "
+                             "or not finite")
         self.conditionals = c
         self._overlaps = None
         self._logs = None
@@ -177,30 +179,26 @@ def _chunk_rows(b: BranchingState, m: int) -> int:
 
 
 def _row_products(b: BranchingState, idx: np.ndarray) -> np.ndarray:
-    """The literal overlap product over each row of the checked idx,
-    gathered in chunks of _chunk_rows rows."""
+    """The literal overlap product over each row of the checked, non-empty
+    idx, gathered in chunks of _chunk_rows rows."""
     count, m = idx.shape
     k = b.n_branches
-    inside = np.ones((count, k, k), dtype=complex)
-    if m:
-        step = _chunk_rows(b, m)
-        for lo in range(0, count, step):
-            inside[lo:lo + step] = _literal_product(b, idx[lo:lo + step])
+    inside = np.empty((count, k, k), dtype=complex)
+    step = _chunk_rows(b, m)
+    for lo in range(0, count, step):
+        inside[lo:lo + step] = _literal_product(b, idx[lo:lo + step])
     return inside
 
 
 def _products(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Overlap products over each row of idx and over its complement.
 
-    idx is a checked row matrix. The row product is _row_products; the
-    complement product comes from the log totals (module docstring),
-    gathered in the same chunks. The empty fragment takes the literal
-    product over all sites, so that H_SF = H_S exactly.
+    idx is a checked matrix of non-empty rows. The row product is
+    _row_products; the complement product comes from the log totals
+    (module docstring), gathered in the same chunks.
     """
     count, m = idx.shape
     inside = _row_products(b, idx)
-    if m == 0:
-        return inside, np.broadcast_to(_literal_product(b, np.arange(b.n_env)), inside.shape)
     outside = np.empty_like(inside)
     t, z = b._log_totals()
     has_zeros = z.any()
@@ -252,25 +250,20 @@ def system_entropy(b: BranchingState) -> float:
 
 
 def _entropies(b: BranchingState, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H_F and H_SF (nats) for every row F of the checked idx, from one
-    _products pass; one stacked eigensolve per side.
+    """H_F and H_SF (nats) for every row F of the checked, non-empty idx,
+    from one _products pass; one stacked eigensolve per side.
 
     H_F is the entropy of the fragment's Gram kernel; by global purity H_SF
-    is that of the complement's phase-carrying kernel. The empty fragment
-    is pure, so its H_F is exactly 0 (the eigensolver would leave an ulp),
-    and its H_SF is H_S to the bit.
+    is that of the complement's phase-carrying kernel.
     """
     inside, outside = _products(b, idx)
-    h_sf = gram_entropy(_phase_kernel(b, outside))
-    if not idx.shape[1]:
-        return np.zeros(len(h_sf)), h_sf
-    return gram_entropy(_gram_kernel(b, inside)), h_sf
+    return gram_entropy(_gram_kernel(b, inside)), gram_entropy(_phase_kernel(b, outside))
 
 
 def decohered_system_entropy(b: BranchingState, idx: np.ndarray) -> np.ndarray:
     """Counterfactual system entropy with only the row F decohering, for
-    every row F of the checked idx: off-diagonals are damped by the
-    fragment's records alone. Only the row products are gathered."""
+    every row F of the checked, non-empty idx: off-diagonals are damped by
+    the fragment's records alone. Only the row products are gathered."""
     return gram_entropy(_phase_kernel(b, _row_products(b, idx)))
 
 

@@ -15,6 +15,9 @@ The half size is drawn in complement pairs (F, E minus F), and build_pip
 solves only F of each pair and mirrors its complement the same way, so the
 f = 1/2 mean is H_S. build_pip is the one place that uses purity; every
 kernel solves each row it is given alone.
+
+Both scans draw their rows through _fragment_rows alone, each on its own
+stream; Source answers empty rows, so kernels see only non-empty ones.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .branching import (BranchingState, _entropies, decohered_system_entropy, sy
                         to_state_vector, two_branch_entropy)
 from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
 from .numeric import POLICY, _forked_lanes, _one_blas_thread, brentq
-from .qstate import (DensityMatrix, HilbertShape, StateVector, check_rows, qubits,
-                     reduced_density, subsystem_entropy, system_fragment_entropies)
+from .qstate import (DensityMatrix, HilbertShape, StateVector, _complement_rows, check_rows,
+                     qubits, reduced_density, subsystem_entropy, system_fragment_entropies)
 from .spinmodels import (HALF, CentralSpinParams, HazyCentralSpin, InteractingEnvParams,
                          central_spin_branching, interacting_evolve)
 
@@ -90,7 +93,7 @@ class Source:
 
     def fragment_mutual_info(self, sites) -> float:
         """I(S : F) of one fragment: row 0 of fragment_mutual_info_many."""
-        return float(self.fragment_mutual_info_many(_one_row(sites))[0])
+        return float(self.fragment_mutual_info_many(check_rows([sorted(sites)], self.n_env))[0])
 
     def _mutual_info(self, idx: np.ndarray) -> np.ndarray:
         """H_S + H_F - H_SF for every row of the checked idx; build_pip
@@ -133,21 +136,6 @@ class Source:
 
     def state_vector(self) -> StateVector:
         raise ValueError("source has no dense state")
-
-
-def _one_row(sites) -> np.ndarray:
-    """One fragment's sites as a sorted (1, m) row matrix, np.intp when
-    empty; a repeat, a non-integer or a bad index is left for the row
-    check of fragment_mutual_info_many."""
-    row = np.array([sorted(sites)])
-    return row if row.size else row.astype(np.intp)
-
-
-def _complement_rows(idx: np.ndarray, n: int) -> np.ndarray:
-    """The sorted complement in range(n) of every row of the checked idx."""
-    outside = np.ones((len(idx), n), dtype=bool)
-    np.put_along_axis(outside, idx, False, axis=1)
-    return np.nonzero(outside)[1].reshape(len(idx), n - idx.shape[1])
 
 
 class DenseSource(Source):
@@ -421,60 +409,44 @@ def default_cardinalities(n: int) -> tuple[int, ...]:
     return tuple(dict.fromkeys(cards))
 
 
-def _few_subsets(n: int, m: int, count: int) -> bool:
-    """math.comb(n, m) <= count; 0 < m < n gives comb >= n, so a large n
-    skips the big-integer comb."""
-    return min(m, n - m) == 0 or (n <= count and math.comb(n, m) <= count)
-
-
-def _distinct_rows(n: int, m: int, count: int, rng) -> np.ndarray:
-    """Up to count distinct m-subsets of range(n), uniform without
-    replacement, as the sorted rows of an np.intp matrix; exhaustive when
-    fewer exist."""
-    if _few_subsets(n, m, count):
-        combos = list(itertools.combinations(range(n), m))
-        return np.array(combos, dtype=np.intp).reshape(len(combos), m)
+def _draw_rows(n: int, m: int, count: int, rng, paired: bool) -> np.ndarray:
+    """count distinct m-subsets of range(n), uniform without replacement,
+    as the sorted rows of an np.intp matrix; every subset, in order, when
+    no more than count exist. paired (2 m = n only): each row is followed
+    by its complement, so an odd count rounds up, and a draw that repeats
+    an earlier row or the complement of one is drawn again; every subset
+    gives the combinations that hold position 0, each with its complement."""
+    # comb(n, m) <= count; 0 < m < n gives comb >= n, so a large n skips the big comb
+    if min(m, n - m) == 0 or (n <= count and math.comb(n, m) <= count):
+        combos = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+        combos = combos.reshape(len(combos), m)
+        if not paired:
+            return combos
+        firsts = combos[:len(combos) // 2]  # lexicographic order puts those holding 0 first
+        return np.stack((firsts, _complement_rows(firsts, n)), axis=1).reshape(-1, m)
     seen, out = set(), []
     while len(out) < count:
         pick = np.sort(rng.choice(n, size=m, replace=False))
-        if pick.tobytes() not in seen:
-            seen.add(pick.tobytes())
+        key = pick.tobytes()
+        if key not in seen:
+            seen.add(key)
             out.append(pick)
+            if paired:
+                out.append(_complement_rows(pick[None], n)[0])
+                seen.add(out[-1].tobytes())
     return np.array(out, dtype=np.intp)
 
 
-def _paired_half_rows(n: int, m: int, count: int, rng) -> np.ndarray:
-    """(count + 1) // 2 half-size rows, each followed by its complement, so
-    an odd count rounds up; for a pure source build_pip mirrors the second
-    row of each pair, which pins the pair mean to H_S and keeps the
-    midpoint noise-free. A draw that repeats an earlier row or the
-    complement of one is drawn again. When every subset fits, the draws
-    are the combinations in order, so the pairs are those of the
-    combinations that hold position 0."""
-    if _few_subsets(n, m, count):
-        count = math.comb(n, m)
-        draws = iter(_distinct_rows(n, m, count, rng))
-    else:
-        draws = (np.sort(rng.choice(n, size=m, replace=False)) for _ in itertools.count())
-    seen, out = set(), []
-    while len(out) < count:
-        pick = next(draws)
-        if pick.tobytes() not in seen:
-            comp = _complement_rows(pick[None], n)[0]
-            seen.update((pick.tobytes(), comp.tobytes()))
-            out.extend((pick, comp))
-    return np.array(out, dtype=np.intp)
-
-
-def _fragment_rows(source, m: int, count: int, seed: int) -> np.ndarray:
-    """The size-m fragments of one plot point, as a (count, m) np.intp matrix."""
+def _fragment_rows(source, m: int, count: int, stream: tuple, paired: bool) -> np.ndarray:
+    """The size-m rows of one scanned size: one row of the first m sites
+    for m = 0, m = n or a symmetric source, else _draw_rows on the stream's
+    rng, in complement pairs at the half size if paired. build_pip draws
+    (seed, m) paired; redundancy_of_decoherence (seed, 0x5D, m) unpaired."""
     n = source.n_env
     if m in (0, n) or source.symmetric:
         return np.arange(m, dtype=np.intp)[None]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, m)))
-    if 2 * m == n:
-        return _paired_half_rows(n, m, count, rng)
-    return _distinct_rows(n, m, count, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(stream))
+    return _draw_rows(n, m, count, rng, paired and 2 * m == n)
 
 
 def build_pip(source, fractions=None, samples_per_fraction: int = 24,
@@ -523,7 +495,7 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     pure = source.pure_global
 
     def sample(m: int) -> tuple[float, float, int]:
-        rows = _fragment_rows(source, m, samples_per_fraction, seed)
+        rows = _fragment_rows(source, m, samples_per_fraction, (seed, m), True)
         paired = pure and not source.symmetric and 2 * m == n
         vals = source._mutual_info(rows[0::2] if paired else rows)
         if paired:  # each complement mirrors the row before it
@@ -617,17 +589,6 @@ def haar_baseline(n_env: int, states: int, samples: int, delta: float,
     return _forked_lanes(one, range(states))
 
 
-def _mean_decohered(source, m: int, count: int, seed: int) -> float:
-    n = source.n_env
-    if m == n or source.symmetric:
-        rows = np.arange(m, dtype=np.intp)[None]
-    else:
-        # keyed off the PIP streams so the two analyses never share draws
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5D, m)))
-        rows = _distinct_rows(n, m, count, rng)
-    return float(np.mean(source.decohered_system_entropy(rows)))
-
-
 def redundancy_of_decoherence(source, delta_d: float = 0.1, seed: int = 0) -> float:
     """Redundancy measured on decoherence instead of information.
 
@@ -649,9 +610,12 @@ def redundancy_of_decoherence(source, delta_d: float = 0.1, seed: int = 0) -> fl
     f = source.decoherence_fraction(delta_d)
     if f is not None:
         return 1.0 / f if f > 0.0 else float(n)
-    _, r, _ = _first_crossing(
-        n, default_cardinalities(n)[1:],
-        lambda m: _mean_decohered(source, m, 12, seed), h_s, delta_d)
+
+    def mean_decohered(m: int) -> float:
+        rows = _fragment_rows(source, m, 12, (seed, 0x5D, m), False)
+        return float(np.mean(source.decohered_system_entropy(rows)))
+
+    _, r, _ = _first_crossing(n, default_cardinalities(n)[1:], mean_decohered, h_s, delta_d)
     return r
 
 
@@ -663,7 +627,7 @@ def decompose_mutual_info(source, sites) -> tuple[float, float]:
     directly computed mutual information before being returned, a test of
     H_SF = H_F(0) + H(S decohered by E minus F).
     """
-    row = _one_row(sites)
+    row = check_rows([sorted(sites)], source.n_env)
     c, q = (float(part[0]) for part in source.decompose(row))
     i = float(source.fragment_mutual_info_many(row)[0])
     if abs(c + q - i) > 1e-9 * max(1.0, abs(i)):

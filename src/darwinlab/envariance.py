@@ -53,8 +53,8 @@ class SchmidtPair:
         if sb.shape[1] < k or eb.shape[1] < k:
             raise ValueError("more branches than dimensions")
         nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > POLICY.state_atol:
-            raise ValueError(f"coefficient norm {nrm!r} not 1; use from_raw to renormalize")
+        if not abs(nrm - 1.0) <= POLICY.state_atol:  # a nan norm fails too
+            raise ValueError(f"coefficient norm {nrm!r} not a finite 1; from_raw renormalizes")
         if not _orthonormal(sb, POLICY.state_atol) or not _orthonormal(eb, POLICY.state_atol):
             raise ValueError("bases must be orthonormal")
         for name, arr in (("coefficients", a), ("system_basis", sb), ("env_basis", eb)):

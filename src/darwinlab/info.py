@@ -33,11 +33,11 @@ class ProbVector:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1:
             raise ValueError("probability vector must be 1-d")
-        if p.min() < -POLICY.eig_floor:
-            raise ValueError(f"negative probability {p.min()!r}")
+        if not p.min() >= -POLICY.eig_floor:  # a nan fails too
+            raise ValueError(f"negative probability {p.min()!r}, or not finite")
         s = p.sum()
-        if abs(s - 1.0) > POLICY.spectrum_atol:
-            raise ValueError(f"probabilities sum to {s!r}, not 1")
+        if not abs(s - 1.0) <= POLICY.spectrum_atol:
+            raise ValueError(f"probabilities sum to {s!r}: they must be finite and sum to 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)

@@ -79,6 +79,14 @@ def check_rows(idx, n_sites: int) -> np.ndarray:
     return idx
 
 
+def _complement_rows(idx: np.ndarray, n: int) -> np.ndarray:
+    """The sorted complement in range(n) of every row of the checked idx:
+    darwin's decompose rows and half-size pairs, the dense kernel's rests."""
+    outside = np.ones((len(idx), n), dtype=bool)
+    np.put_along_axis(outside, idx, False, axis=1)
+    return np.nonzero(outside)[1].reshape(len(idx), n - idx.shape[1])
+
+
 def _sorted_positions(positions, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(keep, rest): a sequence of positions, sorted and checked as one row
     by check_rows (integers, no repeats, inside range(n); ValueError
@@ -98,8 +106,8 @@ class StateVector:
         if a.shape != (self.shape.total_dim,):
             raise ValueError(f"amplitude length {a.shape} != total dim {self.shape.total_dim}")
         nrm = np.linalg.norm(a)
-        if abs(nrm - 1.0) > POLICY.state_atol:
-            raise ValueError(f"state norm {nrm!r} not 1 within {POLICY.state_atol}")
+        if not abs(nrm - 1.0) <= POLICY.state_atol:  # a nan norm fails too
+            raise ValueError(f"state norm {nrm!r} not 1 within {POLICY.state_atol}, or not finite")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
@@ -252,7 +260,7 @@ def system_fragment_entropies(state: StateVector,
         rows = np.flatnonzero(d_f == df)
         rest = total // (d_s * df)
         frags = idx[rows].tolist()
-        rests = [[i for i in range(1, n) if i not in f] for f in frags]
+        rests = _complement_rows(idx[rows], n)[:, 1:].tolist()  # position 0 is S
         if d_s * df <= rest:
             orders = [[0] + f + r for f, r in zip(frags, rests)]
             for sl, g in grams(orders, d_s * df):

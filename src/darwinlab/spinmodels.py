@@ -446,10 +446,6 @@ class HazyCentralSpin:
             return 0.0
         return self.system_entropy() + self.fragment_entropy(m) - self.joint_entropy(m)
 
-    def classical_term(self, m: int) -> float:
-        """Locally accessible part H_F(t) - H_F(0); vanishes at h = h_m."""
-        return self.fragment_entropy(m) - m * self.haze.h
-
     def dense_export(self) -> StateVector:
         """(system, qubit+ancilla pairs interleaved) for small-N oracle checks."""
         q = self.q

@@ -16,7 +16,7 @@ import pytest
 from scipy.special import zeta
 
 from darwinlab.branching import to_state_vector
-from darwinlab.darwin import (BranchingSource, DenseSource, GaussianSource,
+from darwinlab.darwin import (BranchingSource, DenseSource, GaussianSource, HazySource,
                               InteractingSource, PhotonSource, build_pip,
                               haar_baseline, haar_random_source, observable_sweep,
                               redundancy)
@@ -253,4 +253,4 @@ def test_13_hazy_records():
 
     saturated = HazyCentralSpin(16, 1.0, t, HazyParams(LN2))
     for m in (1, 4, 16):
-        assert abs(saturated.classical_term(m)) <= 1e-6
+        assert abs(HazySource(saturated).decompose(np.arange(m)[None])[0][0]) <= 1e-6

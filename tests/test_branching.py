@@ -53,8 +53,9 @@ def outside_product(b, sites):
 
 
 def test_empty_fragment_gram_is_rank_one():
+    # the overlap product over no site is all ones
     b = random_branching_state(np.random.default_rng(0), 5, 3)
-    g = gram_of(b, ())
+    g = branching._gram_kernel(b, np.ones((3, 3)))
     lam = np.linalg.eigvalsh(g)
     assert np.isclose(lam[-1], 1.0, atol=1e-10)
     assert np.allclose(lam[:-1], 0.0, atol=1e-10)
@@ -102,7 +103,7 @@ def test_fast_path_matches_dense(seed, k, n):
     rng = np.random.default_rng(seed)
     b = random_branching_state(rng, n, k)
     dense = to_state_vector(b)
-    frag = np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
+    frag = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
     env_keep = tuple(int(i) + 1 for i in frag)
     h_f, h_sf = entropies(b, frag)
     assert h_f == pytest.approx(subsystem_entropy(dense, env_keep), abs=1e-9)
@@ -471,16 +472,15 @@ def test_many_rows_equal_single_calls(k, n, t, monkeypatch):
 
 
 def test_empty_fragment_leaves_the_system_entropy():
-    # the complement of nothing is the literal product over all sites, so
-    # H_SF is H_S to the bit (exp(T) would miss it by an ulp or two on these
-    # weak records); the empty fragment is pure, so H_F and I are exactly 0
+    # the source answers the empty fragment itself, on these weak records
+    # too: it is pure and holds no records, so H_F, I and the decohered
+    # entropy are exactly 0
     empty = np.zeros((3, 0), dtype=np.intp)
     for seed in range(4):
-        b = central_spin(500, 0.05, seed=seed)
-        h_f, h_sf = branching._entropies(b, empty)
-        assert h_sf.tolist() == [system_entropy(b)] * 3
-        assert h_f.tolist() == [0.0] * 3
-        assert BranchingSource(b).fragment_mutual_info_many(empty).tolist() == [0.0] * 3
+        src = BranchingSource(central_spin(500, 0.05, seed=seed))
+        assert src.fragment_mutual_info_many(empty).tolist() == [0.0] * 3
+        assert src.decohered_system_entropy(empty).tolist() == [0.0] * 3
+        assert src.decompose(empty)[0].tolist() == [0.0] * 3
 
 
 @pytest.mark.parametrize("idx", [np.array([[2, 1]]), np.array([[1, 1]]), np.array([[0, 8]]),

@@ -232,12 +232,12 @@ class TestDenseKernel:
         assert sum(solved) == 2 * len(idx)
 
     def test_sampled_half_pairs_span_slabs(self):
-        rows = darwin._paired_half_rows(12, 6, 24, np.random.default_rng(8))
+        rows = darwin._draw_rows(12, 6, 24, np.random.default_rng(8), True)
         assert len(rows) > max(qstate._SLAB_ROWS, qstate._SLAB_AMPS // 2 ** 13)
         assert_matches_lone_rows(haar_random_source(12, seed=8), rows)
 
     def test_half_rows_without_their_complement(self):
-        rows = darwin._paired_half_rows(10, 5, 12, np.random.default_rng(9))
+        rows = darwin._draw_rows(10, 5, 12, np.random.default_rng(9), True)
         # drop the complement of every other pair
         idx = np.concatenate((rows[0::4], rows[1::4], rows[2::4]))
         assert_matches_lone_rows(haar_random_source(10, seed=9), idx)
@@ -280,7 +280,7 @@ class TestDenseKernel:
     def test_half_rows_of_a_flip_symmetric_state(self):
         src = InteractingSource(random_interacting_params(np.random.default_rng(3), 10, 10.0,
                                                           sigma_m=0.01))
-        rows = darwin._paired_half_rows(10, 5, 12, np.random.default_rng(3))
+        rows = darwin._draw_rows(10, 5, 12, np.random.default_rng(3), True)
         for row in rows.tolist():
             self.assert_matches_oracle(src, [row])   # alone: H_SF from the rest side
         assert_matches_lone_rows(src, rows)
@@ -514,7 +514,7 @@ class TestBuildPip:
         half = src.n_env // 2
         seen = self.record_rows(monkeypatch, src)
         pip = build_pip(src, samples_per_fraction=24, seed=5)
-        rows = darwin._fragment_rows(src, half, 24, 5)
+        rows = darwin._fragment_rows(src, half, 24, (5, half), True)
         idx, vals = seen[half]
         assert idx.tolist() == rows[0::2].tolist()
         # the second row of each pair is the mirror of the first, bit for bit
@@ -525,7 +525,7 @@ class TestBuildPip:
         assert mid.stddev == float(want.std(ddof=1))
         # below the half, every drawn row is solved
         for m in range(1, half):
-            assert seen[m][0].tolist() == darwin._fragment_rows(src, m, 24, 5).tolist()
+            assert seen[m][0].tolist() == darwin._fragment_rows(src, m, 24, (5, m), True).tolist()
             assert pip.point_at(m).samples == len(seen[m][0])
         assert set(seen) == set(range(half + 1))
 
@@ -536,7 +536,8 @@ class TestBuildPip:
         seen = self.record_rows(monkeypatch, mixed)
         pip = build_pip(mixed, samples_per_fraction=24, seed=5)
         for m in range(1, 12):
-            assert seen[m][0].tolist() == darwin._fragment_rows(mixed, m, 24, 5).tolist()
+            rows = darwin._fragment_rows(mixed, m, 24, (5, m), True)
+            assert seen[m][0].tolist() == rows.tolist()
             assert pip.point_at(m).samples == len(seen[m][0])
         assert len(seen[6][0]) == 24    # the complement pairs of the half size
         photon = PhotonSource(0.3, n_env=40)
@@ -633,29 +634,52 @@ class TestFragmentRows:
         for symmetric in (False, True):
             src = SimpleNamespace(n_env=n, symmetric=symmetric)
             for m in sorted({0, 1, 2, 3, n // 2, n - 2, n - 1, n}):
-                rows = darwin._fragment_rows(src, m, count, seed)
+                rows = darwin._fragment_rows(src, m, count, (seed, m), True)
                 assert rows.dtype == np.intp and rows.ndim == 2 and rows.shape[1] == m
                 assert list(map(tuple, rows.tolist())) == tuple_subsets(n, m, count, seed, symmetric)
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_distinct_rows_match_on_the_decoherence_stream(self, seed):
-        for n, m in ((9, 4), (50, 7), (50, 43)):
-            key = np.random.SeedSequence((seed, 0x5D, m))
-            rows = darwin._distinct_rows(n, m, 12, np.random.default_rng(key))
-            want = tuple_distinct_subsets(n, m, 12, np.random.default_rng(key))
-            assert list(map(tuple, rows.tolist())) == want
+    def test_distinct_rows_match_on_the_decoherence_stream(self, seed, monkeypatch):
+        # redundancy_of_decoherence draws 12 rows of each scanned size
+        # through _fragment_rows, on its own stream (seed, 0x5D, m) and
+        # unpaired: the half size takes distinct rows, not complement pairs.
+        # Weak records (t = 0.1) scan past the half; sizes 1 and n - 1 of
+        # n = 10 are exhaustive
+        draws = []
+        real = darwin._fragment_rows
+
+        def spy(*args):
+            draws.append((args, real(*args)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(darwin, "_fragment_rows", spy)
+        for n in (10, 50):
+            src = spin_source(n, t=0.1, seed=seed)
+            draws.clear()
+            redundancy_of_decoherence(src, seed=seed)
+            sizes = [args[1] for args, _ in draws]
+            assert sizes == list(default_cardinalities(n)[1:len(sizes) + 1])
+            assert n // 2 in sizes
+            for (s, m, count, stream, paired), rows in draws:
+                assert s is src and (count, stream, paired) == (12, (seed, 0x5D, m), False)
+                key = np.random.SeedSequence(stream)
+                want = tuple_distinct_subsets(n, m, 12, np.random.default_rng(key))
+                assert list(map(tuple, rows.tolist())) == want
+                if 2 * m == n:
+                    pairs = tuple_paired_half_subsets(n, m, 12, np.random.default_rng(key))
+                    assert want != pairs
 
     def test_half_pairs_redraw_collisions(self):
         # n = 8 has 35 complement pairs: a draw that repeats an earlier row
         # or its complement is drawn again, so each plot keeps 12 pairs
         for s in range(20):
             rng = np.random.default_rng(np.random.SeedSequence((s, 4)))
-            rows = darwin._paired_half_rows(8, 4, 24, rng).tolist()
+            rows = darwin._draw_rows(8, 4, 24, rng, True).tolist()
             assert len(rows) == len(set(map(tuple, rows))) == 24
             for row, comp in zip(rows[0::2], rows[1::2]):
                 assert sorted(row + comp) == list(range(8))
         # an odd count rounds up to whole pairs
-        assert len(darwin._paired_half_rows(8, 4, 5, np.random.default_rng(0))) == 6
+        assert len(darwin._draw_rows(8, 4, 5, np.random.default_rng(0), True)) == 6
 
     @staticmethod
     def every_source():
@@ -701,6 +725,45 @@ class TestFragmentRows:
                 many(np.array([[0.0, 2.0]]))
             assert many(np.zeros((2, 0))).tolist() == [0.0, 0.0]
 
+    def test_kernels_see_only_non_empty_rows(self, monkeypatch):
+        # Source answers every empty row itself: every scan and per-fragment
+        # method, at sizes 0 and n too, hands the kernels (fragment_entropies
+        # and the counterfactual's _decohered) rows of at least one site
+        force_lanes(monkeypatch, 1)
+        rng = np.random.default_rng(16)
+        d = uniform_couplings(rng, 6)
+        sources = [
+            BranchingSource(random_branching_state(rng, 8, 3)),
+            haar_random_source(6, seed=3),
+            InteractingSource(InteractingEnvParams(d, np.zeros((6, 6)), t=3.0)),
+            GaussianSource(qbm_evolve(OhmicBathParams(bands=8), 100.0, "x", 2.0)),
+            PhotonSource(0.3, n_env=40),
+            HazySource(HazyCentralSpin(9, 0.6, 1.3, HazyParams(0.4))),
+        ]
+        for src in sources:
+            shapes = []
+
+            def spy(obj, name):
+                real = getattr(obj, name)
+
+                def seen(idx):
+                    shapes.append(idx.shape)
+                    return real(idx)
+
+                monkeypatch.setattr(obj, name, seen)
+
+            spy(src, "fragment_entropies")
+            build_pip(src, samples_per_fraction=4, seed=1)
+            if src.pure_decoherence:
+                spy(src._counterfactual(), "_decohered")
+                redundancy_of_decoherence(src, seed=1)
+            for rows in (np.zeros((2, 0), dtype=np.intp), np.arange(src.n_env)[None]):
+                src.fragment_mutual_info(rows[0])
+                if src.pure_decoherence:
+                    src.decompose(rows)
+                    src.decohered_system_entropy(rows)
+            assert shapes and all(count >= 1 and m >= 1 for count, m in shapes), src.tag
+
     @staticmethod
     def decohering_sources():
         rng = np.random.default_rng(14)
@@ -723,6 +786,8 @@ class TestFragmentRows:
         if isinstance(src, InteractingSource):
             src = src._counterfactual()
         if isinstance(src, BranchingSource):
+            if not m:  # the kernel takes non-empty rows; the empty one is pure
+                return np.zeros(len(idx)), np.zeros(len(idx))
             h_f, h_sf = src.fragment_entropies(idx)
             return h_f, src.system_entropy() - h_sf
         if isinstance(src, PhotonSource):
@@ -730,7 +795,7 @@ class TestFragmentRows:
             classical = 0.0 if src.isotropic else two_branch_entropy(src.gamma ** f)
             quantum = two_branch_entropy(src.gamma) - two_branch_entropy(src.gamma ** (1.0 - f))
         else:
-            classical = src.model.classical_term(m)
+            classical = src.model.fragment_entropy(m) - m * src.model.haze.h
             quantum = src.system_entropy() - src.model.decohered_entropy(src.model.n - m)
         return np.full(len(idx), classical), np.full(len(idx), quantum)
 

@@ -34,6 +34,7 @@ from darwinlab.spinmodels import (CentralSpinParams, HazyCentralSpin, HazyParams
 from darwinlab.qstate import (
     DensityMatrix,
     HilbertShape,
+    StateVector,
     apply_unitary,
     ket,
     partial_trace,
@@ -467,6 +468,28 @@ def test_one_weight_rule_accepts(entry, weights):
 def test_one_weight_rule_rejects(entry, weights, message):
     with pytest.raises(ValueError, match=message):
         WEIGHT_ENTRY_POINTS[entry](weights)
+
+
+NAN_INPUTS = {
+    "StateVector": lambda: StateVector(qubits(1), [np.nan, 0.0]),
+    "ProbVector": lambda: ProbVector([np.nan, np.nan]),
+    "BranchingState": lambda: BranchingState((0.5, 0.5), np.zeros(2),
+                                             np.full((3, 2, 2), np.nan)),
+    "SchmidtPair": lambda: SchmidtPair([np.nan, 0.5], np.eye(2), np.eye(2)),
+    # a zero env_init normalizes to nan kets, and H_S would read -0.0
+    "central_spin_branching": lambda: central_spin_branching(
+        CentralSpinParams(np.ones(4), 1.0, env_init=[0, 0])),
+    "interacting_evolve": lambda: interacting_evolve(
+        InteractingEnvParams(np.array([np.nan, 0.1]), np.zeros((2, 2)), t=1.0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_INPUTS))
+def test_nan_fails_every_tolerance_check(entry):
+    # a nan compares false with every tolerance, so each check is written
+    # to pass only a value inside it
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        NAN_INPUTS[entry]()
 
 
 def test_rounding_negative_weight_reads_as_zero():

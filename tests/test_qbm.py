@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from darwinlab import darwin, qbm
-from darwinlab.darwin import GaussianSource, _paired_half_rows, build_pip
+from darwinlab.darwin import GaussianSource, _draw_rows, build_pip
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
     GaussianState,
@@ -509,7 +509,7 @@ class TestHalfPairs:
 
     def setup_method(self):
         self.state = qbm_evolve(OhmicBathParams(), 1e3, "x", 3.0)
-        self.rows = _paired_half_rows(128, 64, 48, np.random.default_rng(23))
+        self.rows = _draw_rows(128, 64, 48, np.random.default_rng(23), True)
 
     def count_slab_rows(self, monkeypatch):
         solved = []
@@ -549,7 +549,7 @@ class TestHalfPairs:
         whole = qbm_evolve(OhmicBathParams(bands=32), 1e3, "x", 3.0)
         mixed = whole.marginal(range(17))
         assert not mixed.is_pure()
-        rows = _paired_half_rows(16, 8, 12, np.random.default_rng(24))
+        rows = _draw_rows(16, 8, 12, np.random.default_rng(24), True)
         comps = [np.setdiff1d(np.arange(16), r).tolist() for r in rows[0::2]]
         assert rows[1::2].tolist() == comps
         force_lanes(monkeypatch, 1)
@@ -579,7 +579,7 @@ class TestHalfPairs:
         monkeypatch.setattr(src, "_mutual_info", recorded)
         pip = build_pip(src, fractions=[0.5], samples_per_fraction=8, seed=23)
         (idx, vals), = [c for c in calls if c[0].shape[1] == 64]
-        rows = darwin._fragment_rows(src, 64, 8, 23)
+        rows = darwin._fragment_rows(src, 64, 8, (23, 64), True)
         assert idx.tolist() == rows[0::2].tolist()
         assert np.all(rows[1::2].max(axis=1) > 63)
         want = np.stack((vals, 2.0 * pip.h_system - vals), axis=1).ravel()

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from darwinlab import spinmodels
 from darwinlab.branching import system_entropy, to_state_vector
-from darwinlab.darwin import BranchingSource
+from darwinlab.darwin import BranchingSource, HazySource
 from darwinlab.info import LN2, von_neumann_entropy
 from darwinlab.numeric import CapExceeded
 from darwinlab.qstate import (
@@ -469,14 +469,19 @@ class TestHazyCentralSpin:
             assert model.mutual_info(m) == pytest.approx(
                 BranchingSource(b).fragment_mutual_info(range(m)), abs=1e-9)
 
+    @staticmethod
+    def classical_part(model, m):
+        """H_F(t) - H_F(0) of the first m sites, from HazySource.decompose."""
+        return HazySource(model).decompose(np.arange(m)[None])[0][0]
+
     def test_classical_term_vanishes_at_full_haze(self):
         model = HazyCentralSpin(24, 0.8, 3.0, HazyParams(LN2))
         for m in (1, 5, 12):
-            assert model.classical_term(m) == pytest.approx(0.0, abs=1e-10)
+            assert self.classical_part(model, m) == pytest.approx(0.0, abs=1e-10)
 
     def test_classical_term_positive_en_route(self):
         model = HazyCentralSpin(24, 0.8, 3.0, HazyParams(0.5 * LN2))
-        assert model.classical_term(6) > 0.01
+        assert self.classical_part(model, 6) > 0.01
 
     def test_haze_suppresses_information(self):
         kwargs = dict(n=40, coupling=0.6, t=4.0)
@@ -703,7 +708,7 @@ class TestHazyFastPath:
         assert model.joint_entropy(0) == model.system_entropy()
 
     @pytest.mark.parametrize("method", ["decohered_entropy", "fragment_entropy",
-                                        "joint_entropy", "mutual_info", "classical_term"])
+                                        "joint_entropy", "mutual_info"])
     def test_one_size_range(self, method):
         """Sizes 0 ... n are accepted and every other size raises (n = 8)."""
         of_size = getattr(HazyCentralSpin(8, 0.3, 0.5, HazyParams(0.3)), method)
