@@ -272,12 +272,12 @@ def _cmd_redundancy(cfg: dict) -> None:
     # null exactly when the model has no fragment-only counterfactual
     r_dd = (redundancy_of_decoherence(src, cfg["delta"], seed=cfg["seed"])
             if src.pure_decoherence else None)
-    rep = redundancy(pip, cfg["delta"], r_delta_d=r_dd)
+    rep = redundancy(pip, cfg["delta"])
     report = {
         "delta": rep.delta,
         "f_delta": rep.f_delta,
         "r_delta": rep.r_delta,
-        "r_delta_d": rep.r_delta_d,
+        "r_delta_d": r_dd,
         "plateau_reached": rep.plateau_reached,
         "interpolated": rep.interpolated,
         "h_system_nats": pip.h_system,
@@ -327,9 +327,8 @@ def _cmd_qbm(cfg: dict) -> None:
 
 
 def _cmd_photon(cfg: dict) -> None:
-    from .photon import (decoherence_rate_saturated, dust_grain_redundancy,
-                         dust_grain_sunlight, measured_photon_redundancy,
-                         photon_redundancy)
+    from .photon import (decoherence_rate_saturated, dust_grain_sunlight,
+                         measured_photon_redundancy, photon_redundancy)
 
     delta = cfg["delta"]
     if cfg["preset"]:
@@ -337,7 +336,7 @@ def _cmd_photon(cfg: dict) -> None:
             raise ConfigError(f"unknown preset {cfg['preset']!r}")
         halo = dust_grain_sunlight(t=cfg["t"])
         rate = decoherence_rate_saturated(halo, mode="polarizability")
-        r = dust_grain_redundancy(delta=delta, t=cfg["t"])
+        r = photon_redundancy(halo.t * rate, delta)
         report = {
             "preset": cfg["preset"],
             "rate_per_s": rate,

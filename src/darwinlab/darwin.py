@@ -5,8 +5,9 @@ source interface (size, system entropy, and the entropies H_F and H_SF
 of a matrix of same-size fragments); Source alone puts I(S : F) together
 from them, and the functions here do the statistics:
 uniform fragment sampling without replacement, crossing detection,
-counterfactual decoherence, observable sweeps, and stable CSV/manifest
-export.
+counterfactual decoherence, observable sweeps (chi from info's one
+conditioning rule: darwin conditions no state itself), and stable
+CSV/manifest export.
 
 Mirrored fragment sizes of globally pure sources are never recomputed:
 purity gives I(E minus F) = 2 H_S - I(F) exactly, so the plot is
@@ -32,9 +33,10 @@ import numpy as np
 
 from .branching import (BranchingState, _entropies, decohered_system_entropy, system_entropy,
                         to_state_vector, two_branch_entropy)
-from .info import Ensemble, ProbVector, _counted_sizes, _first_crossing, holevo, shannon_entropy
+from .info import (MeasurementBasis, _counted_sizes, _first_crossing, average_conditional_entropy,
+                   shannon_entropy, von_neumann_entropy)
 from .numeric import POLICY, _forked_lanes, _one_blas_thread, brentq
-from .qstate import (DensityMatrix, HilbertShape, StateVector, _complement_rows, check_rows,
+from .qstate import (HilbertShape, StateVector, _complement_rows, check_rows, partial_trace,
                      qubits, reduced_density, subsystem_entropy, system_fragment_entropies)
 from .spinmodels import (HALF, CentralSpinParams, HazyCentralSpin, InteractingEnvParams,
                          central_spin_branching, interacting_evolve)
@@ -521,20 +523,13 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
 
 @dataclass(frozen=True)
 class RedundancyReport:
-    """Redundancy of a plot at information deficit delta.
-
-    r_delta_d carries the decoherence-deficit companion when the caller
-    computed one. No ordering against r_delta is enforced here: the two
-    agree exactly for pure environments, and sampling noise around that
-    equality would trip a hard inequality for no reason.
-    """
+    """Redundancy of a plot at information deficit delta."""
 
     delta: float
     f_delta: float | None
     r_delta: float
     plateau_reached: bool
     interpolated: bool
-    r_delta_d: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -543,8 +538,7 @@ class RedundancyReport:
             raise ValueError("negative redundancy")
 
 
-def redundancy(pip: PartialInfoPlot, delta: float = 0.1,
-               r_delta_d: float | None = None) -> RedundancyReport:
+def redundancy(pip: PartialInfoPlot, delta: float = 0.1) -> RedundancyReport:
     """How many disjoint fragments each miss at most delta of H_S.
 
     R = n / sharpF at the crossing of (1 - delta) H_S, searched on the
@@ -562,7 +556,7 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1,
     threshold = (1.0 - delta) * pip.h_system
     plateau = any(means[m] >= threshold for m in _counted_sizes(n, False, means))
     f_delta = None if sharp is None else sharp / n
-    return RedundancyReport(delta, f_delta, r, plateau, interpolated, r_delta_d)
+    return RedundancyReport(delta, f_delta, r, plateau, interpolated)
 
 
 # ---------------------------------------------------------------------------
@@ -649,27 +643,14 @@ class SweepPoint:
     redundant: bool
 
 
-def _fragment_holevo(rho_sf: DensityMatrix, kets) -> float:
-    dims = rho_sf.shape.dims
-    df = int(np.prod(dims[1:]))
-    rho4 = rho_sf.mat.reshape(2, df, 2, df)
-    shape_f = HilbertShape(dims[1:])
-    weights, members = [], []
-    for k in kets:
-        cond = np.einsum("a,aibj,b->ij", k.conj(), rho4, k)
-        p = float(np.real(np.trace(cond)))
-        if p <= POLICY.eig_floor:
-            continue
-        weights.append(p)
-        members.append(DensityMatrix(shape_f, cond / p))
-    w = np.array(weights)
-    return holevo(Ensemble(ProbVector(w / w.sum()), tuple(members)))
-
-
 def observable_sweep(source, mu_grid, fragment_size: int, delta: float = 0.1) -> tuple:
     """Holevo information held by disjoint fragments about sigma(mu).
 
-    sigma(mu) = cos(mu) sigma_z + sin(mu) sigma_x on a qubit system.
+    sigma(mu) = cos(mu) sigma_z + sin(mu) sigma_x on a qubit system. The
+    Holevo information of a block F is chi = H(F) - H(F | sigma(mu) on S),
+    H(F) solved once per block and the conditional term from
+    info.average_conditional_entropy, so chi is
+    info.asymmetric_mutual_info(block, basis, (0,)) to the bit.
     fragments_passing counts the disjoint size-`fragment_size` blocks
     whose Holevo bound reaches (1 - delta) H(sigma). The redundant flag
     is the consistency condition on the system alone: measuring the
@@ -690,6 +671,7 @@ def observable_sweep(source, mu_grid, fragment_size: int, delta: float = 0.1) ->
     rho_s = reduced_density(state, (0,)).mat
     blocks = [reduced_density(state, (0,) + tuple(range(s + 1, s + 1 + fragment_size)))
               for s in range(0, n - fragment_size + 1, fragment_size)]
+    h_f = [von_neumann_entropy(partial_trace(b, range(1, fragment_size + 1))) for b in blocks]
     out = []
     for mu in np.asarray(mu_grid, dtype=float):
         c, s = math.cos(mu / 2.0), math.sin(mu / 2.0)
@@ -699,7 +681,8 @@ def observable_sweep(source, mu_grid, fragment_size: int, delta: float = 0.1) ->
         p_z = np.clip(np.real(np.diag(rho_s)), 0.0, 1.0)
         h_cond = sum(p_z[j] * shannon_entropy([abs(k[j]) ** 2 for k in kets])
                      for j in range(2))
-        chis = [_fragment_holevo(b, kets) for b in blocks]
+        basis = MeasurementBasis.from_states(kets)
+        chis = [h - average_conditional_entropy(b, basis, (0,)) for h, b in zip(h_f, blocks)]
         passing = int(sum(x >= (1.0 - delta) * h_sig for x in chis))
         redundant = bool(h_cond <= delta * h_sig + POLICY.spectrum_atol)
         out.append(SweepPoint(float(mu), float(np.mean(chis)), float(h_sig),

@@ -4,6 +4,9 @@ All quantities are in nats internally (the analytic closed forms downstream
 are stated in natural log); use to_bits() at the output boundary when
 base-2 numbers are wanted.
 
+Every entropy measured on one subsystem, darwin's observable sweep too,
+goes through one conditioning rule, _conditional_entropies.
+
 Subsystem positions follow qstate's one rule: a sequence, in any order, of
 integers inside range(n) with no repeats; a repeated or non-integer
 position raises ValueError rather than collapsing or being truncated.
@@ -15,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import POLICY
-from .qstate import (DensityMatrix, _entropy_from_eigs, _sorted_positions, _traced_matrix,
-                     partial_trace)
+from .qstate import DensityMatrix, _entropy_from_eigs, _sorted_positions, partial_trace
 
 LN2 = float(np.log(2.0))
 
@@ -177,17 +179,16 @@ def mutual_information(rho: DensityMatrix, part_a) -> float:
 
 
 def _apply_projector(rho: DensityMatrix, projector: np.ndarray, on: tuple,
-                     rest: tuple, path=True) -> np.ndarray:
+                     rest: tuple) -> np.ndarray:
     """Compute P rho P with P acting on the sorted `on` subsystems only;
-    rest holds the other subsystems, ascending. path is einsum's optimize
-    argument: True plans the contraction, a planned path skips that."""
+    rest holds the other subsystems, ascending."""
     dims = rho.shape.dims
     n = len(dims)
     d_on = rho.shape.dim_of(on)
     perm = list(on) + list(rest)
     t = rho.mat.reshape(dims + dims)
     t = t.transpose(perm + [n + i for i in perm]).reshape(d_on, -1, d_on, rho.shape.dim_of(rest))
-    t = np.einsum("ai,ibjc,jd->abdc", projector, t, projector.conj().T, optimize=path)
+    t = np.einsum("ai,ibjc,jd->abdc", projector, t, projector.conj().T, optimize=True)
     # t axes now: on row, rest row, on col, rest col -> back to original layout
     t = t.reshape([dims[i] for i in perm] + [dims[i] for i in perm])
     inv = np.argsort(perm)
@@ -196,26 +197,51 @@ def _apply_projector(rho: DensityMatrix, projector: np.ndarray, on: tuple,
     return t.reshape(d, d)
 
 
-def _conditional(rho: DensityMatrix, projector: np.ndarray, on: tuple, rest: tuple,
-                 path=True) -> tuple[np.ndarray | None, float]:
-    """conditional_state's (matrix, probability), unchecked."""
-    projected = _apply_projector(rho, projector, on, rest, path)
-    p = float(np.trace(projected).real)
-    if p <= POLICY.eig_floor:
-        return None, 0.0
-    out = projected / p
-    return 0.5 * (out + out.conj().T), p
-
-
 def conditional_state(rho: DensityMatrix, projector: np.ndarray, on) -> tuple[DensityMatrix | None, float]:
     """Project, renormalize and return (state, probability).
 
     A zero-probability branch returns (None, 0.0) rather than raising;
-    callers that average over a basis just skip it.
+    callers that average over a basis just skip it. A projector whose
+    shape is not that of the `on` subsystems raises ValueError.
     """
     on, rest = _sorted_positions(on, rho.shape.n_subsystems)
-    out, p = _conditional(rho, np.asarray(projector, dtype=complex), on, rest)
-    return (None, 0.0) if out is None else (DensityMatrix(rho.shape, out), p)
+    projector, d_on = np.asarray(projector, dtype=complex), rho.shape.dim_of(on)
+    if projector.shape != (d_on, d_on):
+        raise ValueError(f"projector of shape {projector.shape} on dimension {d_on}")
+    projected = _apply_projector(rho, projector, on, rest)
+    p = float(np.trace(projected).real)
+    if p <= POLICY.eig_floor:
+        return None, 0.0
+    out = projected / p
+    return DensityMatrix(rho.shape, 0.5 * (out + out.conj().T)), p
+
+
+def _conditional_entropies(rho: DensityMatrix, on: tuple, rest: tuple,
+                           projector_sets) -> list[float]:
+    """H(rest | outcomes) = sum_k p_k H(rest | k) for each set of projectors
+    on the sorted `on` subsystems, rest the others, ascending. rho is moved
+    once, to t[a, b, c, d] = <a b|rho|c d> with a, c on `on`; the rest after
+    outcome k is Tr_on(P_k rho) / p_k, one contraction of P_k with t, and
+    outcomes with p_k <= POLICY.eig_floor are skipped. Only the projectors'
+    shape is checked: not the square of dim(on) raises ValueError."""
+    dims, n = rho.shape.dims, rho.shape.n_subsystems
+    d_on, perm = rho.shape.dim_of(on), on + rest
+    t = rho.mat.reshape(dims + dims).transpose(perm + tuple(n + i for i in perm))
+    t = t.reshape(d_on, rho.shape.dim_of(rest), d_on, -1)
+    out = []
+    for projectors in projector_sets:
+        total = 0.0
+        for proj in projectors:
+            if proj.shape != (d_on, d_on):
+                raise ValueError(f"projector of shape {proj.shape} on dimension {d_on}")
+            cond = np.tensordot(proj, t, axes=([0, 1], [2, 0]))
+            p = float(np.trace(cond).real)
+            if p <= POLICY.eig_floor:
+                continue
+            cond = cond / p
+            total += p * _entropy_from_eigs(np.linalg.eigvalsh(0.5 * (cond + cond.conj().T)))
+        out.append(total)
+    return out
 
 
 def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
@@ -223,21 +249,7 @@ def average_conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, on)
     on, rest = _sorted_positions(on, rho.shape.n_subsystems)
     if not rest:
         raise ValueError("measurement must leave a nonempty remainder")
-    return _average_conditional_entropy(rho, basis.projectors, on, rest)
-
-
-def _average_conditional_entropy(rho: DensityMatrix, projectors, on: tuple, rest: tuple,
-                                 path=True) -> float:
-    """average_conditional_entropy over complex projectors, unchecked: no
-    state is built or validated on the way."""
-    total = 0.0
-    for proj in projectors:
-        cond, p = _conditional(rho, proj, on, rest, path)
-        if cond is None:
-            continue
-        total += p * _entropy_from_eigs(np.linalg.eigvalsh(
-            _traced_matrix(cond, rho.shape.dims, rest, on)))
-    return total
+    return _conditional_entropies(rho, on, rest, [basis.projectors])[0]
 
 
 def asymmetric_mutual_info(rho: DensityMatrix, basis: MeasurementBasis, on) -> float:
@@ -271,7 +283,7 @@ def min_discord(rho: DensityMatrix, on, grid: tuple[int, int] = (180, 90)) -> fl
     POVMs are out of scope. Grid resolution trades accuracy for time;
     the default matches the documented policy. Every grid point gives
     discord(rho, bloch_basis(theta, phi), on) to the bit, from unchecked
-    projectors and conditional states and one planned einsum path.
+    projectors and one move of rho for the whole grid.
     """
     on, rest = _sorted_positions(on, rho.shape.n_subsystems)
     if rho.shape.dim_of(on) != 2:
@@ -279,19 +291,11 @@ def min_discord(rho: DensityMatrix, on, grid: tuple[int, int] = (180, 90)) -> fl
     i_sym = mutual_information(rho, on)
     h_rest = von_neumann_entropy(partial_trace(rho, rest))
     n_theta, n_phi = grid
-    # _apply_projector's contraction, planned once for these shapes
-    proj = np.eye(2, dtype=complex)
-    moved = np.empty((2, rho.shape.dim_of(rest), 2, rho.shape.dim_of(rest)), dtype=complex)
-    path = np.einsum_path("ai,ibjc,jd->abdc", proj, moved, proj, optimize=True)[0]
-    best = np.inf
-    for theta in np.linspace(0.0, np.pi, n_theta, endpoint=True):
-        for phi in np.linspace(0.0, np.pi, n_phi, endpoint=False):
-            projectors = _bloch_projectors(theta, phi)
-            j = h_rest - _average_conditional_entropy(rho, projectors, on, rest, path)
-            d = i_sym - j
-            if d < best:
-                best = d
-    return float(best)
+    sets = (_bloch_projectors(theta, phi)
+            for theta in np.linspace(0.0, np.pi, n_theta, endpoint=True)
+            for phi in np.linspace(0.0, np.pi, n_phi, endpoint=False))
+    return float(min((i_sym - (h_rest - h) for h in _conditional_entropies(rho, on, rest, sets)),
+                     default=np.inf))
 
 
 def holevo(ensemble: Ensemble) -> float:

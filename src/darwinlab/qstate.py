@@ -371,22 +371,13 @@ def _stacked_entropies(g: np.ndarray) -> np.ndarray:
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     ks, rest = _sorted_positions(keep, rho.shape.n_subsystems)
-    out = _traced_matrix(rho.mat, rho.shape.dims, ks, rest)
-    return DensityMatrix(HilbertShape(tuple(rho.shape.dims[i] for i in ks)), out)
-
-
-def _traced_matrix(mat: np.ndarray, dims: tuple, ks: tuple, rest: tuple) -> np.ndarray:
-    """partial_trace's matrix, unchecked: mat over dims with the sorted
-    positions rest traced out and ks kept."""
-    n = len(dims)
-    dk = math.prod(dims[i] for i in ks)
-    dr = math.prod(dims[i] for i in rest)
-    t = mat.reshape(dims + dims)
+    dims, n = rho.shape.dims, rho.shape.n_subsystems
+    dk, dr = rho.shape.dim_of(ks), rho.shape.dim_of(rest)
     # row axes i, column axes n+i; contract matching rest axes
     perm = list(ks) + [n + i for i in ks] + list(rest) + [n + i for i in rest]
-    t = t.transpose(perm).reshape(dk, dk, dr, dr)
+    t = rho.mat.reshape(dims + dims).transpose(perm).reshape(dk, dk, dr, dr)
     out = np.einsum("ijkk->ij", t)
-    return 0.5 * (out + out.conj().T)
+    return DensityMatrix(HilbertShape(tuple(dims[i] for i in ks)), 0.5 * (out + out.conj().T))
 
 
 def apply_unitary(state: StateVector, u: np.ndarray, targets) -> StateVector:

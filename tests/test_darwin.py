@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.branching import two_branch_entropy
-from darwinlab import darwin, numeric, qbm, qstate
+from darwinlab import darwin, info, numeric, qbm, qstate
 from darwinlab.darwin import (
     BranchingSource,
     DenseSource,
@@ -1202,9 +1202,7 @@ class TestRedundancy:
         with pytest.raises(ValueError, match="system entropy is zero"):
             redundancy_of_decoherence(src, 0.1)
 
-    def test_report_carries_companion_value(self):
-        rep = redundancy(build_pip(cnot_source(8), seed=0), 0.1, r_delta_d=8.0)
-        assert rep.r_delta_d == 8.0
+    def test_report_rejects_delta_outside_unit_interval(self):
         with pytest.raises(ValueError):
             RedundancyReport(1.5, None, 1.0, True, False)
 
@@ -1311,6 +1309,48 @@ class TestObservableSweep:
         assert all(b >= a - 1e-12 for a, b in zip(hc, hc[1:]))
         # measuring the pointer first scrambles sigma_x completely
         assert hc[-1] == pytest.approx(LN2, abs=1e-12)
+
+    @staticmethod
+    def blocks_and_bases(src, m, mus):
+        # the sweep's blocks and the eigenbases of sigma(mu), built here
+        state = src.state_vector()
+        blocks = [qstate.reduced_density(state, (0,) + tuple(range(s + 1, s + 1 + m)))
+                  for s in range(0, src.n_env - m + 1, m)]
+        kets = [(np.array([math.cos(mu / 2), math.sin(mu / 2)], dtype=complex),
+                 np.array([-math.sin(mu / 2), math.cos(mu / 2)], dtype=complex)) for mu in mus]
+        return blocks, kets
+
+    @staticmethod
+    def projected_holevo(block, kets):
+        # the Holevo bound by the partial inner product <k| rho_SF |k>
+        shape_f = HilbertShape(block.shape.dims[1:])
+        rho4 = block.mat.reshape(2, shape_f.total_dim, 2, shape_f.total_dim)
+        weights, members = [], []
+        for k in kets:
+            cond = np.einsum("a,aibj,b->ij", k.conj(), rho4, k)
+            p = float(np.real(np.trace(cond)))
+            if p > POLICY.eig_floor:
+                weights.append(p)
+                members.append(qstate.DensityMatrix(shape_f, cond / p))
+        w = np.array(weights)
+        return info.holevo(info.Ensemble(info.ProbVector(w / w.sum()), tuple(members)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: spin_source(9, t=3.0, seed=3),
+        lambda: InteractingSource(random_interacting_params(np.random.default_rng(5), 12, 10.0,
+                                                            0.1, 0.001)),
+    ], ids=["central-spin-9", "interacting-12"])
+    def test_chi_is_the_asymmetric_mutual_info(self, make):
+        # chi = J(F | sigma on S) of each block to the bit, and within 1e-13
+        # of the Holevo bound of the partial-inner-product ensemble
+        src, mus = make(), np.linspace(0.0, math.pi / 2, 5)
+        blocks, kets = self.blocks_and_bases(src, 3, mus)
+        for row, ks in zip(observable_sweep(src, mus, fragment_size=3), kets):
+            basis = info.MeasurementBasis.from_states(ks)
+            j = [info.asymmetric_mutual_info(b, basis, (0,)) for b in blocks]
+            assert row.holevo_info == float(np.mean(j))
+            old = float(np.mean([self.projected_holevo(b, ks) for b in blocks]))
+            assert row.holevo_info == pytest.approx(old, abs=1e-13)
 
     def test_validation(self):
         src = spin_source(4, t=2.0)

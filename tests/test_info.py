@@ -46,7 +46,7 @@ from darwinlab.qstate import (
     subsystem_entropy,
     tensor,
 )
-from helpers import random_state_vector
+from helpers import random_state_vector, random_unitary
 
 Z_BASIS = MeasurementBasis.from_states([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
 X_BASIS = MeasurementBasis.from_states(
@@ -241,16 +241,17 @@ def test_min_discord_asymmetry_of_access():
 
 
 
-def random_two_qubit_density(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_mixed_density(rng, dims):
+    d = HilbertShape(dims).total_dim
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = a @ a.conj().T
-    return DensityMatrix(qubits(2), m / np.trace(m).real)
+    return DensityMatrix(HilbertShape(dims), m / np.trace(m).real)
 
 
 @pytest.mark.parametrize("on", [(0,), (1,)])
-@pytest.mark.parametrize("make", [up_upright_mixture, lambda: random_two_qubit_density(31)],
-                         ids=["up-upright", "random"])
+@pytest.mark.parametrize("make", [
+    up_upright_mixture, lambda: random_mixed_density(np.random.default_rng(31), (2, 2)),
+], ids=["up-upright", "random"])
 def test_min_discord_is_the_grid_minimum_of_discord(make, on):
     # the search is the public discord at every grid point, to the bit
     rho = make()
@@ -259,6 +260,84 @@ def test_min_discord_is_the_grid_minimum_of_discord(make, on):
                for theta in np.linspace(0.0, np.pi, grid[0], endpoint=True)
                for phi in np.linspace(0.0, np.pi, grid[1], endpoint=False))
     assert min_discord(rho, on, grid=grid) == want
+
+def projected_conditional_entropy(rho, projectors, on):
+    """sum_k p_k H(rest | k) the long way: each P_k embedded in the full
+    space, P_k rho P_k renormalized, then the measured subsystems traced out."""
+    dims, n = rho.shape.dims, rho.shape.n_subsystems
+    rest = [i for i in range(n) if i not in on]
+    perm = list(on) + rest
+    inv = list(np.argsort(perm))
+    total = 0.0
+    for proj in projectors:
+        big = np.kron(proj, np.eye(rho.shape.dim_of(rest)))
+        big = big.reshape([dims[i] for i in perm] * 2).transpose(inv + [n + i for i in inv])
+        big = big.reshape(rho.mat.shape)
+        m = big @ rho.mat @ big.conj().T
+        p = np.trace(m).real
+        if p <= POLICY.eig_floor:
+            continue
+        m = DensityMatrix(rho.shape, 0.5 * (m + m.conj().T) / p)
+        total += p * von_neumann_entropy(partial_trace(m, rest))
+    return total
+
+
+def projected_discord(rho, projectors, on):
+    rest = [i for i in range(rho.shape.n_subsystems) if i not in on]
+    h_rest = von_neumann_entropy(partial_trace(rho, rest))
+    return mutual_information(rho, on) - (h_rest - projected_conditional_entropy(rho, projectors, on))
+
+
+def conditioning_bases(rng, d_on):
+    """Complex bases on d_on: Bloch bases off the x-z plane on a qubit, a
+    random rank-one basis, and on two qubits a rank-2 split and a product
+    of Bloch bases."""
+    blochs = [bloch_basis(0.9, 1.1), bloch_basis(2.0, 2.7)]
+    u = random_unitary(rng, d_on)
+    bases = [MeasurementBasis.from_states(u.T)] + (blochs if d_on == 2 else [])
+    if d_on == 4:
+        half = u[:, :2] @ u[:, :2].conj().T
+        bases.append(MeasurementBasis((half, np.eye(4) - half)))
+        bases.append(MeasurementBasis(tuple(np.kron(a, b) for a in blochs[0].projectors
+                                            for b in blochs[1].projectors)))
+    return bases
+
+
+CONDITIONING_CASES = [((2, 3, 2), (0, 2)), ((2, 3, 2), (1,)),
+                      ((2, 2, 2, 2), (0, 2)), ((2, 2, 2, 2), (1,))]
+
+
+@pytest.mark.parametrize("dims, on", CONDITIONING_CASES)
+def test_conditioning_matches_full_space_projection(dims, on):
+    rng = np.random.default_rng(sum(dims) + len(on))
+    rho = random_mixed_density(rng, dims)
+    for basis in conditioning_bases(rng, rho.shape.dim_of(on)):
+        want = projected_conditional_entropy(rho, basis.projectors, on)
+        assert average_conditional_entropy(rho, basis, on) == pytest.approx(want, abs=1e-12)
+        want = projected_discord(rho, basis.projectors, on)
+        assert discord(rho, basis, on) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims, on", [((2, 2, 2, 2), (1,)), ((2, 3, 2), (0,))])
+def test_min_discord_matches_full_space_projection(dims, on):
+    rho = random_mixed_density(np.random.default_rng(len(dims)), dims)
+    want = min(projected_discord(rho, bloch_basis(theta, phi).projectors, on)
+               for theta in np.linspace(0.0, np.pi, 6, endpoint=True)
+               for phi in np.linspace(0.0, np.pi, 4, endpoint=False))
+    assert min_discord(rho, on, grid=(6, 4)) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda rho: average_conditional_entropy(rho, Z_BASIS, (0, 1)),
+    lambda rho: conditional_state(rho, Z_BASIS.projectors[0], (0, 1)),
+    lambda rho: discord(rho, Z_BASIS, (0, 1)),
+    lambda rho: joint_distribution(rho, Z_BASIS, (0, 1), Z_BASIS, (2,)),
+], ids=["average_conditional_entropy", "conditional_state", "discord", "joint_distribution"])
+def test_basis_of_the_wrong_dimension_raises(entry):
+    rho = random_mixed_density(np.random.default_rng(2), (2, 2, 2))
+    with pytest.raises(ValueError, match=r"shape \(2, 2\) on dimension 4"):
+        entry(rho)
+
 
 def test_holevo_examples():
     rho0 = pure_density(ket([1, 0]))
