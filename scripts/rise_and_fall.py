@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from darwinlab.darwin import InteractingSource, build_pip, redundancy
+from darwinlab.darwin import InteractingSource, redundancy_scan
 from darwinlab.spinmodels import random_interacting_params
 
 N_ENV = 14          # default bath size; dense path holds the full 2^(N+1) state
@@ -39,9 +39,9 @@ def r_of_t(n: int, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
     base = random_interacting_params(rng, n, 1.0, sigma_d=SIGMA_D, sigma_m=SIGMA_M)
     for t in TIMES:
-        pip = build_pip(InteractingSource(replace(base, t=float(t))),
-                        samples_per_fraction=24, seed=seed)
-        yield float(t), redundancy(pip, DELTA).r_delta, pip.h_system
+        source = InteractingSource(replace(base, t=float(t)))
+        report, _ = redundancy_scan(source, DELTA, 24, seed)
+        yield float(t), report.r_delta, source.system_entropy()
 
 
 def main():

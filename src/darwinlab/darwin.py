@@ -12,13 +12,18 @@ CSV/manifest export.
 Mirrored fragment sizes of globally pure sources are never recomputed:
 purity gives I(E minus F) = 2 H_S - I(F) exactly, so the plot is
 antisymmetric about f = 1/2 by construction and half the work is free.
-The half size is drawn in complement pairs (F, E minus F), and build_pip
-solves only F of each pair and mirrors its complement the same way, so the
-f = 1/2 mean is H_S. build_pip is the one place that uses purity; every
-kernel solves each row it is given alone.
+The half size is drawn in complement pairs (F, E minus F): only F of each
+pair is solved, its complement is mirrored the same way, and the f = 1/2
+mean is H_S exactly. _size_stats draws and solves one size for both
+build_pip and redundancy_scan. No kernel uses purity: every kernel solves
+each row it is given alone.
 
-Both scans draw their rows through _fragment_rows alone, each on its own
-stream; Source answers empty rows, so kernels see only non-empty ones.
+R_delta comes from a whole plot (build_pip, then redundancy) or, bit
+for bit, from redundancy_scan, which solves sizes up to the crossing
+only; haar_baseline runs the scan.
+
+Every scan draws its rows through _fragment_rows alone, each size on its
+own stream; Source answers empty rows, so kernels see only non-empty ones.
 """
 
 from __future__ import annotations
@@ -451,6 +456,29 @@ def _fragment_rows(source, m: int, count: int, stream: tuple, paired: bool) -> n
     return _draw_rows(n, m, count, rng, paired and 2 * m == n)
 
 
+def _check_sampling(samples_per_fraction: int, seed: int) -> None:
+    if samples_per_fraction < 1:
+        raise ValueError("need at least one sample per fraction")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
+def _size_stats(source, m: int, samples: int, seed: int) -> tuple[float, float, int]:
+    """Mean, sample stddev (0.0 for one row) and count of I(S : F) over the
+    size-m rows on the stream (seed, m). At the half size of a pure source
+    that is not symmetric only the first row of each complement pair is
+    solved, the second takes 2 H_S - I of it, and the mean is H_S exactly,
+    where the values' own mean is H_S to rounding."""
+    h_s = source.system_entropy()
+    rows = _fragment_rows(source, m, samples, (seed, m), True)
+    paired = source.pure_global and not source.symmetric and 2 * m == source.n_env
+    vals = source._mutual_info(rows[0::2] if paired else rows)
+    if paired:  # each complement mirrors the row before it
+        vals = np.stack((vals, 2.0 * h_s - vals), axis=1).ravel()
+    sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+    return (h_s if paired else float(vals.mean())), sd, len(vals)
+
+
 def build_pip(source, fractions=None, samples_per_fraction: int = 24,
               seed: int = 0) -> PartialInfoPlot:
     """Sample the partial-information plot of a source.
@@ -461,12 +489,12 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     within each size and deterministic in `seed`; each size gets its own
     counter-keyed stream.
 
-    Global purity is used here and nowhere else. For a pure_global
-    source, a size past the half is read off its mirror, 2 H_S - I. At
-    the half size of one that is not symmetric, the rows are complement
-    pairs: the source solves the first row of each pair, and the second
-    takes 2 H_S - I of it, so the point keeps every sample and its mean
-    is H_S. A mixed source solves every row of every size.
+    For a pure_global source, a size past the half is read off its
+    mirror, 2 H_S - I. At the half size of one that is not symmetric, the
+    rows are complement pairs: the source solves the first row of each
+    pair, and the second takes 2 H_S - I of it, so the point keeps every
+    sample and its mean is H_S exactly (_size_stats). A mixed source
+    solves every row of every size.
 
     Source._mutual_info solves each size's draws, unchecked (they are
     valid), with BLAS on one thread, so the values do not depend on
@@ -478,11 +506,9 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     warns on such a fork). A symmetric source stays serial and ascending:
     one row per size, and the hazy lift cache climbs degree by degree,
     which a lane would do alone and a descending scan would restart once.
+    R_delta alone needs no whole plot: redundancy_scan.
     """
-    if samples_per_fraction < 1:
-        raise ValueError("need at least one sample per fraction")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _check_sampling(samples_per_fraction, seed)
     n = source.n_env
     if fractions is None:
         cards = default_cardinalities(n)
@@ -497,13 +523,7 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     pure = source.pure_global
 
     def sample(m: int) -> tuple[float, float, int]:
-        rows = _fragment_rows(source, m, samples_per_fraction, (seed, m), True)
-        paired = pure and not source.symmetric and 2 * m == n
-        vals = source._mutual_info(rows[0::2] if paired else rows)
-        if paired:  # each complement mirrors the row before it
-            vals = np.stack((vals, 2.0 * h_s - vals), axis=1).ravel()
-        sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        return float(vals.mean()), sd, len(vals)
+        return _size_stats(source, m, samples_per_fraction, seed)
 
     sizes = sorted({min(m, n - m) if pure else m for m in cards}, reverse=not source.symmetric)
     stats = dict(zip(sizes, map(sample, sizes) if source.symmetric
@@ -559,26 +579,64 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1) -> RedundancyReport:
     return RedundancyReport(delta, f_delta, r, plateau, interpolated)
 
 
+def redundancy_scan(source, delta: float = 0.1, samples_per_fraction: int = 24,
+                    seed: int = 0) -> tuple[RedundancyReport, tuple[int, ...]]:
+    """redundancy(build_pip(source, samples_per_fraction=..., seed=...),
+    delta), bit for bit, from the sizes up to the crossing alone; returns
+    the report and the sizes solved, in the order solved.
+
+    info._first_crossing asks for the default grid's counted sizes
+    ascending, and each is solved by _size_stats, so it has the plot's
+    mean. For a pure_global source a size m past the half reads
+    2 H_S - I(n - m), and the half of one that is not symmetric reads H_S
+    with no solve. The plateau is reached exactly when the first size
+    that reached the threshold lies below the half. The sizes run in this
+    process, one after another.
+    """
+    _check_sampling(samples_per_fraction, seed)
+    n, h_s, pure = source.n_env, source.system_entropy(), source.pure_global
+    means, scanned = {}, []
+
+    def solved(m: int) -> float:
+        if m not in means:
+            means[m] = _size_stats(source, m, samples_per_fraction, seed)[0]
+        return means[m]
+
+    def value_of(m: int) -> float:
+        scanned.append(m)
+        if pure and 2 * m > n:
+            return 2.0 * h_s - solved(n - m)
+        if pure and 2 * m == n and not source.symmetric:
+            return h_s
+        return solved(m)
+
+    sharp, r, interpolated = _first_crossing(
+        n, _counted_sizes(n, pure, default_cardinalities(n)), value_of, h_s, delta)
+    f_delta = None if sharp is None else sharp / n
+    plateau = sharp is not None and 2 * scanned[-1] < n
+    return RedundancyReport(delta, f_delta, r, plateau, interpolated), tuple(means)
+
+
 # ---------------------------------------------------------------------------
 # Haar baseline
 
 def haar_baseline(n_env: int, states: int, samples: int, delta: float,
                   seed: int) -> list[float]:
     """R_delta of `states` Haar-random states over n_env bath qubits, in
-    state order: state i is haar_random_source(n_env, seed + i), sampled
-    by build_pip with samples per size and seed + i.
+    state order: state i is haar_random_source(n_env, seed + i), scanned
+    by redundancy_scan with samples per size and seed + i, so R is that
+    of its whole plot, bit for bit. A Haar state crosses at the half, which
+    the scan reads as H_S, so it solves only the sizes below the half.
 
     The states are independent, so numeric._forked_lanes deals them over
     its lanes, each with BLAS on one thread; the values do not depend on
-    the lane count. Inside a lane build_pip finds one lane and runs its
-    sizes in line. The dense cap is checked before any fork.
+    the lane count. The dense cap is checked before any fork.
     """
     _haar_shape(n_env)
 
     def one(i: int) -> float:
-        pip = build_pip(haar_random_source(n_env, seed + i),
-                        samples_per_fraction=samples, seed=seed + i)
-        return redundancy(pip, delta).r_delta
+        source = haar_random_source(n_env, seed + i)
+        return redundancy_scan(source, delta, samples, seed + i)[0].r_delta
 
     return _forked_lanes(one, range(states))
 

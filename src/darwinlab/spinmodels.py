@@ -277,15 +277,23 @@ def _sym_step(a: np.ndarray, lift: np.ndarray) -> np.ndarray:
     |d, r> = sqrt((d - r)/d) |x>|d-1, r> + sqrt(r/d) |y>|d-1, r-1>. All weights
     are at most one, so accuracy holds up with d; the cross terms are added
     first, as conjugate pairs, so a Hermitian A keeps the lift exactly Hermitian.
+    Its second cross term is then the conjugate transpose of the first, bit
+    for bit, and is not formed again (the hazy kernel's rho_mix is Hermitian).
     """
     d = len(lift)
     r = np.arange(d + 1)
     cx, cy = np.sqrt((d - r) / d), np.sqrt(r / d)
     pad = np.zeros((d + 2, d + 2), dtype=np.result_type(a, lift))
     pad[1:-1, 1:-1] = lift
-    return (a[0, 0] * (np.outer(cx, cx) * pad[1:, 1:])
-            + (a[0, 1] * (np.outer(cx, cy) * pad[1:, :-1])
-               + a[1, 0] * (np.outer(cy, cx) * pad[:-1, 1:]))
+    x = a[0, 1] * (np.outer(cx, cy) * pad[1:, :-1])
+    # the test is cheap on Python scalars; the products keep numpy's, since
+    # with a Python complex numpy's reuse of a large temporary moves last bits
+    (a00, a01), (a10, a11) = a.tolist()
+    if a10 == a01.conjugate() and a00 == a00.conjugate() and a11 == a11.conjugate():
+        cross = x + x.conj().T
+    else:
+        cross = x + a[1, 0] * (np.outer(cy, cx) * pad[:-1, 1:])
+    return (a[0, 0] * (np.outer(cx, cx) * pad[1:, 1:]) + cross
             + a[1, 1] * (np.outer(cy, cy) * pad[:-1, :-1]))
 
 

@@ -1,9 +1,11 @@
 """Experiment layer: sources, PIP sampling, redundancy, sweeps, export."""
 import contextlib
+import gc
 import itertools
 import math
 import os
 import time
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.branching import two_branch_entropy
-from darwinlab import darwin, info, numeric, qbm, qstate
+from darwinlab import cli, darwin, info, numeric, qbm, qstate
 from darwinlab.darwin import (
     BranchingSource,
     DenseSource,
@@ -34,6 +36,7 @@ from darwinlab.darwin import (
     pip_to_csv,
     redundancy,
     redundancy_of_decoherence,
+    redundancy_scan,
 )
 from darwinlab.numeric import POLICY, CapExceeded
 from darwinlab.photon import DecoherenceFactor, measured_photon_redundancy
@@ -521,7 +524,7 @@ class TestBuildPip:
         want = np.stack((vals, 2.0 * pip.h_system - vals), axis=1).ravel()
         mid = pip.point_at(half)
         assert mid.samples == len(rows) == 2 * len(idx)
-        assert mid.mean_i == float(want.mean())
+        assert mid.mean_i == pip.h_system
         assert mid.stddev == float(want.std(ddof=1))
         # below the half, every drawn row is solved
         for m in range(1, half):
@@ -945,8 +948,9 @@ class TestPlotLanes:
 
 
 class TestHaarBaseline:
-    """haar_baseline deals its states over forked lanes; the R list is the
-    serial loop's, bit for bit, and no child outlives a call."""
+    """haar_baseline deals its states over forked lanes; the R list is that
+    of the serial loop over whole plots, bit for bit, and no child outlives
+    a call."""
 
     N, SAMPLES, DELTA, SEED = 6, 4, 0.1, 11
 
@@ -978,8 +982,7 @@ class TestHaarBaseline:
 
     def test_a_slow_state_keeps_state_order(self, monkeypatch):
         # state 0 is slow, so the other lanes take the states after it
-        # meanwhile; every plot would fork in a lane that had more than
-        # one, so the fork count also shows that no lane forks again
+        # meanwhile; the fork count also shows that no lane forks again
         want = self.serial(5)
         real = darwin.haar_random_source
 
@@ -1205,6 +1208,129 @@ class TestRedundancy:
     def test_report_rejects_delta_outside_unit_interval(self):
         with pytest.raises(ValueError):
             RedundancyReport(1.5, None, 1.0, True, False)
+
+
+def cli_source(seed, **options):
+    """The source the CLI builds for `redundancy` with these options."""
+    cfg = {k: default for k, (_, default) in cli._OPTIONS["redundancy"].items()}
+    cfg.update(options)
+    return cli._model_source(cfg, seed)
+
+
+class LineSource(darwin.Source):
+    """n_env = 151, pure and symmetric, with I = 2 H_S m / n: I(64) misses
+    0.9 H_S, the mirror 2 H_S - I(71) at 80 reaches it."""
+
+    tag = "line"
+    n_env = 151
+    symmetric = pure_global = True
+
+    def _system_entropy(self):
+        return 1.0
+
+    def fragment_entropies(self, idx):
+        return np.full(len(idx), 2.0 * idx.shape[1] / self.n_env), np.ones(len(idx))
+
+
+class TestRedundancyScan:
+    """redundancy_scan gives the whole plot's report, bit for bit, from the
+    sizes up to the crossing alone."""
+
+    @staticmethod
+    def whole_plot(source, seed, samples=24, delta=0.1):
+        return redundancy(build_pip(source, samples_per_fraction=samples, seed=seed), delta)
+
+    @pytest.mark.parametrize("options", [
+        dict(model="cnot", n=50), dict(model="cnot", n=51), dict(model="cnot", n=2000),
+        dict(model="central-spin", t=4.0), dict(model="central-spin", t=0.3),
+        *(dict(model="interacting", n=n, t=t) for t in (0.5, 10.0, 500.0) for n in (12, 13)),
+        dict(model="haar", n=12), dict(model="haar", n=13),
+        dict(model="photon"), dict(model="hazy", haze=0.3),
+    ], ids=lambda o: "-".join(map(str, o.values())))
+    def test_cli_sources_give_the_plot_report(self, options):
+        for seed in (1, 2, 3):
+            src = cli_source(seed, **options)
+            report, solved = redundancy_scan(src, 0.1, 24, seed)
+            assert report == self.whole_plot(src, seed)
+            assert list(solved) == sorted(solved)
+            if report.plateau_reached:
+                assert 2 * max(solved) < src.n_env
+
+    def test_mixed_source_and_no_crossing(self):
+        whole = qbm_evolve(OhmicBathParams(bands=24), 100.0, "x", 2.0)
+        no_records = HazySource(HazyCentralSpin(10, 0.2, 0.5, HazyParams(LN2)))
+        for src in (GaussianSource(whole.marginal(range(13))), no_records):
+            assert not src.pure_global
+            for seed in (1, 2, 3):
+                report, solved = redundancy_scan(src, 0.1, 12, seed)
+                assert report == self.whole_plot(src, seed, samples=12)
+        # nothing crosses: every size below the half is solved
+        assert report.f_delta is None and report.r_delta < 1.0
+        assert solved == (1, 2, 3, 4)
+
+    def test_sizes_solved(self):
+        # c-not: one size; Haar: the sizes below the half, which reads H_S;
+        # n = 151 skips 71 on its grid, but 80 past the half reads 2 H_S - I(71)
+        assert redundancy_scan(cnot_source(50), seed=1)[1] == (1,)
+        assert redundancy_scan(haar_random_source(8, 0), seed=0)[1] == (1, 2, 3)
+        hand = LineSource()
+        report, solved = redundancy_scan(hand, 0.1, 1, 0)
+        assert solved[-1] == 71 and 80 not in solved
+        assert report == self.whole_plot(hand, 0, samples=1)
+
+    def test_scan_keeps_no_reference_to_its_source(self):
+        # no reference cycle: a Haar state is freed as soon as it is dropped,
+        # without the garbage collector
+        src = haar_random_source(8, 0)
+        redundancy_scan(src, seed=0)
+        gone = weakref.ref(src)
+        gc.disable()
+        try:
+            del src
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_validation(self):
+        src = cnot_source(10)
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError, match="delta"):
+                redundancy_scan(src, bad)
+        with pytest.raises(ValueError, match="sample"):
+            redundancy_scan(src, 0.1, 0)
+        with pytest.raises(ValueError, match="seed"):
+            redundancy_scan(src, 0.1, 24, -1)
+        with pytest.raises(ValueError, match="system entropy is zero"):
+            redundancy_scan(spin_source(8, t=0.0))
+        with pytest.raises(ValueError, match="no fragment sizes"):
+            redundancy_scan(HazySource(HazyCentralSpin(2, 0.5, 1.0, HazyParams(0.3))))
+
+    def test_haar_baseline_solves_below_the_half(self, monkeypatch):
+        # one lane, so every state runs here; the half size is read as H_S
+        # and the scan stops there, so each state solves sizes 1 ... 5
+        force_lanes(monkeypatch, 1)
+        real = darwin.haar_random_source
+        seen = []
+
+        def recorded(n_env, s):
+            src = real(n_env, s)
+            solve = src._mutual_info
+            seen.append([])
+
+            def counted(idx):
+                seen[-1].append(idx.shape[1])
+                return solve(idx)
+
+            src._mutual_info = counted
+            return src
+
+        monkeypatch.setattr(darwin, "haar_random_source", recorded)
+        rs = haar_baseline(12, 3, 12, 0.1, 1)
+        assert seen == [[1, 2, 3, 4, 5]] * 3
+        monkeypatch.setattr(darwin, "haar_random_source", real)
+        want = [self.whole_plot(haar_random_source(12, 1 + i), 1 + i, samples=12).r_delta
+                for i in range(3)]
+        assert np.array(rs).tobytes() == np.array(want).tobytes()
 
 
 class TestRedundancyOfDecoherence:

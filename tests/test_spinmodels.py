@@ -414,6 +414,32 @@ class TestSymPower:
         err = np.abs(sym_power(a, k) - want).max()
         assert err <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("a", [
+        HazyCentralSpin(8, 0.3, 0.5, HazyParams(h)).rho_mix for h in (0.0, 0.3, 0.69)
+    ] + [np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, -0.4]])],
+        ids=["rho_mix_0", "rho_mix_0.3", "rho_mix_0.69", "complex_hermitian"])
+    def test_hermitian_step_forms_one_cross_term(self, a):
+        # a Hermitian A reads the second cross term as the conjugate
+        # transpose of the first; every degree keeps the bytes of the
+        # step that forms both terms
+        def both_terms(a, lift):
+            d = len(lift)
+            r = np.arange(d + 1)
+            cx, cy = np.sqrt((d - r) / d), np.sqrt(r / d)
+            pad = np.zeros((d + 2, d + 2), dtype=np.result_type(a, lift))
+            pad[1:-1, 1:-1] = lift
+            return (a[0, 0] * (np.outer(cx, cx) * pad[1:, 1:])
+                    + (a[0, 1] * (np.outer(cx, cy) * pad[1:, :-1])
+                       + a[1, 0] * (np.outer(cy, cx) * pad[:-1, 1:]))
+                    + a[1, 1] * (np.outer(cy, cy) * pad[:-1, :-1]))
+
+        assert np.array_equal(a, a.conj().T)
+        lift = want = np.ones((1, 1))
+        for _ in range(200):
+            lift, want = spinmodels._sym_step(a, lift), both_terms(a, want)
+            assert lift.dtype == want.dtype and lift.tobytes() == want.tobytes()
+            assert np.array_equal(lift, lift.conj().T)
+
     def test_sector_dimensions_tile_the_tensor_power(self):
         for m in (2, 3, 6, 9):
             total = sum(sector_multiplicity(m, j) * int(round(2 * j + 1))
