@@ -14,13 +14,14 @@ purity gives I(E minus F) = 2 H_S - I(F) exactly, so the plot is
 antisymmetric about f = 1/2 by construction and half the work is free.
 The half size is drawn in complement pairs (F, E minus F): only F of each
 pair is solved, its complement is mirrored the same way, and the f = 1/2
-mean is H_S exactly. _size_stats draws and solves one size for both
-build_pip and redundancy_scan. No kernel uses purity: every kernel solves
-each row it is given alone.
+mean is H_S exactly. For both build_pip and redundancy_scan, _size_stats
+draws and solves one size and _mirrored is the one mirror rule. No kernel
+uses purity: every kernel solves each row it is given alone.
 
 R_delta comes from a whole plot (build_pip, then redundancy) or, bit
 for bit, from redundancy_scan, which solves sizes up to the crossing
-only; haar_baseline runs the scan.
+only; both go through _report, the one report rule, and haar_baseline
+runs the scan.
 
 Every scan draws its rows through _fragment_rows alone, each size on its
 own stream; Source answers empty rows, so kernels see only non-empty ones.
@@ -479,22 +480,29 @@ def _size_stats(source, m: int, samples: int, seed: int) -> tuple[float, float, 
     return (h_s if paired else float(vals.mean())), sd, len(vals)
 
 
-def build_pip(source, fractions=None, samples_per_fraction: int = 24,
-              seed: int = 0) -> PartialInfoPlot:
+def _mirrored(m: int, n: int, h_s: float, pure: bool, stats_of) -> tuple[float, float, int]:
+    """stats_of(m), except that a size past the half of a pure_global
+    source reads 2 H_S - the mean of n - m, with its stddev and samples."""
+    if not (pure and 2 * m > n):
+        return stats_of(m)
+    mean, sd, k = stats_of(n - m)
+    return 2.0 * h_s - mean, sd, k
+
+
+def build_pip(source, samples_per_fraction: int = 24, seed: int = 0) -> PartialInfoPlot:
     """Sample the partial-information plot of a source.
 
-    Fragment sizes come from `fractions` (rounded to site counts, the
-    f = 0 and f = 1 endpoints always added) or from the default
-    integer-then-geometric grid. Draws are uniform without replacement
+    Fragment sizes are the default integer-then-geometric grid,
+    default_cardinalities(n). Draws are uniform without replacement
     within each size and deterministic in `seed`; each size gets its own
     counter-keyed stream.
 
     For a pure_global source, a size past the half is read off its
-    mirror, 2 H_S - I. At the half size of one that is not symmetric, the
-    rows are complement pairs: the source solves the first row of each
-    pair, and the second takes 2 H_S - I of it, so the point keeps every
-    sample and its mean is H_S exactly (_size_stats). A mixed source
-    solves every row of every size.
+    mirror, 2 H_S - I (_mirrored). At the half size of one that is not
+    symmetric, the rows are complement pairs: the source solves the first
+    row of each pair, and the second takes 2 H_S - I of it, so the point
+    keeps every sample and its mean is H_S exactly (_size_stats). A mixed
+    source solves every row of every size.
 
     Source._mutual_info solves each size's draws, unchecked (they are
     valid), with BLAS on one thread, so the values do not depend on
@@ -509,18 +517,8 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     R_delta alone needs no whole plot: redundancy_scan.
     """
     _check_sampling(samples_per_fraction, seed)
-    n = source.n_env
-    if fractions is None:
-        cards = default_cardinalities(n)
-    else:
-        ms = set()
-        for f in fractions:
-            if not 0.0 <= f <= 1.0:
-                raise ValueError(f"fraction {f} outside [0, 1]")
-            ms.add(int(round(float(f) * n)))
-        cards = tuple(sorted(ms | {0, n}))
-    h_s = source.system_entropy()
-    pure = source.pure_global
+    n, h_s, pure = source.n_env, source.system_entropy(), source.pure_global
+    cards = default_cardinalities(n)
 
     def sample(m: int) -> tuple[float, float, int]:
         return _size_stats(source, m, samples_per_fraction, seed)
@@ -528,14 +526,9 @@ def build_pip(source, fractions=None, samples_per_fraction: int = 24,
     sizes = sorted({min(m, n - m) if pure else m for m in cards}, reverse=not source.symmetric)
     stats = dict(zip(sizes, map(sample, sizes) if source.symmetric
                      else _forked_lanes(sample, sizes)))
-    points = []
-    for m in cards:
-        key = min(m, n - m) if pure else m
-        mean, sd, k = stats[key]
-        if key != m:
-            mean = 2.0 * h_s - mean
-        points.append(PIPPoint(m / n, m, mean, sd, k))
-    return PartialInfoPlot(tuple(points), source.tag, h_s, n, pure)
+    points = tuple(PIPPoint(m / n, m, *_mirrored(m, n, h_s, pure, stats.__getitem__))
+                   for m in cards)
+    return PartialInfoPlot(points, source.tag, h_s, n, pure)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +551,22 @@ class RedundancyReport:
             raise ValueError("negative redundancy")
 
 
+def _report(n: int, h_s: float, pure: bool, sizes, value_of, delta: float) -> RedundancyReport:
+    """The report of info._first_crossing over the sizes of ascending
+    `sizes` that info._counted_sizes counts for n and purity. The plateau
+    is reached when the size that crossed lies below the half, which a
+    mixed plot counts too."""
+    asked = []
+
+    def ask(m: int) -> float:
+        asked.append(m)
+        return value_of(m)
+
+    sharp, r, interpolated = _first_crossing(n, _counted_sizes(n, pure, sizes), ask, h_s, delta)
+    plateau = sharp is not None and 2 * asked[-1] < n
+    return RedundancyReport(delta, None if sharp is None else sharp / n, r, plateau, interpolated)
+
+
 def redundancy(pip: PartialInfoPlot, delta: float = 0.1) -> RedundancyReport:
     """How many disjoint fragments each miss at most delta of H_S.
 
@@ -565,18 +574,12 @@ def redundancy(pip: PartialInfoPlot, delta: float = 0.1) -> RedundancyReport:
     sizes info._counted_sizes counts for the plot's n and purity and
     interpolated linearly between them; a size-1 crossing gives R = n
     exactly. A pure plot crosses by f = 1/2 or just past it, so R bottoms
-    out near 2, the random-state baseline, where plateau_reached (some
-    size a mixed plot counts too crossed) is False. With no crossing
-    f_delta is None and r_delta the achieved fraction of the threshold.
+    out near 2, the random-state baseline, where plateau_reached (the
+    crossing lies below the half) is False. With no crossing f_delta is
+    None and r_delta the achieved fraction of the threshold.
     """
-    n = pip.n_env
     means = {p.sharp_f: p.mean_i for p in pip.points}
-    sharp, r, interpolated = _first_crossing(
-        n, _counted_sizes(n, pip.pure_global, means), means.get, pip.h_system, delta)
-    threshold = (1.0 - delta) * pip.h_system
-    plateau = any(means[m] >= threshold for m in _counted_sizes(n, False, means))
-    f_delta = None if sharp is None else sharp / n
-    return RedundancyReport(delta, f_delta, r, plateau, interpolated)
+    return _report(pip.n_env, pip.h_system, pip.pure_global, means, means.get, delta)
 
 
 def redundancy_scan(source, delta: float = 0.1, samples_per_fraction: int = 24,
@@ -585,36 +588,27 @@ def redundancy_scan(source, delta: float = 0.1, samples_per_fraction: int = 24,
     delta), bit for bit, from the sizes up to the crossing alone; returns
     the report and the sizes solved, in the order solved.
 
-    info._first_crossing asks for the default grid's counted sizes
-    ascending, and each is solved by _size_stats, so it has the plot's
-    mean. For a pure_global source a size m past the half reads
-    2 H_S - I(n - m), and the half of one that is not symmetric reads H_S
-    with no solve. The plateau is reached exactly when the first size
-    that reached the threshold lies below the half. The sizes run in this
-    process, one after another.
+    _report asks for the default grid's counted sizes ascending, and each
+    is solved by _size_stats, so it has the plot's mean; past the half of
+    a pure_global source it reads the plot's mirror (_mirrored). The half
+    of a pure source that is not symmetric reads H_S with no solve. The
+    sizes run in this process, one after another.
     """
     _check_sampling(samples_per_fraction, seed)
     n, h_s, pure = source.n_env, source.system_entropy(), source.pure_global
-    means, scanned = {}, []
+    stats = {}
 
-    def solved(m: int) -> float:
-        if m not in means:
-            means[m] = _size_stats(source, m, samples_per_fraction, seed)[0]
-        return means[m]
+    def solved(m: int) -> tuple[float, float, int]:
+        if m not in stats:
+            stats[m] = _size_stats(source, m, samples_per_fraction, seed)
+        return stats[m]
 
     def value_of(m: int) -> float:
-        scanned.append(m)
-        if pure and 2 * m > n:
-            return 2.0 * h_s - solved(n - m)
         if pure and 2 * m == n and not source.symmetric:
             return h_s
-        return solved(m)
+        return _mirrored(m, n, h_s, pure, solved)[0]
 
-    sharp, r, interpolated = _first_crossing(
-        n, _counted_sizes(n, pure, default_cardinalities(n)), value_of, h_s, delta)
-    f_delta = None if sharp is None else sharp / n
-    plateau = sharp is not None and 2 * scanned[-1] < n
-    return RedundancyReport(delta, f_delta, r, plateau, interpolated), tuple(means)
+    return _report(n, h_s, pure, default_cardinalities(n), value_of, delta), tuple(stats)
 
 
 # ---------------------------------------------------------------------------

@@ -555,14 +555,6 @@ class TestBuildPip:
         pip = build_pip(PhotonSource(0.2, n_env=40), seed=0)
         assert all(p.samples == 1 and p.stddev == 0.0 for p in pip.points)
 
-    def test_custom_fractions_rounded_with_endpoints(self):
-        pip = build_pip(cnot_source(10), fractions=[0.5, 0.52, 0.21], seed=0)
-        assert [p.sharp_f for p in pip.points] == [0, 2, 5, 10]
-
-    def test_fraction_domain(self):
-        with pytest.raises(ValueError):
-            build_pip(cnot_source(4), fractions=[1.2], seed=0)
-
     def test_seed_and_sample_validation(self):
         with pytest.raises(ValueError):
             build_pip(cnot_source(4), samples_per_fraction=0, seed=0)
@@ -1118,6 +1110,31 @@ class TestRedundancy:
             assert rep.interpolated
             assert rep.plateau_reached == plateau
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 151), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.01, 0.9))
+    def test_report_rule_matches_the_mixed_size_scan(self, n, pure, ascending, seed, delta):
+        # hand-built plots on the default grid, means in [0, 2 H_S], rising
+        # or not: the report equals the crossing and the plateau scan
+        # inlined here, where the plateau is reached when some size a mixed
+        # plot counts reaches the threshold
+        cards = default_cardinalities(n)
+        u = np.random.default_rng(seed).random(len(cards))
+        means = dict(zip(cards, (2.0 * LN2 * (np.sort(u) if ascending else u)).tolist()))
+        pip = PartialInfoPlot(tuple(PIPPoint(m / n, m, v, 0.0, 1) for m, v in means.items()),
+                              "hand", LN2, n, pure)
+        try:
+            sharp, r, interpolated = info._first_crossing(
+                n, info._counted_sizes(n, pure, means), means.get, LN2, delta)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                redundancy(pip, delta)
+            return
+        threshold = (1.0 - delta) * LN2
+        plateau = any(means[m] >= threshold for m in info._counted_sizes(n, False, means))
+        f_delta = None if sharp is None else sharp / n
+        assert redundancy(pip, delta) == RedundancyReport(delta, f_delta, r, plateau, interpolated)
+
     def test_first_grid_point_crossing_is_not_interpolated(self):
         points = (PIPPoint(0.2, 2, 0.68, 0.0, 1),
                   PIPPoint(0.5, 5, 0.6931, 0.0, 1))
@@ -1245,7 +1262,7 @@ class TestRedundancyScan:
         dict(model="central-spin", t=4.0), dict(model="central-spin", t=0.3),
         *(dict(model="interacting", n=n, t=t) for t in (0.5, 10.0, 500.0) for n in (12, 13)),
         dict(model="haar", n=12), dict(model="haar", n=13),
-        dict(model="photon"), dict(model="hazy", haze=0.3),
+        dict(model="photon"), dict(model="photon", n=63, gamma=0.3), dict(model="hazy", haze=0.3),
     ], ids=lambda o: "-".join(map(str, o.values())))
     def test_cli_sources_give_the_plot_report(self, options):
         for seed in (1, 2, 3):
@@ -1259,7 +1276,8 @@ class TestRedundancyScan:
     def test_mixed_source_and_no_crossing(self):
         whole = qbm_evolve(OhmicBathParams(bands=24), 100.0, "x", 2.0)
         no_records = HazySource(HazyCentralSpin(10, 0.2, 0.5, HazyParams(LN2)))
-        for src in (GaussianSource(whole.marginal(range(13))), no_records):
+        isotropic = PhotonSource(0.3, n_env=40, isotropic=True)
+        for src in (GaussianSource(whole.marginal(range(13))), isotropic, no_records):
             assert not src.pure_global
             for seed in (1, 2, 3):
                 report, solved = redundancy_scan(src, 0.1, 12, seed)

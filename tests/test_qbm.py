@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from darwinlab import darwin, qbm
-from darwinlab.darwin import GaussianSource, _draw_rows, build_pip
+from darwinlab.darwin import GaussianSource, _draw_rows
 from darwinlab.numeric import CapExceeded
 from darwinlab.qbm import (
     GaussianState,
@@ -504,8 +504,9 @@ class TestSharedProduct:
 
 class TestHalfPairs:
     """Half-size complement pairs of the README state. The kernel solves
-    every row it is given from its own factorization; build_pip solves the
-    first row of each pair and mirrors the second, I(C) = 2 H_S - I(F)."""
+    every row it is given from its own factorization; a plot's size
+    (darwin._size_stats) solves the first row of each pair and mirrors the
+    second, I(C) = 2 H_S - I(F)."""
 
     def setup_method(self):
         self.state = qbm_evolve(OhmicBathParams(), 1e3, "x", 3.0)
@@ -535,14 +536,12 @@ class TestHalfPairs:
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
     def test_pairs_sum_to_twice_system_entropy(self, monkeypatch):
-        force_lanes(monkeypatch, 1)
         solved = self.count_slab_rows(monkeypatch)
-        pip = build_pip(GaussianSource(self.state), fractions=[0.5], samples_per_fraction=48,
-                        seed=23)
-        mid = pip.point_at(64)
-        assert sum(solved) == mid.samples // 2 == 24
+        src = GaussianSource(self.state)
+        mean, _, samples = darwin._size_stats(src, 64, 48, 23)
+        assert sum(solved) == samples // 2 == 24
         # each pair sums to 2 H_S up to the rounding of 2 H_S - v
-        assert mid.mean_i == pytest.approx(pip.h_system, rel=1e-14)
+        assert mean == pytest.approx(src.system_entropy(), rel=1e-14)
 
     def test_mixed_state_solves_every_row(self, monkeypatch):
         # 16 of the 32 bands: a mixed state, whose complements share nothing
@@ -560,14 +559,14 @@ class TestHalfPairs:
         want = [two_cholesky_mutual_info(mixed, row) for row in rows.tolist()]
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
         solved.clear()
-        pip = build_pip(GaussianSource(mixed), fractions=[0.5], samples_per_fraction=12, seed=0)
+        counts = [darwin._size_stats(GaussianSource(mixed), m, 12, 0)[2] for m in (16, 8)]
         # the whole bath, one row, and all 12 half-size rows: nothing mirrored
-        assert solved == [1, 12] and pip.point_at(8).samples == 12
+        assert solved == [1, 12] and counts == [1, 12]
 
     def test_partners_past_position_63_share(self, monkeypatch):
-        # build_pip at the half size of the README state: every complement
-        # holds positions past 63 and takes 2 H_S - I of its row, bit for bit
-        force_lanes(monkeypatch, 1)
+        # the half size of the README state: every complement holds
+        # positions past 63 and takes 2 H_S - I of its row, bit for bit;
+        # the point's mean is H_S and its stddev that of the pairs' values
         src = GaussianSource(self.state)
         calls = []
         real = src._mutual_info
@@ -577,14 +576,15 @@ class TestHalfPairs:
             return calls[-1][1]
 
         monkeypatch.setattr(src, "_mutual_info", recorded)
-        pip = build_pip(src, fractions=[0.5], samples_per_fraction=8, seed=23)
+        mean, sd, samples = darwin._size_stats(src, 64, 8, 23)
         (idx, vals), = [c for c in calls if c[0].shape[1] == 64]
         rows = darwin._fragment_rows(src, 64, 8, (23, 64), True)
         assert idx.tolist() == rows[0::2].tolist()
         assert np.all(rows[1::2].max(axis=1) > 63)
-        want = np.stack((vals, 2.0 * pip.h_system - vals), axis=1).ravel()
-        assert pip.point_at(64).mean_i == float(want.mean())
-        assert pip.point_at(64).samples == 8
+        want = np.stack((vals, 2.0 * src.system_entropy() - vals), axis=1).ravel()
+        assert mean == src.system_entropy()
+        assert sd == float(want.std(ddof=1))
+        assert samples == 8
 
 
 class TestFormulas:

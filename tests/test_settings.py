@@ -144,5 +144,5 @@ def test_scan_sees_settings_and_calls():
     # the scan reads a known setting and a known call of it, so an empty
     # result cannot come from a scan that sees nothing
     settings = _settings()
-    assert ("build_pip", "samples_per_fraction", 2) in settings["build_pip"]
-    assert any(_sets(c, "samples_per_fraction", 2) for c in _calls()["build_pip"])
+    assert ("build_pip", "samples_per_fraction", 1) in settings["build_pip"]
+    assert any(_sets(c, "samples_per_fraction", 1) for c in _calls()["build_pip"])
